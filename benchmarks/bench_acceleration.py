@@ -19,7 +19,7 @@ from repro.core.memory import build_delay_chain
 from repro.errors import SimulationError
 from repro.reporting import markdown_table
 
-from common import run_once, save_report
+from common import run_timed, save_report
 
 
 def _one_shot(mode_args):
@@ -73,7 +73,7 @@ def _run():
 
 
 def test_bench_acceleration_ablation(benchmark):
-    one_shot_rows, machine_rows = run_once(benchmark, _run)
+    one_shot_rows, machine_rows = run_timed(benchmark, _run)[-1]
 
     body = markdown_table(["protocol", "arrived (of 30)", "10-90% rise",
                            "settling time"], one_shot_rows)

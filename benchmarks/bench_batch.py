@@ -26,7 +26,7 @@ from repro.crn.simulation.ssa import StochasticSimulator
 from repro.crn.simulation.sweep import simulate_mean_chunk
 from repro.reporting import markdown_table
 
-from common import run_once, save_json, save_report
+from common import run_timed, save_json, save_report
 
 N_TRIALS = 1024
 N_SPECIES = 6
@@ -94,7 +94,7 @@ def _run(base_seed):
 
 
 def test_bench_batch_ensemble(benchmark, bench_seed, bench_json):
-    result = run_once(benchmark, lambda: _run(bench_seed))
+    result = run_timed(benchmark, lambda: _run(bench_seed))[-1]
 
     body = markdown_table(
         ["path", "wall seconds", "events/second"],

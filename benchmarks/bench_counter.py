@@ -9,7 +9,7 @@ digital logic).
 from repro.reporting import markdown_table, plot_samples
 from repro.scenarios import get_scenario
 
-from common import run_once, save_report
+from common import run_timed, save_report
 
 N_PULSES = 20
 
@@ -20,7 +20,7 @@ def _run():
 
 
 def test_bench_counter_figure(benchmark):
-    run = run_once(benchmark, _run)
+    run = run_timed(benchmark, _run)[-1]
 
     rows = [[i, value, i % 8] for i, value in enumerate(run.values)]
     table = markdown_table(["pulse #", "counter value", "expected"], rows)

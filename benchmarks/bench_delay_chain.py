@@ -15,7 +15,7 @@ from repro.core.analysis import (effective_series, effective_value,
 from repro.core.memory import build_delay_chain
 from repro.reporting import markdown_table, plot_series
 
-from common import run_once, save_report
+from common import run_timed, save_report
 
 INITIAL = 50.0
 
@@ -27,7 +27,7 @@ def _run():
 
 
 def test_bench_delay_chain_figure(benchmark):
-    line, trajectory = run_once(benchmark, _run)
+    line, trajectory = run_timed(benchmark, _run)[-1]
 
     stages = line.signal_species()
     rows = []

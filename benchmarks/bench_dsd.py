@@ -13,7 +13,7 @@ from repro.core.memory import build_delay_chain
 from repro.dsd import compile_network
 from repro.reporting import markdown_table
 
-from common import run_once, save_report
+from common import run_timed, save_report
 
 INITIAL = 20.0
 C_MAX_SWEEP = (1_000.0, 10_000.0, 30_000.0)
@@ -40,7 +40,7 @@ def _run():
 
 
 def test_bench_dsd_table(benchmark):
-    rows, inventory = run_once(benchmark, _run)
+    rows, inventory = run_timed(benchmark, _run)[-1]
 
     save_report(
         "E10_dsd",

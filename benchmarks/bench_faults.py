@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.faults import RobustnessCampaign, default_suite
 
-from common import run_once, save_json, save_report
+from common import run_timed, save_json, save_report
 
 SEED = 0
 TRIALS = 6
@@ -35,7 +35,7 @@ def _run():
 
 
 def test_bench_faults_campaign(benchmark, bench_json):
-    result, wall = run_once(benchmark, _run)
+    result, wall = run_timed(benchmark, _run)[-1]
 
     margin = result.margin
     suite = default_suite("counter")

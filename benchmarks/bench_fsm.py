@@ -10,7 +10,7 @@ import random
 from repro.digital import parity_machine, sequence_detector
 from repro.reporting import markdown_table
 
-from common import run_once, save_report
+from common import run_timed, save_report
 
 WORDS = 6
 WORD_LENGTH = 14
@@ -39,7 +39,7 @@ def _run():
 
 
 def test_bench_fsm_figure(benchmark):
-    rows = run_once(benchmark, _run)
+    rows = run_timed(benchmark, _run)[-1]
     save_report(
         "E11_fsm", "E11 -- molecular finite-state machines",
         markdown_table(["word", "'101' hits", "expected hits",

@@ -11,7 +11,7 @@ from repro.apps import biquad, iir_first_order
 from repro.core.machine import SynchronousMachine
 from repro.reporting import markdown_table, plot_samples
 
-from common import run_once, save_report
+from common import run_timed, save_report
 
 
 def _run():
@@ -25,7 +25,7 @@ def _run():
 
 
 def test_bench_iir_figure(benchmark):
-    impulse_run, step_run, bq_run = run_once(benchmark, _run)
+    impulse_run, step_run, bq_run = run_timed(benchmark, _run)[-1]
 
     rows = [
         ["iir1 impulse", impulse_run.max_error(),

@@ -15,7 +15,7 @@ from repro.core.iterative import (build_log_two, build_multiplier,
                                   build_power_of_two)
 from repro.reporting import markdown_table
 
-from common import run_once, save_report
+from common import run_timed, save_report
 
 
 def _ode_cases():
@@ -83,7 +83,7 @@ def _run():
 
 
 def test_bench_module_accuracy_table(benchmark):
-    rows = run_once(benchmark, _run)
+    rows = run_timed(benchmark, _run)[-1]
     save_report("E7_modules", "E7 -- combinational module accuracy",
                 markdown_table(["module", "case", "expected", "measured",
                                 "|error|"], rows))

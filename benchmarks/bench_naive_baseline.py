@@ -17,7 +17,7 @@ from repro.core.analysis import effective_series, effective_value
 from repro.core.memory import build_delay_chain
 from repro.reporting import markdown_table
 
-from common import run_once, save_report
+from common import run_timed, save_report
 
 INITIAL = 30.0
 
@@ -67,7 +67,7 @@ def _run():
 
 
 def test_bench_naive_baseline_table(benchmark):
-    rows, phased_final, phased_values = run_once(benchmark, _run)
+    rows, phased_final, phased_values = run_timed(benchmark, _run)[-1]
 
     save_report(
         "E9_naive_baseline",

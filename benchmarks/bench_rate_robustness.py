@@ -21,7 +21,7 @@ from repro.core.machine import SynchronousMachine
 from repro.errors import SimulationError
 from repro.reporting import markdown_table
 
-from common import run_once, save_report
+from common import run_timed, save_report
 
 SAMPLES = [16.0, 0.0, 8.0, 4.0]
 SEPARATIONS = (10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0)
@@ -65,7 +65,7 @@ def _run():
 
 
 def test_bench_rate_robustness_table(benchmark):
-    sweep_rows, jitter_rows = run_once(benchmark, _run)
+    sweep_rows, jitter_rows = run_timed(benchmark, _run)[-1]
 
     body = markdown_table(
         ["k_fast/k_slow", "max |error|", "cycle time", "status"],

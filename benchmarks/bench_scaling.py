@@ -18,7 +18,7 @@ from repro.core.machine import SynchronousMachine
 from repro.core.synthesis import synthesize
 from repro.reporting import markdown_table
 
-from common import run_once, save_report
+from common import run_timed, save_report
 
 LINE_LENGTHS = (1, 2, 4, 8, 16)
 FIR_ORDERS = (1, 2, 4)
@@ -57,7 +57,7 @@ def _run():
 
 
 def test_bench_scaling_table(benchmark):
-    size_rows, time_rows = run_once(benchmark, _run)
+    size_rows, time_rows = run_timed(benchmark, _run)[-1]
 
     body = markdown_table(["design", "# species", "# reactions"],
                           size_rows)

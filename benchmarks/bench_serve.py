@@ -21,7 +21,7 @@ Two properties are *gates*, not observations:
 
 import asyncio
 
-from common import run_once, save_json, save_report
+from common import run_timed, save_json, save_report
 from repro.reporting import markdown_table
 from repro.serve import (SimulationService, build_job_mix,
                          canonical_result_bytes, generate_load)
@@ -69,7 +69,7 @@ def _run(base_seed):
 
 
 def test_bench_serve(benchmark, bench_seed, bench_json):
-    result = run_once(benchmark, lambda: _run(bench_seed))
+    result = run_timed(benchmark, lambda: _run(bench_seed))[-1]
 
     body = markdown_table(
         ["metric", "value"],

@@ -20,7 +20,7 @@ from repro.crn.simulation.sensitivity import (observable_final,
 from repro.core.memory import build_delay_chain
 from repro.reporting import markdown_table
 
-from common import run_once, save_json, save_metrics, save_report
+from common import run_timed, save_json, save_metrics, save_report
 
 SAMPLES = [40, 80, 20, 60]
 N_SEEDS = 4
@@ -58,8 +58,8 @@ def test_bench_stochastic_exactness(benchmark, bench_seed, bench_json):
     from repro.obs import MetricsRegistry
 
     metrics = MetricsRegistry()
-    rows, worst_sensitivity = run_once(
-        benchmark, lambda: _run(bench_seed, metrics))
+    rows, worst_sensitivity = run_timed(
+        benchmark, lambda: _run(bench_seed, metrics))[-1]
 
     body = markdown_table(
         ["seed", "measured y[n]", "reference y[n]", "max |error|",

@@ -17,7 +17,7 @@ from repro.core.dfg import SignalFlowGraph
 from repro.core.machine import SynchronousMachine
 from repro.reporting import markdown_table
 
-from common import run_once, save_report
+from common import run_timed, save_report
 
 SAMPLES = [20.0, 10.0, 30.0]
 
@@ -49,7 +49,7 @@ def _run():
 
 
 def test_bench_sync_vs_async_table(benchmark):
-    sync_run, rows = run_once(benchmark, _run)
+    sync_run, rows = run_timed(benchmark, _run)[-1]
 
     save_report(
         "E8_sync_vs_async",

@@ -18,7 +18,7 @@ from repro.core.machine import SynchronousMachine
 from repro.waves import (WaveformProbe, build_engine, profile_cycles,
                          render_vcd)
 
-from common import run_once, save_json, save_report
+from common import run_timed, save_json, save_report
 
 SEED = 0
 SAMPLES = [8.0, 4.0, 6.0, 2.0, 6.0, 4.0]
@@ -48,7 +48,7 @@ def test_bench_waves_probe(benchmark, bench_json):
     bare_wall = time.perf_counter() - start
 
     start = time.perf_counter()
-    run, probe = run_once(benchmark, _run_probed)
+    run, probe = run_timed(benchmark, _run_probed)[-1]
     probed_wall = time.perf_counter() - start
 
     profile = profile_cycles(probe.cycle_records)

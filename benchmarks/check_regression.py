@@ -7,6 +7,15 @@ not be more than ``--threshold`` (default 30%) worse than baseline;
 correctness fields are informational only here -- the benchmarks assert
 those themselves.
 
+Two kinds of comparison are reported but not gated, because their
+noise alone can cross the threshold:
+
+- a wall-time metric (``*_seconds``) whose baseline is under
+  :data:`NOISE_FLOOR_SECONDS`;
+- a metric whose interquartile range, recorded as ``<metric>_iqr`` by
+  benchmarks timed over several rounds, exceeds the threshold as a
+  fraction of its value in either record.
+
 Usage::
 
     python check_regression.py --baseline DIR [--current DIR]
@@ -36,6 +45,26 @@ WATCHED = {
     "E18_serve": {"jobs_per_second": "higher"},
     "E19_clocking": {"cycles_per_second": "higher"},
 }
+
+
+#: Wall times below this are dominated by scheduling noise.
+NOISE_FLOOR_SECONDS = 0.05
+
+
+def _ungated_reason(key: str, baseline: dict, current: dict,
+                    threshold: float) -> str | None:
+    """Why a comparison is too noisy to gate, or ``None`` to gate it."""
+    old = float(baseline[key])
+    if key.endswith("seconds") and old < NOISE_FLOOR_SECONDS:
+        return (f"baseline under the {NOISE_FLOOR_SECONDS * 1e3:g} ms "
+                f"noise floor")
+    for label, record in (("baseline", baseline), ("current", current)):
+        iqr = record.get(f"{key}_iqr")
+        value = float(record[key])
+        if iqr is not None and value > 0.0 and iqr / value > threshold:
+            return (f"{label} IQR {iqr / value:.0%} of the median is "
+                    f"wider than the threshold")
+    return None
 
 
 def _load(path: Path) -> dict | None:
@@ -76,9 +105,12 @@ def compare(baseline_dir: Path, current_dir: Path,
             worse = ratio > 1.0 + threshold if direction == "lower" \
                 else ratio < 1.0 - threshold
             status = "REGRESSED" if worse else "ok"
+            noisy = _ungated_reason(key, baseline, current, threshold)
+            if noisy is not None:
+                status += f" (not gated: {noisy})"
             print(f"{experiment}.{key}: {old:g} -> {new:g} "
                   f"({ratio:.2f}x, want {direction}) {status}")
-            if worse:
+            if worse and noisy is None:
                 failures.append(
                     f"{experiment}.{key} regressed: {old:g} -> {new:g} "
                     f"({abs(ratio - 1.0):.0%} worse than baseline, "

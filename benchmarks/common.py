@@ -5,14 +5,17 @@ Each ``bench_*`` module regenerates one table or figure of the paper
 rows/series with :mod:`repro.reporting`, writes them under
 ``benchmarks/results/``, prints them (visible with ``pytest -s``), and
 asserts the qualitative *shape* the paper reports.  Timings come from
-pytest-benchmark (single round -- these are simulations, not
-micro-kernels).
+pytest-benchmark through :func:`run_timed`: one round by default, or
+warm-up rounds followed by several timed rounds with their median and
+interquartile range where a record gates on wall time.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -66,6 +69,35 @@ def save_metrics(name: str, metrics) -> Path | None:
     return metrics.write_json(RESULTS_DIR / f"{name}.metrics.json")
 
 
-def run_once(benchmark, fn):
-    """Time one execution of ``fn`` through pytest-benchmark."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+def ode_wall_seconds(metrics) -> float:
+    """Total ODE solver wall time a :class:`MetricsRegistry` recorded."""
+    return metrics.histogram("ode.wall_seconds").summary().get("sum", 0.0)
+
+
+def median_iqr(values) -> tuple[float, float]:
+    """Median and interquartile range of ``values``."""
+    q1, median, q3 = np.percentile(np.asarray(values, dtype=float),
+                                   [25, 50, 75])
+    return float(median), float(q3 - q1)
+
+
+def run_timed(benchmark, fn, *, rounds: int = 1,
+              warmup_rounds: int = 0) -> list:
+    """Run ``fn`` through pytest-benchmark's pedantic mode.
+
+    ``warmup_rounds`` untimed calls (caches, lazy set-up such as the
+    compiled kinetics kernel) precede ``rounds`` timed ones, and the
+    timed rounds' return values come back in order, so a benchmark can
+    report the median and IQR of any per-round measurement with
+    :func:`median_iqr`.  With ``--benchmark-disable`` pytest-benchmark
+    makes a single call, which is then the only round.
+    """
+    results = []
+
+    def call():
+        results.append(fn())
+        return results[-1]
+
+    benchmark.pedantic(call, rounds=rounds, warmup_rounds=warmup_rounds,
+                       iterations=1)
+    return results[-min(rounds, len(results)):]

@@ -26,6 +26,12 @@ numerical agreement:
     count) must equal the reference engine's **bitwise** -- the
     strongest oracle in the battery, and the contract that keeps seeded
     corpora and cached baselines valid across backends.
+``diff.native-vs-numpy``
+    The compiled mass-action kernel and its NumPy twin must return the
+    same RHS and Jacobian **bitwise** at every sampled state of the
+    target's ODE trajectory and at a seeded copy of each state with
+    entries zeroed and negated (the clamp path).  Skipped when the
+    kernel is unavailable on the machine.
 
 Every ensemble member's seed is spawned from one root
 :class:`numpy.random.SeedSequence` and reductions are payload-ordered,
@@ -230,10 +236,53 @@ def check_tau_vs_ssa(target, seed: int,
     return _guarded("diff.tau-vs-ssa", target.name, "tau", body)
 
 
+def _first_difference(native: np.ndarray, numpy: np.ndarray) -> str | None:
+    """Where two results differ bitwise (NaNs compare by bits), if anywhere."""
+    if native.tobytes() == numpy.tobytes():
+        return None
+    index = np.unravel_index(int(np.argmax(
+        native.view(np.uint64) != numpy.view(np.uint64))), native.shape)
+    return (f"entry {tuple(int(i) for i in index)}: "
+            f"{native[index]!r} vs {numpy[index]!r}")
+
+
+def check_native_vs_numpy(target, seed: int,
+                          n_workers: int | None = None) -> CheckResult:
+    """Compiled kernel and NumPy twin must agree bitwise."""
+    def body():
+        from repro.crn import native
+        from repro.crn.kinetics import build_kinetics
+
+        if native.load() is None:
+            raise _Skip("compiled kinetics kernel unavailable")
+        network = target.network
+        options = SimulationOptions(n_samples=17)
+        trajectory = simulate(network, target.t_final, "ode",
+                              scheme=target.scheme, options=options)
+        kinetics = build_kinetics(network, target.scheme)
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 0.0, 1.0], size=trajectory.states.shape)
+        for states in (trajectory.states, trajectory.states * signs):
+            for row, x in enumerate(states):
+                for name in ("rhs", "jacobian"):
+                    where = _first_difference(
+                        getattr(kinetics, name)(0.0, x),
+                        getattr(kinetics, f"{name}_numpy")(0.0, x))
+                    if where is not None:
+                        return (f"{name} at sample {row} "
+                                f"(t={trajectory.times[row]:g}): compiled "
+                                f"vs NumPy differ at {where}")
+        if not kinetics._kernel:
+            return "sampled states never reached the compiled kernel"
+        return None
+    return _guarded("diff.native-vs-numpy", target.name, "ode", body)
+
+
 #: The differential battery, in report order.
 DIFFERENTIAL_CHECKS = (
     check_ode_solvers,
     check_batch_vs_reference,
     check_ssa_vs_ode,
     check_tau_vs_ssa,
+    check_native_vs_numpy,
 )

@@ -27,6 +27,7 @@ from repro.conformance.metamorphic import (ENGINE_SPECS,
                                            check_duplicate_merge,
                                            check_sampling_guard)
 from repro.conformance.oracles import (check_batch_vs_reference,
+                                       check_native_vs_numpy,
                                        check_ode_solvers,
                                        check_ssa_vs_ode,
                                        check_tau_vs_ssa)
@@ -102,7 +103,8 @@ def _cells_for(target: Target, target_index: int, seed: int,
 
     Each cell is a zero-argument callable returning a
     :class:`CheckResult`, paired with a one-argument form used by the
-    shrinker (same check, substituted network).
+    shrinker (same check, substituted network); ``cell.check`` is the
+    check function it runs.
     """
     engines = [ENGINE_SPECS["ode"]]
     if target.stochastic:
@@ -120,6 +122,7 @@ def _cells_for(target: Target, target_index: int, seed: int,
             subject = target if network is None else \
                 dataclasses.replace(target, network=network)
             return fn(subject, *args, seed=cell_seed, **kwargs)
+        run.check = fn
         cells.append(run)
 
     static_checks = (check_duplicate_merge, check_sampling_guard,
@@ -139,6 +142,7 @@ def _cells_for(target: Target, target_index: int, seed: int,
         n_runs=budget.n_runs)
     add(check_ssa_vs_ode, n_workers=n_workers, n_runs=budget.n_runs)
     add(check_tau_vs_ssa, n_workers=n_workers, n_runs=budget.n_runs)
+    add(check_native_vs_numpy)
     return cells
 
 
@@ -191,15 +195,16 @@ def replay_network(network, *, name: str = "corpus",
     Used by ``tests/conformance/test_corpus_replay.py`` and the CLI's
     ``--replay`` mode: every metamorphic invariant on every applicable
     engine, plus the cross-solver and bitwise batch-vs-reference
-    oracles -- cheap enough to run on every shrunk reproducer in
-    tier-1, forever.
+    oracles and the bitwise native-vs-numpy kernel oracle -- cheap
+    enough to run on every shrunk reproducer in tier-1, forever.
     """
     target = Target(name, network, CONFORMANCE_SCHEME,
                     t_final=t_final, stochastic=stochastic)
     budget = BUDGETS["tiny"]
     cells = _cells_for(target, 0, seed, budget, n_workers=1)
     # Drop the two *statistical* ensemble oracles (ssa-vs-ode and
-    # tau-vs-ssa, the last two cells): statistically meaningless on
-    # minimal reproducers and by far the slowest cells.  The bitwise
-    # batch-vs-reference oracle stays -- it is cheap and exact.
-    return [cell() for cell in cells[:-2]]
+    # tau-vs-ssa): statistically meaningless on minimal reproducers and
+    # by far the slowest cells.  The bitwise oracles stay -- they are
+    # cheap and exact.
+    statistical = (check_ssa_vs_ode, check_tau_vs_ssa)
+    return [cell() for cell in cells if cell.check not in statistical]

@@ -23,6 +23,14 @@ over reactions.  Reactions of order >= 3 (or with a single exponent >= 3)
 fall back to a per-reaction loop over a CSR-style nonzero list; they are
 rare and the fallback touches only those rows.
 
+``dx/dt`` and the Jacobian are fixed-order scatters over flat index
+arrays (``np.bincount`` in NumPy), not BLAS products, whose summation
+order depends on the BLAS build and CPU.  :meth:`MassActionKinetics.rhs`
+and :meth:`~MassActionKinetics.jacobian` run them through the compiled
+kernel of :mod:`repro.crn.native` when one is available; the NumPy twins
+``rhs_numpy``/``jacobian_numpy`` walk the same arrays in the same order
+and agree with it bitwise.
+
 :class:`DenseKineticsReference` keeps the straightforward dense
 implementation; the golden-equivalence test suite asserts both engines
 agree on every example network.
@@ -34,6 +42,7 @@ import math
 
 import numpy as np
 
+from repro.crn import native
 from repro.crn.network import Network
 
 
@@ -62,14 +71,16 @@ class MassActionKinetics:
         self.rates = rates
         self.exponents = network.reactant_matrix()          # (R, S)
         self.stoich = network.stoichiometry_matrix()        # (S, R)
-        # Sparse representation of the exponent matrix (CSR-style lists).
-        self._nz_rows, self._nz_cols = np.nonzero(self.exponents)
-        self._nz_exp = self.exponents[self._nz_rows, self._nz_cols]
         self._reactant_lists = [
             [(int(s), int(e)) for s, e in zip(*_row_nonzero(self.exponents, j))]
             for j in range(network.n_reactions)
         ]
         self._compile()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_kernel"] = None  # cffi handles do not pickle; rebind lazily
+        return state
 
     # -- compilation ---------------------------------------------------------
 
@@ -82,7 +93,7 @@ class MassActionKinetics:
         factor_b = np.full(n_r, sentinel, dtype=np.intp)
         pair_same = np.zeros(n_r, dtype=bool)
         generic: list[int] = []
-        # Jacobian nonzeros: entry value = coeff * k_j * xe[gather].
+        # d(rate)/dx nonzeros of order <= 2 rows: coeff * k_j * xe[gather].
         jac_r: list[int] = []
         jac_c: list[int] = []
         jac_coeff: list[float] = []
@@ -117,18 +128,19 @@ class MassActionKinetics:
         self._pair_same = pair_same
         self._generic_rows = np.array(generic, dtype=np.intp)
         self._generic_lists = [(j, self._reactant_lists[j]) for j in generic]
-        self._jac_rows = np.array(jac_r, dtype=np.intp)
-        self._jac_cols = np.array(jac_c, dtype=np.intp)
-        self._jac_gather = np.array(jac_g, dtype=np.intp)
+        self._drate_gather = np.array(jac_g, dtype=np.intp)
         # rates never change after construction, so fold them in.
-        self._jac_scale = np.array(jac_coeff) * self.rates[self._jac_rows]
-        # Nonzero pattern of d(rate)/dx, including the generic rows.
-        pattern = np.zeros((n_r, n_s), dtype=bool)
-        pattern[self._jac_rows, self._jac_cols] = True
-        for j, reactants in self._generic_lists:
-            for s, _ in reactants:
-                pattern[j, s] = True
-        self._drate_pattern = pattern
+        self._drate_scale = (np.array(jac_coeff)
+                             * self.rates[np.array(jac_r, dtype=np.intp)])
+        # Every d(rate_j)/dx_c entry: the order <= 2 ones above, then one
+        # per (generic row, reactant) in _generic_lists order.
+        generic_pairs = [(j, s) for j, reactants in self._generic_lists
+                         for s, _ in reactants]
+        self._drate_rows = np.array(jac_r + [j for j, _ in generic_pairs],
+                                    dtype=np.intp)
+        self._drate_cols = np.array(jac_c + [s for _, s in generic_pairs],
+                                    dtype=np.intp)
+        self._compile_scatters()
         # Stochastic second-factor gather: slot fB for distinct factors,
         # slot (n_s + 1 + s) for the (x_s - 1)/2 half-pair factor of 2X.
         stoch_b = factor_b.copy()
@@ -137,9 +149,28 @@ class MassActionKinetics:
         # Reusable buffers (simulators are single-threaded per instance).
         self._xbuf = np.ones(n_s + 1)
         self._cbuf = np.ones(2 * (n_s + 1))
-        self._drate = np.zeros((n_r, n_s))
-        self._stoich_c = np.ascontiguousarray(self.stoich)
-        self._stoich_csr = None  # built lazily by jacobian_sparse
+        self._sparse_layout = None  # built lazily by jacobian_sparse
+        self._kernel = None         # compiled-kernel binding, bound lazily
+
+    def _compile_scatters(self) -> None:
+        """Fixed-order scatters for ``dx/dt`` and the Jacobian.
+
+        ``rhs`` is ``out[s] += coef * rate[j]`` over the stoichiometry
+        nonzeros ``(s, j)`` in row-major order.  ``jacobian`` is
+        ``J.flat[s*S + c] += coef * drate[k]`` with one term per
+        stoichiometry entry ``(s, j)`` and d(rate) entry ``k = (j, c)``,
+        ordered by ``s`` and then ``k``.  Both executors sum in exactly
+        this order, which is what makes them agree bitwise; a BLAS
+        product would sum in an order that depends on the build and CPU.
+        """
+        rows, cols = np.nonzero(self.stoich)
+        self._stoich_rows, self._stoich_cols = rows, cols
+        self._stoich_coef = self.stoich[rows, cols].astype(float)
+        by_entry = self.stoich[:, self._drate_rows]          # (S, K)
+        species, entry = np.nonzero(by_entry)
+        self._jac_target = species * self.n_species + self._drate_cols[entry]
+        self._jac_entry = entry
+        self._jac_coef = by_entry[species, entry].astype(float)
 
     # -- deterministic -------------------------------------------------------
 
@@ -163,16 +194,37 @@ class MassActionKinetics:
         return m
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
-        """ODE right-hand side ``dx/dt``."""
-        return self._stoich_c @ self.reaction_rates(x)
+        """ODE right-hand side ``dx/dt``.
+
+        Runs the compiled kernel (:mod:`repro.crn.native`) when it is
+        available and ``x`` is a contiguous float64 state vector, and the
+        NumPy twin :meth:`rhs_numpy` otherwise; the two agree bitwise.
+        """
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = _bind_kernel(self)
+        if kernel:
+            state = kernel.state(x)
+            if state is not None:
+                kernel.rhs(kernel.ctx, state)
+                return kernel.rhs_out.copy()
+        return self.rhs_numpy(t, x)
+
+    def rhs_numpy(self, t: float, x: np.ndarray) -> np.ndarray:
+        """NumPy twin of the compiled :meth:`rhs` (same order, same bits)."""
+        rate = self.reaction_rates(x)
+        return np.bincount(self._stoich_rows,
+                           weights=self._stoich_coef * rate[self._stoich_cols],
+                           minlength=self.n_species)
 
     def _drate_values(self, x: np.ndarray) -> np.ndarray:
-        """Populate and return the cached d(rate)/dx scatter buffer."""
+        """Every d(rate)/dx entry, in ``_drate_rows``/``_drate_cols`` order."""
         xe = self._xbuf
         np.maximum(x, 0.0, out=xe[:self.n_species])
-        drate = self._drate
-        drate[self._jac_rows, self._jac_cols] = \
-            self._jac_scale * xe[self._jac_gather]
+        values = np.empty(len(self._drate_rows))
+        n_simple = len(self._drate_gather)
+        values[:n_simple] = self._drate_scale * xe[self._drate_gather]
+        k = n_simple
         for j, reactants in self._generic_lists:
             full = self.rates[j]
             for s, e in reactants:
@@ -180,33 +232,63 @@ class MassActionKinetics:
             for s, e in reactants:
                 xs = xe[s]
                 if xs > 0.0:
-                    drate[j, s] = full * e / xs
-                else:
+                    values[k] = full * e / xs
+                elif e == 1:
                     others = self.rates[j]
                     for s2, e2 in reactants:
                         if s2 != s:
                             others *= xe[s2] ** e2
-                    # For e >= 2 the derivative at x_s = 0 is 0.
-                    drate[j, s] = others if e == 1 else 0.0
-        return drate
+                    values[k] = others
+                else:
+                    values[k] = 0.0  # d(x^e)/dx at x = 0 for e >= 2
+                k += 1
+        return values
+
+    def _jacobian_weights(self, x: np.ndarray) -> np.ndarray:
+        return self._jac_coef * self._drate_values(x)[self._jac_entry]
 
     def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Analytic Jacobian ``d(dx/dt)/dx`` (dense array)."""
-        return self._stoich_c @ self._drate_values(x)
+        """Analytic Jacobian ``d(dx/dt)/dx`` (dense array).
+
+        Compiled when available, like :meth:`rhs`; bitwise equal to
+        :meth:`jacobian_numpy`.
+        """
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = _bind_kernel(self)
+        if kernel:
+            state = kernel.state(x)
+            if state is not None:
+                kernel.jacobian(kernel.ctx, state)
+                return kernel.jac_out.copy()
+        return self.jacobian_numpy(t, x)
+
+    def jacobian_numpy(self, t: float, x: np.ndarray) -> np.ndarray:
+        """NumPy twin of the compiled :meth:`jacobian`."""
+        n_s = self.n_species
+        return np.bincount(self._jac_target,
+                           weights=self._jacobian_weights(x),
+                           minlength=n_s * n_s).reshape(n_s, n_s)
 
     def jacobian_sparse(self, t: float, x: np.ndarray):
         """Analytic Jacobian as a ``scipy.sparse`` CSC matrix.
 
         BDF/Radau accept a sparse-returning ``jac`` and switch their
         Newton linear algebra to sparse LU, which is what makes large
-        composed networks tractable.
+        composed networks tractable.  The structure is the fixed
+        :meth:`jacobian_sparsity` pattern and every stored value equals
+        the dense :meth:`jacobian` entry bitwise.
         """
         from scipy import sparse
 
-        if self._stoich_csr is None:
-            self._stoich_csr = sparse.csr_matrix(self._stoich_c)
-        drate = sparse.csr_matrix(self._drate_values(x))
-        return sparse.csc_matrix(self._stoich_csr @ drate)
+        n_s = self.n_species
+        if self._sparse_layout is None:
+            cells, slot = np.unique(self._jac_target, return_inverse=True)
+            self._sparse_layout = (slot, cells // n_s, cells % n_s)
+        slot, rows, cols = self._sparse_layout
+        values = np.bincount(slot, weights=self._jacobian_weights(x),
+                             minlength=len(rows))
+        return sparse.csc_matrix((values, (rows, cols)), shape=(n_s, n_s))
 
     def jacobian_sparsity(self) -> np.ndarray:
         """(S, S) 0/1 nonzero pattern of :meth:`jacobian`.
@@ -214,9 +296,10 @@ class MassActionKinetics:
         Row s may depend on column s' iff some reaction both changes s
         and has s' as a reactant.  Suitable for scipy's ``jac_sparsity``.
         """
-        touches = (self.stoich != 0).astype(np.int8)       # (S, R)
-        pattern = touches @ self._drate_pattern.astype(np.int8)
-        return (pattern > 0).astype(np.int8)
+        n_s = self.n_species
+        pattern = np.zeros(n_s * n_s, dtype=np.int8)
+        pattern[self._jac_target] = 1
+        return pattern.reshape(n_s, n_s)
 
     # -- stochastic ----------------------------------------------------------
 
@@ -381,6 +464,98 @@ class DenseKineticsReference:
 def _row_nonzero(matrix: np.ndarray, row: int):
     cols = np.nonzero(matrix[row])[0]
     return cols, matrix[row, cols]
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+class _KernelBinding:
+    """One network's compiled arrays packed into the kernel's struct.
+
+    Every array the struct points to lives in one int64 and one float64
+    buffer owned by the binding, including the scratch space and the
+    ``rhs_out``/``jac_out`` outputs the kernel writes.
+    """
+
+    def __init__(self, module, kinetics: MassActionKinetics):
+        ffi, lib = module.ffi, module.lib
+        self.rhs = lib.repro_rhs
+        self.jacobian = lib.repro_jacobian
+        self._from_buffer = ffi.from_buffer
+        self._doubles = ffi.typeof("double[]")
+        k = kinetics
+        n_s = k.n_species
+        self._shape = (n_s,)
+        generic = [reactants for _, reactants in k._generic_lists]
+        ints = {
+            "factor_a": k._factor_a,
+            "factor_b": k._factor_b,
+            "generic_rows": k._generic_rows,
+            "generic_ptr": np.cumsum([0] + [len(r) for r in generic]),
+            "generic_species": [s for r in generic for s, _ in r],
+            "stoich_rows": k._stoich_rows,
+            "stoich_cols": k._stoich_cols,
+            "drate_gather": k._drate_gather,
+            "jac_target": k._jac_target,
+            "jac_entry": k._jac_entry,
+        }
+        doubles = {
+            "rates": k.rates,
+            "generic_exp": [e for r in generic for _, e in r],
+            "stoich_coef": k._stoich_coef,
+            "drate_scale": k._drate_scale,
+            "jac_coef": k._jac_coef,
+            "xe": np.ones(n_s + 1),
+            "work": np.empty(max(k.n_reactions, len(k._drate_rows))),
+            "rhs_out": np.empty(n_s),
+            "jac_out": np.empty(n_s * n_s),
+        }
+        ctx = ffi.new("repro_kinetics *")
+        self._ints, _ = self._pack(ffi, ctx, ints, np.int64, "int64_t[]")
+        self._floats, views = self._pack(ffi, ctx, doubles, np.float64,
+                                         "double[]")
+        self.rhs_out = views["rhs_out"]
+        self.jac_out = views["jac_out"].reshape(n_s, n_s)
+        ctx.n_species = n_s
+        ctx.n_reactions = k.n_reactions
+        ctx.n_generic = len(generic)
+        ctx.n_stoich = len(k._stoich_rows)
+        ctx.n_drate = len(k._drate_gather)
+        ctx.n_jac = len(k._jac_target)
+        self.ctx = ctx
+
+    @staticmethod
+    def _pack(ffi, ctx, fields: dict, dtype, ctype: str):
+        """Concatenate ``fields`` into one buffer and point ``ctx`` at
+        each slice; returns the buffer's cdata and the slices."""
+        arrays = [np.asarray(value, dtype=dtype).ravel()
+                  for value in fields.values()]
+        packed = np.concatenate(arrays)
+        base = ffi.from_buffer(ctype, packed)
+        views, start = {}, 0
+        for name, array in zip(fields, arrays):
+            setattr(ctx, name, base + start)
+            views[name] = packed[start:start + len(array)]
+            start += len(array)
+        return base, views
+
+    def state(self, x):
+        """``x`` as a kernel pointer, or None unless it is a C-contiguous
+        float64 vector of the network's length (the NumPy twin handles
+        everything else, including raising on bad shapes)."""
+        if (x.__class__ is np.ndarray and x.dtype is _FLOAT64
+                and x.shape == self._shape):
+            try:
+                return self._from_buffer(self._doubles, x)
+            except ValueError:  # not C-contiguous
+                return None
+        return None
+
+
+def _bind_kernel(kinetics: MassActionKinetics):
+    """A :class:`_KernelBinding`, or ``False`` when there is no kernel."""
+    module = native.load()
+    return _KernelBinding(module, kinetics) if module is not None else False
 
 
 def build_kinetics(network: Network, scheme=None,
