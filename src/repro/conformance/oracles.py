@@ -32,6 +32,11 @@ numerical agreement:
     target's ODE trajectory and at a seeded copy of each state with
     entries zeroed and negated (the clamp path).  Skipped when the
     kernel is unavailable on the machine.
+``diff.native-ssa-vs-python``
+    The compiled SSA event loop and its Python twin must leave a seeded
+    realisation **bitwise** identical: the sampled trajectory, the event
+    count, the counts, propensities and gather buffer, and the
+    generator's next draw.  Skipped when the kernel is unavailable.
 
 Every ensemble member's seed is spawned from one root
 :class:`numpy.random.SeedSequence` and reductions are payload-ordered,
@@ -278,6 +283,54 @@ def check_native_vs_numpy(target, seed: int,
     return _guarded("diff.native-vs-numpy", target.name, "ode", body)
 
 
+def check_native_ssa_vs_python(target, seed: int,
+                               n_workers: int | None = None) -> CheckResult:
+    """Compiled SSA loop and Python twin must agree bitwise."""
+    def body():
+        if not target.stochastic:
+            raise _Skip("stochastic engines disabled for this target")
+        from repro.crn import native
+        from repro.crn.simulation.ssa import StochasticSimulator
+
+        if native.load() is None:
+            raise _Skip("compiled SSA kernel unavailable")
+        network = target.network
+        rates = network.rate_vector(target.scheme)
+        runs = []
+        for compiled in (True, False):
+            simulator = StochasticSimulator(network, rates=rates, seed=seed)
+            state = simulator.propensity_state
+            if not compiled:
+                state._native = False  # bound as unavailable: the twin
+            try:
+                trajectory = simulator.simulate(
+                    min(target.t_final, 1.0), n_samples=17,
+                    max_events=MAX_EVENTS)
+            except SimulationError as exc:
+                raise _Skip(f"realisation over event budget: {exc}") \
+                    from exc
+            if compiled and not state._native:
+                return "the realisation never reached the compiled loop"
+            runs.append({"states": trajectory.states,
+                         "counts": state.counts,
+                         "propensities": state.a,
+                         "gather buffer": state._cb,
+                         "next draw": np.array([simulator.rng.random()]),
+                         "events": trajectory.meta["events"]})
+        compiled, twin = runs
+        if compiled["events"] != twin["events"]:
+            return (f"compiled loop fired {compiled['events']} events vs "
+                    f"the Python loop's {twin['events']}")
+        for name in ("states", "counts", "propensities", "gather buffer",
+                     "next draw"):
+            where = _first_difference(compiled[name], twin[name])
+            if where is not None:
+                return (f"{name}: compiled vs Python SSA loop differ at "
+                        f"{where}")
+        return None
+    return _guarded("diff.native-ssa-vs-python", target.name, "ssa", body)
+
+
 #: The differential battery, in report order.
 DIFFERENTIAL_CHECKS = (
     check_ode_solvers,
@@ -285,4 +338,5 @@ DIFFERENTIAL_CHECKS = (
     check_ssa_vs_ode,
     check_tau_vs_ssa,
     check_native_vs_numpy,
+    check_native_ssa_vs_python,
 )

@@ -27,6 +27,7 @@ from repro.conformance.metamorphic import (ENGINE_SPECS,
                                            check_duplicate_merge,
                                            check_sampling_guard)
 from repro.conformance.oracles import (check_batch_vs_reference,
+                                       check_native_ssa_vs_python,
                                        check_native_vs_numpy,
                                        check_ode_solvers,
                                        check_ssa_vs_ode,
@@ -143,6 +144,7 @@ def _cells_for(target: Target, target_index: int, seed: int,
     add(check_ssa_vs_ode, n_workers=n_workers, n_runs=budget.n_runs)
     add(check_tau_vs_ssa, n_workers=n_workers, n_runs=budget.n_runs)
     add(check_native_vs_numpy)
+    add(check_native_ssa_vs_python)
     return cells
 
 
@@ -195,7 +197,7 @@ def replay_network(network, *, name: str = "corpus",
     Used by ``tests/conformance/test_corpus_replay.py`` and the CLI's
     ``--replay`` mode: every metamorphic invariant on every applicable
     engine, plus the cross-solver and bitwise batch-vs-reference
-    oracles and the bitwise native-vs-numpy kernel oracle -- cheap
+    oracles and the two bitwise compiled-kernel oracles -- cheap
     enough to run on every shrunk reproducer in tier-1, forever.
     """
     target = Target(name, network, CONFORMANCE_SCHEME,

@@ -365,16 +365,20 @@ class MassActionKinetics:
         catalytic reaction (e.g. ``A -> A + B``) does not depend on
         itself unless some reactant's net count changes.
         """
-        reactant_mask = self.exponents != 0                 # (R, S)
-        deps = []
-        for j in range(self.n_reactions):
-            changed = np.nonzero(self.stoich[:, j])[0]
-            if changed.size == 0:
-                deps.append(np.empty(0, dtype=np.intp))
-            else:
-                affected = reactant_mask[:, changed].any(axis=1)
-                deps.append(np.nonzero(affected)[0].astype(np.intp))
-        return deps
+        ptr, rows = self.dependency_csr()
+        return [rows[ptr[j]:ptr[j + 1]] for j in range(self.n_reactions)]
+
+    def dependency_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`reaction_dependencies` as CSR arrays ``(ptr, rows)``:
+        the dependents of reaction ``j`` are ``rows[ptr[j]:ptr[j + 1]]``,
+        ascending.
+
+        One boolean product: entry ``[j, i]`` of (net change of ``j``) x
+        (reactants of ``i``) holds when the two share a species.
+        """
+        affected = (self.stoich != 0).T @ (self.exponents != 0).T
+        firing, rows = np.nonzero(affected)
+        return np.searchsorted(firing, np.arange(self.n_reactions + 1)), rows
 
 
 class DenseKineticsReference:
@@ -511,9 +515,9 @@ class _KernelBinding:
             "jac_out": np.empty(n_s * n_s),
         }
         ctx = ffi.new("repro_kinetics *")
-        self._ints, _ = self._pack(ffi, ctx, ints, np.int64, "int64_t[]")
-        self._floats, views = self._pack(ffi, ctx, doubles, np.float64,
-                                         "double[]")
+        self._ints, _ = native.pack(ffi, ctx, ints, np.int64, "int64_t[]")
+        self._floats, views = native.pack(ffi, ctx, doubles, np.float64,
+                                          "double[]")
         self.rhs_out = views["rhs_out"]
         self.jac_out = views["jac_out"].reshape(n_s, n_s)
         ctx.n_species = n_s
@@ -523,21 +527,6 @@ class _KernelBinding:
         ctx.n_drate = len(k._drate_gather)
         ctx.n_jac = len(k._jac_target)
         self.ctx = ctx
-
-    @staticmethod
-    def _pack(ffi, ctx, fields: dict, dtype, ctype: str):
-        """Concatenate ``fields`` into one buffer and point ``ctx`` at
-        each slice; returns the buffer's cdata and the slices."""
-        arrays = [np.asarray(value, dtype=dtype).ravel()
-                  for value in fields.values()]
-        packed = np.concatenate(arrays)
-        base = ffi.from_buffer(ctype, packed)
-        views, start = {}, 0
-        for name, array in zip(fields, arrays):
-            setattr(ctx, name, base + start)
-            views[name] = packed[start:start + len(array)]
-            start += len(array)
-        return base, views
 
     def state(self, x):
         """``x`` as a kernel pointer, or None unless it is a C-contiguous

@@ -51,6 +51,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.crn.simulation.result import Trajectory
+from repro.crn.simulation.sampling import NO_POSITIVE_PROPENSITY
 from repro.crn.simulation.ssa import ENSEMBLE_CHUNK_RUNS, StochasticSimulator
 from repro.errors import SimulationError
 
@@ -242,7 +243,8 @@ class BatchStochasticSimulator(StochasticSimulator):
                                     int(n_samples), int(max_events),
                                     firings)
         if telemetry:
-            self._record_batch("ssa", t_final, int(result.events.sum()),
+            self._record_batch("ssa", t_start, t_final,
+                               int(result.events.sum()),
                                perf_counter() - wall_start, firings,
                                extra={"ensemble_trials": n})
         return result
@@ -424,10 +426,7 @@ class BatchStochasticSimulator(StochasticSimulator):
                         row = a[live[int(i)]]
                         positive = np.nonzero(row > 0.0)[0]
                         if not positive.size:
-                            raise SimulationError(
-                                "select_reaction() called with no "
-                                "positive propensity: the state is "
-                                "absorbing and no reaction can fire")
+                            raise SimulationError(NO_POSITIVE_PROPENSITY)
                         sel[i] = positive[-1]
                 if whole:
                     counts[:active] += stoich_rows[sel]

@@ -11,20 +11,29 @@ instead of the full O(R * reactants) Python-loop recompute per event.
 Affected entries are recomputed exactly from the current counts, so the
 propensity vector never drifts; the cumulative-sum selection draw is
 shared with tau-leaping via :mod:`repro.crn.simulation.sampling`.
+
+The event loop runs compiled (:mod:`repro.crn.native`) and draws from
+numpy's own bit generator, so it produces the same realisation, bit for
+bit, as its Python twin :meth:`IncrementalPropensities.advance_python`.
+The twin runs when the kernel is unavailable and when the generator is
+a ``Generator`` subclass, whose draws the kernel cannot see.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from time import perf_counter
 
 import numpy as np
 
+from repro.crn import native
 from repro.crn.kinetics import MassActionKinetics, build_kinetics
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
 from repro.crn.simulation.result import Trajectory
-from repro.crn.simulation.sampling import select_reaction
+from repro.crn.simulation.sampling import (NO_POSITIVE_PROPENSITY,
+                                           select_reaction)
 from repro.errors import SimulationError
 from repro.obs.metrics import ensure_metrics
 from repro.obs.tracer import ensure_tracer
@@ -41,11 +50,15 @@ ENSEMBLE_CHUNK_RUNS = 8
 #: against drift, not a behaviour change -- it recomputes the same bits.
 PROPENSITY_REBUILD_INTERVAL = 4096
 
+#: The compiled loop counts events in an int64.
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 class IncrementalPropensities:
     """Dependency-graph propensity state for one kinetics + constants.
 
-    Owns the integer counts and the propensity vector ``a``.
+    Owns the integer counts, the gather buffer and the propensity vector
+    ``a``, and runs the event loop over them (:meth:`advance`).
     :meth:`fire` applies one reaction's net stoichiometry and
     re-evaluates only the dependent propensities (exactly, from the
     updated counts -- untouched entries stay valid, so the vector never
@@ -58,77 +71,82 @@ class IncrementalPropensities:
     clamped at zero (a tiny negative propensity would poison the
     cumulative-sum selection draw), and every ``rebuild_interval``
     events :meth:`rebuild` recomputes the full vector exactly from the
-    current counts, in place -- the simulators alias ``self.a``, so the
-    rebuild must never rebind it.
+    current counts.  :meth:`reset` and :meth:`rebuild` write in place and
+    never rebind ``counts``, ``a`` or the gather buffer: the simulators
+    alias ``self.a``, and the compiled loop holds pointers to all three.
     """
 
     def __init__(self, kinetics: MassActionKinetics, constants: np.ndarray,
                  rebuild_interval: int = PROPENSITY_REBUILD_INTERVAL):
         self.kinetics = kinetics
         self.constants = np.asarray(constants, dtype=float)
-        n_s = kinetics.n_species
-        self._n_s = n_s
-        stoich = kinetics.stoich                    # (S, R)
-        deps = kinetics.reaction_dependencies()
-        self._deps = deps
-        factor_a = kinetics._factor_a
-        factor_b = kinetics._stoch_factor_b
-        self._dep_a = [factor_a[d] for d in deps]
-        self._dep_b = [factor_b[d] for d in deps]
-        self._dep_c = [self.constants[d] for d in deps]
-        generic = set(int(j) for j in kinetics._generic_rows)
-        self._dep_generic = [
-            [(pos, int(i)) for pos, i in enumerate(d) if int(i) in generic]
-            for d in deps
-        ]
-        # Per-reaction sparse net-change columns: integer deltas for the
-        # counts, float deltas for both halves of the gather buffer
-        # (raw count slot and the (n-1)/2 half-pair slot).
-        # One tuple per reaction so `fire` pays a single list lookup:
-        # (species touched, integer deltas, gather-buffer slots and their
-        #  float deltas, dependent reactions, their gather indices and
-        #  constants, generic-order entries among them).
-        plan = []
-        for j in range(kinetics.n_reactions):
-            species = np.nonzero(stoich[:, j])[0].astype(np.intp)
-            delta = stoich[species, j].astype(np.int64)
-            slots = np.concatenate([species, species + n_s + 1]) \
-                .astype(np.intp)
-            slot_delta = np.concatenate([delta, delta * 0.5])
-            plan.append((species, delta, slots, slot_delta,
-                         self._deps[j], self._dep_a[j], self._dep_b[j],
-                         self._dep_c[j], self._dep_generic[j]))
-        self._fire_plan = plan
+        n_s, n_r = kinetics.n_species, kinetics.n_reactions
+        # Per-reaction structure in CSR form, read by the compiled loop
+        # and by the twin's fire plan: the net change (species and
+        # integer deltas) and the dependent reactions.
+        firing, species = np.nonzero(kinetics.stoich.T)
+        self._fire_ptr = np.searchsorted(firing, np.arange(n_r + 1))
+        self._fire_species = species
+        self._fire_delta = kinetics.stoich.T[firing, species].astype(np.int64)
+        self._dep_ptr, self._dep_rows = kinetics.dependency_csr()
+        self._fire_plan = None  # built by the twin's first fire()
+        self._native = None     # compiled-loop binding, bound lazily
         self.counts = np.zeros(n_s, dtype=np.int64)
         self._cb = np.ones(2 * (n_s + 1))
-        self.a = np.zeros(kinetics.n_reactions)
+        self.a = np.zeros(n_r)
         self.rebuild_interval = int(rebuild_interval)
         if self.rebuild_interval < 1:
             raise SimulationError("rebuild_interval must be >= 1")
         self._events_since_rebuild = 0
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_native"] = None  # cffi handles do not pickle; rebind lazily
+        return state
+
+    def _build_fire_plan(self) -> list[tuple]:
+        """One tuple per reaction so :meth:`fire` pays a single lookup:
+        (species touched, integer deltas, gather-buffer slots -- the raw
+        count slot and the (n-1)/2 half-pair slot -- and their float
+        deltas, dependent reactions, their gather indices and constants,
+        order >= 3 entries among them)."""
+        kinetics = self.kinetics
+        n_s = kinetics.n_species
+        generic = set(kinetics._generic_rows.tolist())
+        plan = []
+        for j in range(kinetics.n_reactions):
+            species = self._fire_species[self._fire_ptr[j]:
+                                         self._fire_ptr[j + 1]]
+            delta = self._fire_delta[self._fire_ptr[j]:self._fire_ptr[j + 1]]
+            dep = self._dep_rows[self._dep_ptr[j]:self._dep_ptr[j + 1]]
+            plan.append((species, delta,
+                         np.concatenate([species, species + n_s + 1]),
+                         np.concatenate([delta, delta * 0.5]),
+                         dep, kinetics._factor_a[dep],
+                         kinetics._stoch_factor_b[dep], self.constants[dep],
+                         [(pos, int(i)) for pos, i in enumerate(dep)
+                          if int(i) in generic]))
+        return plan
+
     def reset(self, counts: np.ndarray) -> float:
         """Adopt a full state vector and recompute every propensity."""
-        self.counts = np.array(counts, dtype=np.int64)
-        self.a = self.kinetics.propensities(self.counts, self.constants)
-        self._cb[:] = self.kinetics._cbuf
-        self._events_since_rebuild = 0
+        self.counts[:] = counts
+        self.rebuild()
         return float(self.a.sum())
 
     def rebuild(self) -> None:
-        """Recompute every propensity exactly from the current counts.
-
-        In place: the simulators hold an alias of ``self.a`` across the
-        whole event loop, so the array object must survive the rebuild.
-        """
+        """Recompute every propensity exactly from the current counts."""
         self.a[:] = self.kinetics.propensities(self.counts, self.constants)
         self._cb[:] = self.kinetics._cbuf
         self._events_since_rebuild = 0
 
     def fire(self, j: int) -> None:
         """Apply reaction ``j`` and update the dependent propensities."""
+        plan = self._fire_plan
+        if plan is None:
+            plan = self._fire_plan = self._build_fire_plan()
         species, delta, slots, slot_delta, dep, dep_a, dep_b, dep_c, \
-            generic = self._fire_plan[j]
+            generic = plan[j]
         self.counts[species] += delta
         cb = self._cb
         cb[slots] += slot_delta
@@ -149,6 +167,160 @@ class IncrementalPropensities:
                 fresh[pos] = self.kinetics.propensity_of(
                     i, self.counts, self.constants)
         self.a[dep] = fresh
+
+    def advance(self, rng: np.random.Generator, t: float, t_final: float,
+                sample_times: np.ndarray, samples: np.ndarray,
+                max_events: int, firings: np.ndarray | None
+                ) -> tuple[float, int, int, bool]:
+        """Fire events from time ``t`` until ``t_final``, absorption or
+        the ``max_events`` budget.
+
+        The counts before each event are written to ``samples`` (shape
+        ``(len(sample_times), n_species)``, float64) at every grid point
+        from index 1 the run crosses, and ``firings`` (int64 per
+        reaction, or ``None``) counts each firing.  Returns the final
+        time, the number of events, the next unwritten sample index, and
+        whether the budget ran out.
+
+        Runs the compiled loop when the kernel is available and ``rng``
+        is a plain :class:`numpy.random.Generator`, and the Python twin
+        :meth:`advance_python` otherwise; the two agree bitwise.
+        """
+        loop = self._native
+        if loop is None:
+            loop = self._native = _bind_loop(self)
+        if loop and type(rng) is np.random.Generator:
+            return loop.run(self, rng, t, t_final, sample_times, samples,
+                            max_events, firings)
+        return self.advance_python(rng, t, t_final, sample_times, samples,
+                                   max_events, firings)
+
+    def advance_python(self, rng, t, t_final, sample_times, samples,
+                       max_events, firings) -> tuple[float, int, int, bool]:
+        """Python twin of the compiled :meth:`advance` (same draws, same
+        bits)."""
+        a = self.a  # updated in place by fire() and rebuild()
+        fire = self.fire
+        grid = sample_times.tolist()
+        n_times = len(grid)
+        next_sample = 1
+        events = 0
+        while t < t_final:
+            cumulative = a.cumsum()
+            total = cumulative[-1]
+            if total <= 0.0:
+                break  # No reaction can fire; state is absorbing.
+            t += rng.exponential(1.0 / total)
+            if t > t_final:
+                break
+            while next_sample < n_times and grid[next_sample] <= t:
+                samples[next_sample] = self.counts
+                next_sample += 1
+            if events >= max_events:
+                return t, events, next_sample, True
+            j = select_reaction(a, rng.random(),
+                                cumulative=cumulative, total=total)
+            fire(j)
+            events += 1
+            if firings is not None:
+                firings[j] += 1
+        return t, events, next_sample, False
+
+
+class _CompiledLoop:
+    """One propensity state packed into the kernel's ``repro_ssa`` struct.
+
+    The struct points at the state's own counts, gather buffer and
+    propensities, which the state updates in place, and at index arrays
+    owned by the binding; :meth:`run` adds the call's sample grid and
+    outputs and the generator's ``bitgen_t``.
+    """
+
+    def __init__(self, module, state: IncrementalPropensities):
+        ffi, lib = module.ffi, module.lib
+        self._ffi = ffi
+        self._run = lib.repro_ssa_run
+        self._exceeded = lib.REPRO_SSA_MAX_EVENTS
+        self._absorbing = lib.REPRO_SSA_ABSORBING
+        k = state.kinetics
+        generic = [reactants for _, reactants in k._generic_lists]
+        generic_of = np.full(k.n_reactions, -1)
+        generic_of[k._generic_rows] = np.arange(len(generic))
+        ints = {
+            "factor_a": k._factor_a,
+            "factor_b": k._stoch_factor_b,
+            "fire_ptr": state._fire_ptr,
+            "fire_species": state._fire_species,
+            "fire_delta": state._fire_delta,
+            "dep_ptr": state._dep_ptr,
+            "dep_rows": state._dep_rows,
+            "generic_of": generic_of,
+            "generic_ptr": np.cumsum([0] + [len(r) for r in generic]),
+            "generic_species": [s for r in generic for s, _ in r],
+            "generic_exp": [e for r in generic for _, e in r],
+        }
+        doubles = {
+            "constants": state.constants,
+            "generic_fact": [float(math.factorial(e))
+                             for r in generic for _, e in r],
+            "cumulative": np.empty(k.n_reactions),
+        }
+        ctx = ffi.new("repro_ssa *")
+        self._ints, _ = native.pack(ffi, ctx, ints, np.int64, "int64_t[]")
+        self._floats, _ = native.pack(ffi, ctx, doubles, np.float64,
+                                      "double[]")
+        self._live = (ffi.from_buffer("int64_t[]", state.counts),
+                      ffi.from_buffer("double[]", state._cb),
+                      ffi.from_buffer("double[]", state.a))
+        ctx.counts, ctx.cb, ctx.a = self._live
+        ctx.n_species = self._n_species = k.n_species
+        ctx.n_reactions = self._n_reactions = k.n_reactions
+        self.ctx = ctx
+        self._rng = None
+        self._lock = None
+
+    def run(self, state, rng, t, t_final, sample_times, samples,
+            max_events, firings) -> tuple[float, int, int, bool]:
+        """:meth:`IncrementalPropensities.advance` in C."""
+        if (sample_times.dtype != np.float64
+                or samples.shape != (len(sample_times), self._n_species)
+                or samples.dtype != np.float64
+                or (firings is not None
+                    and firings.shape != (self._n_reactions,))):
+            raise ValueError("sample buffers do not fit the network")
+        ffi, ctx = self._ffi, self.ctx
+        if rng is not self._rng:
+            bit_generator = rng.bit_generator
+            ctx.bitgen = ffi.cast(
+                "void *", bit_generator.ctypes.bit_generator.value)
+            self._lock = bit_generator.lock
+            self._rng = rng  # keeps the bitgen_t alive
+        grid = ffi.from_buffer("double[]", sample_times)
+        out = ffi.from_buffer("double[]", samples)
+        hits = ffi.NULL if firings is None else \
+            ffi.from_buffer("int64_t[]", firings)
+        ctx.grid, ctx.samples, ctx.firings = grid, out, hits
+        ctx.n_times = len(sample_times)
+        ctx.rebuild_interval = state.rebuild_interval
+        ctx.events_since_rebuild = state._events_since_rebuild
+        ctx.max_events = math.ceil(min(max_events, _INT64_MAX))
+        ctx.t_final = t_final
+        ctx.t = t
+        ctx.next_sample = 1
+        # cffi releases the GIL for the call: hold the generator's lock
+        # so no other thread draws from it meanwhile.
+        with self._lock:
+            status = self._run(ctx)
+        state._events_since_rebuild = ctx.events_since_rebuild
+        if status == self._absorbing:
+            raise SimulationError(NO_POSITIVE_PROPENSITY)
+        return ctx.t, ctx.events, ctx.next_sample, status == self._exceeded
+
+
+def _bind_loop(state: IncrementalPropensities):
+    """A :class:`_CompiledLoop`, or ``False`` when there is no kernel."""
+    module = native.load()
+    return _CompiledLoop(module, state) if module is not None else False
 
 
 class StochasticSimulator:
@@ -192,8 +364,9 @@ class StochasticSimulator:
         reaction = self.network.reactions[j]
         return getattr(reaction, "label", "") or str(reaction)
 
-    def _record_batch(self, kind: str, t_final: float, events: int,
-                      wall: float, firings: np.ndarray | None = None,
+    def _record_batch(self, kind: str, t_start: float, t_final: float,
+                      events: int, wall: float,
+                      firings: np.ndarray | None = None,
                       extra: dict | None = None) -> None:
         """Per-``simulate`` telemetry shared by SSA and tau-leaping."""
         metrics = self.metrics
@@ -211,7 +384,7 @@ class StochasticSimulator:
         if self.tracer.enabled:
             args = {"events": events, "wall": round(wall, 6)}
             args.update(extra or {})
-            self.tracer.emit_span(f"{kind}.batch", "solver", 0.0,
+            self.tracer.emit_span(f"{kind}.batch", "solver", t_start,
                                   t_final, args)
 
     def _initial_counts(self, initial) -> np.ndarray:
@@ -245,46 +418,20 @@ class StochasticSimulator:
         samples = np.empty((sample_times.size, state.counts.size),
                            dtype=float)
         samples[0] = state.counts
-        next_sample = 1
         telemetry = self.tracer.enabled or self.metrics.enabled
         wall_start = perf_counter() if telemetry else 0.0
         firings = np.zeros(self.network.n_reactions, dtype=np.int64) \
             if self.metrics.enabled else None
-        rng = self.rng
-        a = state.a  # reset() rebound it; fire() mutates it in place
-        fire = state.fire
-        grid = sample_times.tolist()
-        n_times = len(grid)
-
-        t = t_start
-        events = 0
-        while t < t_final:
-            cumulative = a.cumsum()
-            total = cumulative[-1]
-            if total <= 0.0:
-                break  # No reaction can fire; state is absorbing.
-            t += rng.exponential(1.0 / total)
-            if t > t_final:
-                break
-            while next_sample < n_times and grid[next_sample] <= t:
-                samples[next_sample] = state.counts
-                next_sample += 1
-            if events >= max_events:
-                if telemetry:
-                    self._record_batch("ssa", t_final, events,
-                                       perf_counter() - wall_start, firings)
-                raise SimulationError(
-                    f"SSA exceeded {max_events} events at t={t:g}")
-            j = select_reaction(a, rng.random(),
-                                cumulative=cumulative, total=total)
-            fire(j)
-            events += 1
-            if firings is not None:
-                firings[j] += 1
-        samples[next_sample:] = state.counts
+        t, events, next_sample, exceeded = state.advance(
+            self.rng, t_start, t_final, sample_times, samples, max_events,
+            firings)
         if telemetry:
-            self._record_batch("ssa", t_final, events,
+            self._record_batch("ssa", t_start, t_final, events,
                                perf_counter() - wall_start, firings)
+        if exceeded:
+            raise SimulationError(
+                f"SSA exceeded {max_events} events at t={t:g}")
+        samples[next_sample:] = state.counts
         return Trajectory(sample_times, samples, self.network.species_names,
                           {"events": events})
 
@@ -348,6 +495,7 @@ class StochasticSimulator:
                 f"{ENSEMBLE_BACKENDS}")
         telemetry = self.tracer.enabled or self.metrics.enabled
         wall_start = perf_counter() if telemetry else 0.0
+        t_start = kwargs.get("t_start", 0.0)
         seeds = self._spawn_run_seeds(n_runs)
         runner = ParallelSweepRunner(n_workers)
         use_batch = backend == "batch" and self._supports_batch_ensembles
@@ -365,8 +513,8 @@ class StochasticSimulator:
                 **kwargs).mean()
             if telemetry:
                 self._record_batch(
-                    self._batch_kind, t_final, int(mean.meta["events"]),
-                    perf_counter() - wall_start,
+                    self._batch_kind, t_start, t_final,
+                    int(mean.meta["events"]), perf_counter() - wall_start,
                     extra={"ensemble_runs": n_runs})
             return mean
         spec = self._clone_spec()
@@ -389,7 +537,7 @@ class StochasticSimulator:
             accumulator += states
             events += chunk_events
         if telemetry:
-            self._record_batch(self._batch_kind, t_final, events,
+            self._record_batch(self._batch_kind, t_start, t_final, events,
                                perf_counter() - wall_start,
                                extra={"ensemble_runs": n_runs})
         return Trajectory(times, accumulator / n_runs,

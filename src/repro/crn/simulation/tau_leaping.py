@@ -134,7 +134,7 @@ class TauLeapingSimulator(StochasticSimulator):
         samples[next_sample:] = state.counts
         if telemetry:
             self._record_batch(
-                "tau", t_final, steps, perf_counter() - wall_start,
+                "tau", t_start, t_final, steps, perf_counter() - wall_start,
                 extra={"leaps": leaps, "rejected_leaps": rejected,
                        "ssa_fallbacks": fallbacks})
         return Trajectory(sample_times, samples, self.network.species_names,

@@ -130,3 +130,33 @@ class TestReactionDependencies:
                     f"{name}: firing reaction {j} changes propensities "
                     f"{sorted(changed - listed)} missing from the "
                     f"dependency graph")
+
+    def test_boolean_product_matches_the_per_reaction_loop(self):
+        """The one-product graph is the per-reaction loop it replaced,
+        array for array, on the corpus and scenario networks too."""
+        from repro.scenarios import get_scenario, scenario_names
+
+        corpus = sorted((EXAMPLES[0].parents[1] / "tests" / "conformance"
+                         / "corpus").glob("*.crn"))
+        networks = [network for _, network in _all_networks()]
+        networks += [parse_network(path.read_text(), path.stem)
+                     for path in corpus]
+        networks += [get_scenario(name).network()
+                     for name in scenario_names(tag="network")]
+        assert len(networks) > len(EXAMPLES) + len(corpus)
+        for network in networks:
+            kinetics = build_kinetics(network, RateScheme())
+            reactant_mask = kinetics.exponents != 0
+            expected = []
+            for j in range(kinetics.n_reactions):
+                changed = np.nonzero(kinetics.stoich[:, j])[0]
+                if changed.size == 0:
+                    expected.append(np.empty(0, dtype=np.intp))
+                else:
+                    affected = reactant_mask[:, changed].any(axis=1)
+                    expected.append(np.nonzero(affected)[0].astype(np.intp))
+            got = kinetics.reaction_dependencies()
+            assert len(got) == len(expected)
+            for have, want in zip(got, expected):
+                assert have.dtype == want.dtype
+                assert np.array_equal(have, want)

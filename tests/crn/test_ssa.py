@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.crn.network import Network
+from repro.crn.simulation.batch import BatchStochasticSimulator
 from repro.crn.simulation.ode import simulate
 from repro.crn.simulation.ssa import StochasticSimulator
 from repro.crn.simulation.tau_leaping import TauLeapingSimulator
 from repro.errors import SimulationError
+from repro.obs import MemorySink, Tracer
 
 
 def _decay(x0=200):
@@ -87,6 +89,41 @@ class TestSSA:
         ode = simulate(network, 2.0).resampled(mean.times)
         error = np.abs(mean["A"] - ode["A"]) / 300.0
         assert error.max() < 0.05
+
+
+class TestBatchSpans:
+    """Every stochastic ``*.batch`` solver span covers ``[t_start,
+    t_final]``, as the ODE ``solve:*`` span does."""
+
+    @staticmethod
+    def _span(run) -> tuple[str, float, float]:
+        tracer = Tracer(MemorySink())
+        run(tracer)
+        (span,) = [r for r in tracer.sink.records
+                   if r.name.endswith(".batch")]
+        return span.name, span.t0, span.t1
+
+    def test_ssa(self):
+        assert self._span(lambda tracer: StochasticSimulator(
+            _decay(), seed=0, tracer=tracer).simulate(
+                4.0, t_start=2.5)) == ("ssa.batch", 2.5, 4.0)
+
+    def test_tau_leaping(self):
+        assert self._span(lambda tracer: TauLeapingSimulator(
+            _decay(), seed=0, tracer=tracer).simulate(
+                4.0, t_start=2.5)) == ("tau.batch", 2.5, 4.0)
+
+    def test_batch_ensemble(self):
+        assert self._span(lambda tracer: BatchStochasticSimulator(
+            _decay(), seed=0, tracer=tracer).simulate_ensemble(
+                4.0, 3, t_start=2.5)) == ("ssa.batch", 2.5, 4.0)
+
+    @pytest.mark.parametrize("backend", ["reference", "batch"])
+    def test_mean_trajectory(self, backend):
+        assert self._span(lambda tracer: StochasticSimulator(
+            _decay(), seed=0, tracer=tracer).mean_trajectory(
+                4.0, n_runs=3, n_samples=5, backend=backend,
+                t_start=2.5)) == ("ssa.batch", 2.5, 4.0)
 
 
 class TestTauLeaping:
