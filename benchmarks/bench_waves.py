@@ -1,6 +1,6 @@
 """E16 -- logic-analyzer layer: probe overhead and cycle profile.
 
-Runs the E3-class moving-average machine twice -- bare, then with a
+Runs the E3-class moving-average machine twice -- bare, and with a
 live :class:`~repro.waves.probe.WaveformProbe` streaming a temporal
 assertion -- and records the probe's wall-time overhead alongside the
 cycle profile it enables: per-phase settling attribution, the
@@ -9,18 +9,22 @@ and the critical transfer that sets each cycle's computational length.
 Claim under test: full waveform capture plus online assertions cost a
 small constant factor, and the profile names ``transfer:blue->red``
 (the register write-back) as the critical hand-off.
-"""
 
-import time
+Both sides run back to back in every round, alternating which goes
+first, over one warm-up and :data:`ROUNDS` timed rounds; the record
+keeps each side's median wall time and IQR.
+"""
 
 from repro.apps.filters import moving_average
 from repro.core.machine import SynchronousMachine
 from repro.waves import (WaveformProbe, build_engine, profile_cycles,
                          render_vcd)
 
-from common import run_timed, save_json, save_report
+from common import median_iqr, run_interleaved, save_json, save_report
 
 SEED = 0
+#: Timed rounds after one warm-up; each round runs both sides.
+ROUNDS = 5
 SAMPLES = [8.0, 4.0, 6.0, 2.0, 6.0, 4.0]
 ASSERT_SPECS = [
     {"type": "invariant", "name": "clock-mass-held",
@@ -43,13 +47,13 @@ def _run_probed():
 
 
 def test_bench_waves_probe(benchmark, bench_json):
-    start = time.perf_counter()
-    _run_bare()
-    bare_wall = time.perf_counter() - start
-
-    start = time.perf_counter()
-    run, probe = run_timed(benchmark, _run_probed)[-1]
-    probed_wall = time.perf_counter() - start
+    walls, results = run_interleaved(
+        benchmark, {"bare": _run_bare, "probed": _run_probed},
+        rounds=ROUNDS)
+    bare_wall, bare_iqr = median_iqr(walls["bare"])
+    probed_wall, probed_iqr = median_iqr(walls["probed"])
+    run, probe = results["probed"]
+    rounds = len(walls["bare"])
 
     profile = profile_cycles(probe.cycle_records)
     violations = probe.finish()
@@ -63,8 +67,9 @@ def test_bench_waves_probe(benchmark, bench_json):
              f"{len(render_vcd(probe.waveform))} VCD bytes")
     body += (f"\nassertions: {len(ASSERT_SPECS)} streamed, "
              f"{len(violations)} violation(s)")
-    body += (f"\n\nwall time: bare {bare_wall:.3f} s, probed "
-             f"{probed_wall:.3f} s ({overhead:.2f}x)")
+    body += (f"\n\nwall time (median of {rounds} interleaved rounds): "
+             f"bare {bare_wall:.3f} s, probed {probed_wall:.3f} s "
+             f"({overhead:.2f}x)")
     save_report("E16_waves",
                 "E16 -- waveform probe overhead + cycle profile (ma)",
                 body)
@@ -76,8 +81,11 @@ def test_bench_waves_probe(benchmark, bench_json):
                "n_signals": probe.waveform.n_signals,
                "n_changes": probe.waveform.n_changes,
                "n_violations": len(violations),
+               "rounds": rounds,
                "bare_wall_seconds": bare_wall,
+               "bare_wall_seconds_iqr": bare_iqr,
                "probe_wall_seconds": probed_wall,
+               "probe_wall_seconds_iqr": probed_iqr,
                "probe_overhead_ratio": overhead},
               seed=SEED, enabled=bench_json)
 

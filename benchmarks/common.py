@@ -12,7 +12,9 @@ interquartile range where a record gates on wall time.
 
 from __future__ import annotations
 
+import itertools
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -101,3 +103,32 @@ def run_timed(benchmark, fn, *, rounds: int = 1,
     benchmark.pedantic(call, rounds=rounds, warmup_rounds=warmup_rounds,
                        iterations=1)
     return results[-min(rounds, len(results)):]
+
+
+def run_interleaved(benchmark, sides: dict, *, rounds: int,
+                    warmup_rounds: int = 1) -> tuple[dict, dict]:
+    """Time several callables back to back in every round.
+
+    Each :func:`run_timed` round runs every side of ``sides`` (label ->
+    zero-argument callable) once, in reverse order on odd rounds, so no
+    side always runs first into cold or warm caches.  Returns each
+    side's per-round wall times and its result from the last round.
+    """
+    round_index = itertools.count()
+
+    def one_round():
+        labels = list(sides)
+        if next(round_index) % 2:
+            labels.reverse()
+        walls, results = {}, {}
+        for label in labels:
+            start = time.perf_counter()
+            results[label] = sides[label]()
+            walls[label] = time.perf_counter() - start
+        return walls, results
+
+    timed = run_timed(benchmark, one_round, rounds=rounds,
+                      warmup_rounds=warmup_rounds)
+    last = timed[-1][1]
+    return ({label: [walls[label] for walls, _ in timed]
+             for label in sides}, {label: last[label] for label in sides})

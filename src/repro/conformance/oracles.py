@@ -37,6 +37,12 @@ numerical agreement:
     realisation **bitwise** identical: the sampled trajectory, the event
     count, the counts, propensities and gather buffer, and the
     generator's next draw.  Skipped when the kernel is unavailable.
+``diff.lsoda-walk-vs-odeint``
+    The resumable LSODA walk that locates ODE events and ``odeint``
+    must return the same states **bitwise** at every point of a seeded
+    sample grid, with the analytic and the finite-difference Jacobian,
+    and count the same RHS and Jacobian evaluations.  Skipped when
+    scipy lacks the resumable entry point.
 
 Every ensemble member's seed is spawned from one root
 :class:`numpy.random.SeedSequence` and reductions are payload-ordered,
@@ -331,6 +337,45 @@ def check_native_ssa_vs_python(target, seed: int,
     return _guarded("diff.native-ssa-vs-python", target.name, "ssa", body)
 
 
+def _never(t, x) -> float:
+    """An event that never fires, so a walk covers its whole grid."""
+    return 1.0
+
+
+def check_lsoda_walk_vs_odeint(target, seed: int,
+                               n_workers: int | None = None
+                               ) -> CheckResult:
+    """Resumable LSODA walk and ``odeint`` must agree bitwise."""
+    def body():
+        from repro.crn.simulation import ode
+
+        if ode._resumable_lsoda() is None:
+            raise _Skip("resumable LSODA entry point unavailable")
+        network = target.network
+        x0 = network.initial_vector()
+        rng = np.random.default_rng(seed)
+        grid = np.unique(np.concatenate(
+            [[0.0, target.t_final],
+             rng.uniform(0.0, target.t_final, size=15)]))
+        for jacobian in ("dense", "none"):
+            simulator = ode.OdeSimulator(network, target.scheme,
+                                         jacobian=jacobian)
+            walk_stats = {"nfev": 0, "njev": 0}
+            odeint_stats = {"nfev": 0, "njev": 0}
+            walked, _, _ = simulator._walk_lsoda(
+                x0, grid, _never, -1.0, None, walk_stats)
+            states = simulator._odeint_span(x0, grid, odeint_stats)
+            where = _first_difference(walked, states)
+            if where is not None:
+                return (f"jacobian={jacobian}: walk vs odeint states "
+                        f"differ at {where}")
+            if walk_stats != odeint_stats:
+                return (f"jacobian={jacobian}: walk counted {walk_stats}, "
+                        f"odeint {odeint_stats}")
+        return None
+    return _guarded("diff.lsoda-walk-vs-odeint", target.name, "ode", body)
+
+
 #: The differential battery, in report order.
 DIFFERENTIAL_CHECKS = (
     check_ode_solvers,
@@ -339,4 +384,5 @@ DIFFERENTIAL_CHECKS = (
     check_tau_vs_ssa,
     check_native_vs_numpy,
     check_native_ssa_vs_python,
+    check_lsoda_walk_vs_odeint,
 )

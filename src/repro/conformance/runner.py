@@ -27,6 +27,7 @@ from repro.conformance.metamorphic import (ENGINE_SPECS,
                                            check_duplicate_merge,
                                            check_sampling_guard)
 from repro.conformance.oracles import (check_batch_vs_reference,
+                                       check_lsoda_walk_vs_odeint,
                                        check_native_ssa_vs_python,
                                        check_native_vs_numpy,
                                        check_ode_solvers,
@@ -145,6 +146,7 @@ def _cells_for(target: Target, target_index: int, seed: int,
     add(check_tau_vs_ssa, n_workers=n_workers, n_runs=budget.n_runs)
     add(check_native_vs_numpy)
     add(check_native_ssa_vs_python)
+    add(check_lsoda_walk_vs_odeint)
     return cells
 
 
@@ -197,8 +199,9 @@ def replay_network(network, *, name: str = "corpus",
     Used by ``tests/conformance/test_corpus_replay.py`` and the CLI's
     ``--replay`` mode: every metamorphic invariant on every applicable
     engine, plus the cross-solver and bitwise batch-vs-reference
-    oracles and the two bitwise compiled-kernel oracles -- cheap
-    enough to run on every shrunk reproducer in tier-1, forever.
+    oracles, the two bitwise compiled-kernel oracles and the bitwise
+    LSODA walk oracle -- cheap enough to run on every shrunk reproducer
+    in tier-1, forever.
     """
     target = Target(name, network, CONFORMANCE_SCHEME,
                     t_final=t_final, stochastic=stochastic)

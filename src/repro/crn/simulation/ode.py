@@ -9,6 +9,9 @@ Dormand-Prince integrator is available as an independent cross-check.
 
 from __future__ import annotations
 
+import math
+import threading
+import warnings
 from collections.abc import Mapping, Sequence
 from time import perf_counter
 
@@ -33,6 +36,81 @@ JACOBIAN_MODES = ("auto", "dense", "sparse", "sparsity", "none")
 #: ``auto`` switches BDF/Radau to sparse Jacobian handling at this
 #: species count (below it dense LU is cheaper than sparse bookkeeping).
 _SPARSE_AUTO_THRESHOLD = 64
+
+#: LSODA options of every solve here: the step budget and ``odeint``'s
+#: default maximum orders (12 non-stiff, 5 stiff).
+_MXSTEP = 5_000_000
+_MXORDN = 12
+_MXORDS = 5
+
+_UNRESOLVED = object()
+_lsoda_entry = _UNRESOLVED  # (lsoda, sizes, messages), or None: the twin
+_lsoda_lock = threading.Lock()  # one resolution, one warning, per process
+
+
+def _resumable_lsoda():
+    """scipy's re-entrant ``_odepack.lsoda``, the sizes of its two state
+    arrays and ``odeint``'s message for each ``istate``, or ``None``.
+
+    This is the entry point ``scipy.integrate.ode(...).set_integrator(
+    "lsoda")`` calls; the solver state lives in the two arrays the caller
+    passes, so one run can stop after any output point and resume.  It
+    is resolved on first use, never at import.  A scipy without it
+    (``pyproject`` allows >= 1.10) gets one ``RuntimeWarning`` per
+    process, and events are then located by ``odeint`` and a scan, with
+    identical results.
+    """
+    global _lsoda_entry
+    with _lsoda_lock:
+        if _lsoda_entry is _UNRESOLVED:
+            try:
+                from scipy.integrate import _ode, _odepack, _odepack_py
+
+                integrator = _ode.lsoda()
+                _lsoda_entry = (_odepack.lsoda,
+                                integrator.state_doubles.size,
+                                integrator.state_ints.size,
+                                _odepack_py._msgs)
+            except (ImportError, AttributeError) as exc:
+                _lsoda_entry = None
+                warnings.warn(
+                    f"resumable LSODA (scipy.integrate._odepack.lsoda "
+                    f"with state arrays) unavailable ({exc}); locating "
+                    f"ODE events with odeint and a scan, which gives "
+                    f"identical results",
+                    RuntimeWarning, stacklevel=2)
+    return _lsoda_entry
+
+
+class _WorkArrays(threading.local):
+    """Per-thread LSODA work arrays, by species count."""
+
+    def __init__(self):
+        self.by_size: dict[int, tuple] = {}
+
+
+_work = _WorkArrays()
+
+
+def _work_arrays(n: int, n_doubles: int, n_ints: int) -> tuple:
+    """Zeroed ``(rwork, iwork, state doubles, state ints)`` for ``n``
+    species, with ``odeint``'s options set.
+
+    ``_odepack.lsoda`` keeps a reference to ``rwork`` and ``iwork`` on
+    every call, so they are never freed: they are allocated once per
+    thread and species count and re-zeroed for every walk.
+    """
+    work = _work.by_size.get(n)
+    if work is None:
+        n_real = max(20 + (_MXORDN + 4) * n, 22 + (_MXORDS + 4) * n + n * n)
+        work = _work.by_size[n] = (
+            np.zeros(n_real), np.zeros(20 + n, np.int32),
+            np.zeros(n_doubles), np.zeros(n_ints, np.int32))
+    for array in work:
+        array.fill(0)
+    # h0, hmax and hmin stay 0 (solver-chosen); mxhnil 0 is the default.
+    work[1][5:9] = (_MXSTEP, 0, _MXORDN, _MXORDS)
+    return work
 
 
 class OdeSimulator:
@@ -132,13 +210,20 @@ class OdeSimulator:
         event fires, the trajectory ends at the event time and
         ``trajectory.meta["event"]`` records which event index fired.
 
-        ``event_hint`` is an optional estimate of the time-to-event.  The
-        LSODA fast path (see :meth:`_simulate_lsoda`) integrates in chunks
-        sized from the hint, so a good estimate (e.g. the previous cycle's
-        segment duration) avoids integrating far past the event.
+        ``event_hint`` is an optional estimate of the time-to-event, a
+        positive finite duration.  The LSODA fast path (see
+        :meth:`_simulate_lsoda`) searches in chunks sized from the hint,
+        so a good estimate (e.g. the previous cycle's segment duration)
+        keeps the search short; the result does not depend on it beyond
+        the solver tolerances.
         """
         if t_final <= t_start:
             raise SimulationError("t_final must exceed t_start")
+        if event_hint is not None and not (
+                math.isfinite(event_hint) and event_hint > 0):
+            raise SimulationError(
+                f"event_hint must be a positive finite time-to-event "
+                f"estimate, got {event_hint!r}")
         x0 = self._initial_state(initial)
         t_eval = np.linspace(t_start, t_final, max(int(n_samples), 2))
         telemetry = self.tracer.enabled or self.metrics.enabled
@@ -216,22 +301,22 @@ class OdeSimulator:
                         x0: np.ndarray, t_eval: np.ndarray, event,
                         event_hint: float | None, telemetry: bool,
                         wall_start: float) -> Trajectory:
-        """Integrate with ``scipy.integrate.odeint`` (LSODA in Fortran).
+        """Integrate with scipy's LSODA core, without ``solve_ivp``.
 
         ``solve_ivp``'s LSODA wrapper steps through Python once per solver
         step -- for the machine's stiff cycle segments that per-step
         overhead, plus the event machinery evaluated on every step,
-        dominates the wall time.  ``odeint`` hands the whole sample grid to
-        the Fortran core in one call, so this path costs one Python call
-        per *span* instead of per step.
+        dominates the wall time.  A plain solve hands the whole sample
+        grid to ``odeint`` in one call.
 
         A single terminal directional event (the only kind the machine
-        drivers use) is located by bracketing: integrate chunks sized from
-        ``event_hint`` (doubling while nothing fires), watch the event
-        function's sign on each chunk's sample grid, then shrink the
-        bracketing interval with short re-integrations and interpolate the
-        crossing.  The located time agrees with solve_ivp's root-finding
-        to well below the solver tolerances.
+        drivers use) is located by bracketing: walk chunks sized from
+        ``event_hint`` (doubling while nothing fires), evaluating the
+        event after each sample point and stopping at the first pair
+        that brackets a crossing, then shrink the bracket with short
+        walks and interpolate the crossing.  The located time agrees
+        with solve_ivp's root-finding to well below the solver
+        tolerances.
         """
         stats = {"nfev": 0, "njev": 0}
         if event is None:
@@ -247,17 +332,20 @@ class OdeSimulator:
                               t_start, stats)
         return trajectory
 
+    def _jacobian_callable(self):
+        """Analytic Jacobian for LSODA, or ``None`` to finite-difference."""
+        return (self.kinetics.jacobian
+                if self.jacobian_mode != "none" else None)
+
     def _odeint_span(self, x0: np.ndarray, t_points: np.ndarray,
                      stats: dict) -> np.ndarray:
         """States at ``t_points`` (strictly increasing, ``t_points[0]`` is
         the initial time) integrating from ``x0``; accumulates solver
         effort into ``stats``."""
-        jac = (self.kinetics.jacobian
-               if self.jacobian_mode != "none" else None)
         states, info = odeint(
-            self.kinetics.rhs, x0, t_points, Dfun=jac, tfirst=True,
-            rtol=self.rtol, atol=self.atol, full_output=True,
-            mxstep=5_000_000)
+            self.kinetics.rhs, x0, t_points, Dfun=self._jacobian_callable(),
+            tfirst=True, rtol=self.rtol, atol=self.atol, full_output=True,
+            mxstep=_MXSTEP)
         if info["message"] != "Integration successful.":
             raise SimulationError(
                 f"ODE solver failed: {info['message']}")
@@ -266,8 +354,8 @@ class OdeSimulator:
         return states
 
     @staticmethod
-    def _first_crossing(g: np.ndarray, direction: float) -> int | None:
-        """Index ``k`` of the first sample pair bracketing a crossing.
+    def _crosses(g_from: float, g_to: float, direction: float) -> bool:
+        """Whether event values ``g_from -> g_to`` bracket a crossing.
 
         Matches solve_ivp's semantics for directional events except that
         the *from* side must be strictly on the wrong side of zero, so an
@@ -276,10 +364,56 @@ class OdeSimulator:
         fresh boundary).
         """
         if direction > 0:
-            hits = np.nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]
-        else:
-            hits = np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0]
-        return int(hits[0]) if hits.size else None
+            return g_from < 0.0 <= g_to
+        return g_from > 0.0 >= g_to
+
+    # Both walks integrate from ``x0`` through the strictly increasing
+    # ``pts`` (``pts[0]`` is the initial time), evaluate the event at
+    # each point (``g0``, when given, replaces the value at ``pts[0]``)
+    # and return ``(states, g, k)``: the rows and event values up to and
+    # including the first pair ``k, k + 1`` that brackets a crossing,
+    # or all of them with ``k = None``.  The rows are bitwise equal.
+
+    def _walk_lsoda(self, x0, pts, event, direction, g0, stats):
+        """One resumable LSODA run, stopping at the first crossing."""
+        lsoda, n_doubles, n_ints, messages = _resumable_lsoda()
+        rwork, iwork, doubles, ints = _work_arrays(x0.size, n_doubles,
+                                                   n_ints)
+        jac = self._jacobian_callable()
+        rhs, jt = self.kinetics.rhs, 2 if jac is None else 1
+        states, g = np.empty((pts.size, x0.size)), np.empty(pts.size)
+        states[0] = x0
+        g[0] = event(float(pts[0]), x0) if g0 is None else g0
+        y, t, istate, i, k = x0.copy(), float(pts[0]), 1, 0, None
+        for i in range(1, pts.size):
+            # lsoda overwrites and returns ``y``; every row is a copy.
+            y, t, istate = lsoda(rhs, y, t, float(pts[i]), self.rtol,
+                                 self.atol, 1, istate, rwork, iwork, jac,
+                                 jt, (), 1, (), doubles, ints)
+            if istate < 0:
+                break
+            states[i] = y
+            g[i] = event(float(pts[i]), states[i])
+            if self._crosses(g[i - 1], g[i], direction):
+                k = i - 1
+                break
+        if istate != 2:  # as odeint: 1 when nothing was integrated
+            raise SimulationError(f"ODE solver failed: {messages[istate]}")
+        stats["nfev"] += int(iwork[11])
+        stats["njev"] += int(iwork[12])
+        return states[:i + 1], g[:i + 1], k
+
+    def _walk_odeint(self, x0, pts, event, direction, g0, stats):
+        """The twin: ``odeint`` over all of ``pts``, then a scan."""
+        states = self._odeint_span(x0, pts, stats)
+        g = np.array([event(float(t), x) for t, x in zip(pts, states)])
+        if g0 is not None:
+            g[0] = g0
+        k = next((i for i in range(g.size - 1)
+                  if self._crosses(g[i], g[i + 1], direction)), None)
+        if k is None:
+            return states, g, None
+        return states[:k + 2], g[:k + 2], k
 
     @staticmethod
     def _rows_for(pts: np.ndarray, states: np.ndarray,
@@ -294,18 +428,26 @@ class OdeSimulator:
                       x0: np.ndarray, t_eval: np.ndarray, event,
                       event_hint: float | None, stats: dict
                       ) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Chunked integrate-and-bracket search for one terminal event."""
+        """Chunked walk-and-bracket search for one terminal event."""
+        walk = (self._walk_lsoda if _resumable_lsoda() is not None
+                else self._walk_odeint)
         direction = float(event.direction)
         span = t_final - t_start
+        tiny = 1e-12 * max(1.0, abs(t_final))
         # The event function can hold the triggering sign only briefly
         # (the machine's boundary condition is satisfied for a fraction
         # of a phase), so the sign watch needs sampling much finer than
         # the window: 65 points per chunk, chunks starting well below the
         # span (the span is a stall timeout, not a dynamics scale) and
         # growing no further than 8x so the sample spacing stays bounded.
-        chunk = min(span, 1.5 * event_hint) if event_hint else span / 256.0
+        # A hint shrinks the first chunk at most 256x below the no-hint
+        # one, and never so far that its 65 points fall within ``tiny``
+        # of each other, so even a vanishing hint advances and ends.
+        chunk = span / 256.0
+        if event_hint:
+            chunk = min(span, max(1.5 * event_hint, chunk / 256.0,
+                                  128.0 * tiny))
         chunk_cap = min(span, 8.0 * chunk)
-        tiny = 1e-12 * max(1.0, abs(t_final))
         kept_t: list[float] = [t_start]
         kept_x: list[np.ndarray] = [x0]
         a, xa = t_start, x0
@@ -316,22 +458,18 @@ class OdeSimulator:
             pts = np.unique(np.concatenate(
                 [inside, np.linspace(a, b, 65)]))
             pts = pts[np.concatenate([[True], np.diff(pts) > tiny])]
-            states = self._odeint_span(xa, pts, stats)
-            g = np.array([event(float(t), x)
-                          for t, x in zip(pts, states)])
-            k = self._first_crossing(g, direction)
-            grid_rows = self._rows_for(pts, states, inside)
+            states, g, k = walk(xa, pts, event, direction, None, stats)
             if k is None:
                 kept_t.extend(inside.tolist())
-                kept_x.extend(grid_rows)
+                kept_x.extend(self._rows_for(pts, states, inside))
                 a, xa = float(pts[-1]), states[-1]
                 chunk = min(2.0 * chunk, chunk_cap)
                 continue
             bracket = (float(pts[k]), float(pts[k + 1]),
                        states[k], float(g[k]), float(g[k + 1]))
-            keep = inside <= bracket[0] + tiny
-            kept_t.extend(inside[keep].tolist())
-            kept_x.extend(grid_rows[keep])
+            inside = inside[inside <= bracket[0] + tiny]
+            kept_t.extend(inside.tolist())
+            kept_x.extend(self._rows_for(pts[:k + 2], states, inside))
             break
         if bracket is None:
             return (np.array(kept_t), np.vstack(kept_x), {})
@@ -341,11 +479,8 @@ class OdeSimulator:
             if tb - ta <= 64.0 * tiny:
                 break
             sub = np.linspace(ta, tb, 13)
-            states = self._odeint_span(ya, sub, stats)
-            g = np.array([event(float(t), x)
-                          for t, x in zip(sub, states)])
-            g[0] = ga  # re-evaluation at ta can differ by rounding
-            k = self._first_crossing(g, direction)
+            # Re-evaluating the event at ta can differ by rounding.
+            states, g, k = walk(ya, sub, event, direction, ga, stats)
             if k is None:
                 break
             ta, tb = float(sub[k]), float(sub[k + 1])

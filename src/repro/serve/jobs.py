@@ -171,17 +171,27 @@ class JobSpec:
         only produce byte-identical realisations when both simulate
         the canonical representative.  Responses are therefore always
         in canonical (sorted) species order.
-        """
-        if self.network is not None:
-            return self.network.canonical_form()
-        from repro.scenarios import get_scenario
 
-        try:
-            scenario = get_scenario(self.scenario)
-            network = scenario.network(**dict(self.scenario_params))
-        except ScenarioError as exc:
-            raise ServeError(str(exc)) from None
-        return network.canonical_form()
+        The network is resolved once and memoised on the (frozen) spec,
+        like :meth:`cache_key`, so a cache miss builds it once for its
+        key and its execution.
+        """
+        cached = self.__dict__.get("_network")
+        if cached is not None:
+            return cached
+        if self.network is not None:
+            network = self.network
+        else:
+            from repro.scenarios import get_scenario
+
+            try:
+                scenario = get_scenario(self.scenario)
+                network = scenario.network(**dict(self.scenario_params))
+            except ScenarioError as exc:
+                raise ServeError(str(exc)) from None
+        canonical = network.canonical_form()
+        object.__setattr__(self, "_network", canonical)
+        return canonical
 
     def _scheme_payload(self):
         if self.scheme is None:

@@ -1,10 +1,14 @@
 """Integration tests for the deterministic simulators."""
 
+import re
+
 import numpy as np
 import pytest
 
+import repro
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
+from repro.crn.simulation.options import SimulationOptions
 from repro.crn.simulation.events import species_above, species_below
 from repro.crn.simulation.ode import METHODS, OdeSimulator, simulate
 from repro.errors import SimulationError
@@ -164,6 +168,33 @@ class TestEvents:
                                     event_hint=0.7)
         assert hinted.meta["event_time"] == pytest.approx(
             plain.meta["event_time"], rel=1e-6)
+
+    @pytest.mark.parametrize("hint", [-0.5, 0.0, float("nan"),
+                                      float("inf"), -float("inf")])
+    def test_event_hint_must_be_positive_and_finite(self, hint):
+        """A negative hint used to search backwards and report an event
+        before ``t_start`` (t = -0.057 for -0.5)."""
+        network = _decay_network(k=1.0, x0=10.0)
+        event = species_below(network, "A", 5.0)
+        named = re.escape(repr(hint))
+        with pytest.raises(SimulationError, match=named):
+            OdeSimulator(network).simulate(20.0, events=[event],
+                                           event_hint=hint)
+        options = SimulationOptions(events=[event], event_hint=hint)
+        with pytest.raises(SimulationError, match=named):
+            repro.simulate(network, 20.0, options=options)
+
+    def test_vanishing_event_hint_still_advances(self):
+        """A 1e-300 hint used to collapse the first chunk to one point
+        ("Nothing was done; the integration time was 0.")."""
+        network = _decay_network(k=1.0, x0=10.0)
+        event = species_below(network, "A", 5.0)
+        trajectory = OdeSimulator(network).simulate(
+            20.0, events=[event], event_hint=1e-300)
+        assert trajectory.meta["event_time"] == pytest.approx(
+            np.log(2.0), rel=1e-5)
+        assert trajectory.times[0] == 0.0
+        assert np.all(np.diff(trajectory.times) > 0)
 
 
 class TestJacobianModes:

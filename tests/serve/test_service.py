@@ -156,6 +156,49 @@ class TestDeterminism:
             canonical_result_bytes(second)
 
 
+class TestResolveOnce:
+    """A miss resolves its network once, for its key and its run."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.conformance import generator
+
+        calls = []
+        build = generator.random_network
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "random_network", counting)
+        return calls
+
+    @pytest.mark.parametrize(("kind", "method"), [("simulate", "ode"),
+                                                  ("simulate", "ssa"),
+                                                  ("sweep", "ssa")])
+    def test_a_miss_builds_its_network_once(self, builds, kind, method):
+        from repro import simulate
+        from repro.scenarios import get_scenario
+        from repro.serve.service import _trajectory_result
+
+        spec = JobSpec(kind=kind, scenario="random",
+                       scenario_params={"seed": 3}, t_final=1.0,
+                       method=method, seed=4, n_runs=2)
+
+        async def scenario():
+            async with SimulationService(n_workers=1) as service:
+                return await service.run(spec)
+        result = _run(scenario())
+        assert len(builds) == 1
+        if kind == "sweep":
+            return
+        network = get_scenario("random").network(seed=3).canonical_form()
+        expected = simulate(network, 1.0, method=method,
+                            options=SimulationOptions(seed=4))
+        assert canonical_result_bytes(result) == canonical_result_bytes(
+            _trajectory_result("simulate", expected))
+
+
 class TestLoadGenerator:
     def test_mix_is_deterministic_and_distinct(self):
         mix = build_job_mix(4, seed=9)
