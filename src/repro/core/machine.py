@@ -1,6 +1,10 @@
 """Synchronous machine driver: run a synthesized circuit over input streams.
 
-The driver integrates the mass-action ODEs cycle by cycle.  A cycle
+:class:`SynchronousMachine` integrates the mass-action ODEs cycle by
+cycle; :class:`~repro.core.stochastic_machine.StochasticMachine` runs the
+same network under exact SSA.  Both share one driver (everything but
+how a cycle advances), so stream checks, readout, boundary faults, the
+stepper and cycle telemetry behave the same on either engine.  A cycle
 boundary is *detected from the chemistry*, not assumed from wall-clock
 time: the boundary event fires when the clock's red type has re-accumulated
 (>= ``boundary_fraction`` of the clock mass) *and* the blue category has
@@ -20,6 +24,7 @@ observable at boundary ``n + 1`` (one cycle of latency).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -47,6 +52,10 @@ _ROTATION = ("red", "green"), ("green", "blue"), ("blue", "red")
 
 #: Recognised cycle-advance strategies for :class:`MachineOptions`.
 CLOCKING_MODES = ("fixed", "adaptive")
+
+#: Rows an ODE cycle segment is planned to hold when telemetry or
+#: ``record`` needs them.
+_SAMPLES_PER_CYCLE = 60
 
 
 @dataclass(frozen=True)
@@ -188,26 +197,47 @@ class MachineRun:
         return float(np.mean([span.duration for span in self.cycles]))
 
 
-class SynchronousMachine:
-    """Drives one synthesized circuit under one rate scheme."""
+def _least(first, *rest):
+    """Elementwise minimum: ``np.minimum`` over rows, ``min`` over the
+    scalars of one state."""
+    if not isinstance(first, np.ndarray):
+        return min(first, *rest)
+    for margin in rest:
+        first = np.minimum(first, margin)
+    return first
 
-    def __init__(self, design: MatrixDesign | SignalFlowGraph |
-                 SynthesizedCircuit,
-                 scheme: RateScheme | None = None,
-                 rates: np.ndarray | None = None,
-                 clock_mass: float = 20.0,
-                 signed: bool | None = None,
-                 gating: str = "catalytic",
-                 boundary_fraction: float = 0.9,
-                 blue_tolerance: float | None = None,
-                 quantization: float | None = None,
-                 max_cycle_time: float | None = None,
-                 method: str = "LSODA",
-                 rtol: float = 1e-7, atol: float = 1e-9,
-                 tracer=None, metrics=None,
-                 monitor: MonitorConfig | None = None,
-                 faults=None, probe=None,
-                 options: MachineOptions | None = None):
+
+def _terminal_event(margin, direction: float):
+    """A terminal, directional ODE event on one clock margin."""
+
+    def event(t: float, x: np.ndarray) -> float:
+        return float(margin(x))
+
+    event.terminal = True
+    event.direction = direction
+    return event
+
+
+class _CycleDriver:
+    """Everything a machine does except advance a cycle.
+
+    An engine calls :meth:`_setup`, builds its simulator, sets
+    ``blue_tolerance``, ``quantization`` (0: boundaries left alone) and
+    ``max_cycle_time``, and supplies ``_run_cycle(state, t_start, keep)
+    -> (boundary state, boundary time, segment)``: the segment is the
+    cycle's sampled rows as a :class:`Trajectory` when ``keep`` is set,
+    else ``None``.  The hooks at the end convert quantities.
+    """
+
+    def _setup(self, design: MatrixDesign | SignalFlowGraph |
+               SynthesizedCircuit, scheme: RateScheme,
+               rates: np.ndarray | None, *, clock_mass: float,
+               signed: bool | None, gating: str,
+               boundary_fraction: float, tracer, metrics,
+               monitor: MonitorConfig | None, faults, probe,
+               options: MachineOptions | None) -> np.ndarray | None:
+        """Everything but the simulator; returns the per-reaction rates
+        the engine's simulator takes (``None``: resolve the scheme)."""
         self.options = options or MachineOptions()
         if isinstance(design, SynthesizedCircuit):
             self.circuit = design
@@ -215,7 +245,7 @@ class SynchronousMachine:
             self.circuit = synthesize(design, clock_mass=clock_mass,
                                       signed=signed, gating=gating,
                                       oscillator=self.options.oscillator)
-        self.scheme = scheme or RateScheme()
+        self.scheme = scheme
         # Fault injection: materialise the perturbed system up front so
         # every derived quantity below (tolerances, indices, simulator)
         # is computed against the *faulted* network and scheme.  Fault
@@ -223,8 +253,7 @@ class SynchronousMachine:
         # is identical either way.
         self.faults = faults
         if faults is not None and faults.active:
-            setup = faults.materialize(self.circuit.network, self.scheme,
-                                       rates)
+            setup = faults.materialize(self.circuit.network, scheme, rates)
             self._network = setup.network
             self.scheme = setup.scheme
             rates = setup.rates
@@ -239,63 +268,40 @@ class SynchronousMachine:
         # hook below is a single attribute check.
         self._telemetry = (self.tracer.enabled or self.metrics.enabled
                            or self.probe.enabled or monitor is not None)
-        self.simulator = OdeSimulator(self.network, self.scheme,
-                                      rates=rates, method=method,
-                                      rtol=rtol, atol=atol,
-                                      tracer=tracer, metrics=metrics)
         self.boundary_fraction = boundary_fraction
-        # Absence threshold of the sharpened indicators: a colour with
-        # more than this total quantity pins its indicator off.
-        theta = (self.scheme.values.get("amp", 30.0 * self.scheme.slow)
-                 / self.scheme.fast)
-        # The boundary requires the blue category to drain to the
-        # residual scale before a cycle ends.  The tolerance is a small
-        # multiple of the absence threshold: anything under it is flushed
-        # by the boundary quantisation below, and the headroom keeps the
-        # boundary reachable when per-reaction jitter moves the actual
-        # threshold around its nominal value.
-        self.blue_tolerance = blue_tolerance if blue_tolerance is not None \
-            else 3.0 * theta
-        # Sub-threshold residues are rounded to zero at each boundary.
-        # On the ODE's continuum they accumulate into mixed-residual
-        # deadlocks; physically they are fractions of a single molecule
-        # (an exact stochastic simulation has literally zero copies there
-        # almost always), so flushing them models discreteness rather than
-        # idealising the chemistry.
-        self.quantization = quantization if quantization is not None \
-            else 3.0 * theta
-        # Default cycle timeout: generous multiple of the slow time scale.
-        self.max_cycle_time = max_cycle_time or 500.0 / self.scheme.slow
-        self._blue_indices = [
-            self.network.species_index(s)
-            for s in self.network.species_with_color("blue")]
-        self._clock_red_index = self.network.species_index(
-            self.circuit.clock.red.name)
-        self._clock_indices = [self.network.species_index(name)
-                               for name in self.circuit.clock.species_names()]
+        network = self.network
+        index = network.species_index
+
+        def indices(species) -> np.ndarray:
+            return np.array([index(s) for s in species], dtype=np.intp)
+
+        self._blue_indices = indices(network.species_with_color("blue"))
+        self._clock_red_index = index(self.circuit.clock.red.name)
+        self._clock_indices = [index(name) for name in
+                               self.circuit.clock.species_names()]
         # The positive-feedback accelerator parks part of the clock mass in
-        # the red dimer I_C_red; the boundary test must count it, or the
+        # the red dimer I_C_red; the clock tests must count it, or the
         # raw C_red quantity never reaches the threshold.
         red_dimer = f"I_{self.circuit.clock.red.name}"
-        self._clock_red_dimer_index = (
-            self.network.species_index(red_dimer)
-            if red_dimer in self.network else None)
-        # Coloured signal species per colour category, for the phase
-        # monitor and the transfer spans in the trace.
+        self._clock_red_dimer_index = (index(red_dimer)
+                                       if red_dimer in network else None)
+        # Coloured signal species (every coloured species outside the
+        # clock: dimers are uncoloured), in network order and per colour
+        # category for the phase monitor and the transfer spans.
+        self._signal_indices = [
+            i for i, s in enumerate(network.species)
+            if s.role == "signal" and s.color is not None]
         self._signal_groups = {
-            color: [s.name for s in self.network.species
+            color: [s.name for s in network.species
                     if s.role == "signal" and s.color == color]
             for color in COLORS}
         # Adaptive-clocking bookkeeping (also feeds the fixed-mode
         # recoverable-dead-time attribution in telemetry): the green
         # category, the blue species outside the clock, and -- in
         # adaptive mode -- where each blue's boundary residual lands.
-        self._green_indices = [
-            self.network.species_index(s)
-            for s in self.network.species_with_color("green")]
-        clock_set = set(self._clock_indices)
-        self._signal_blue_indices = [i for i in self._blue_indices
-                                     if i not in clock_set]
+        self._green_indices = indices(network.species_with_color("green"))
+        self._signal_blue_indices = self._blue_indices[
+            ~np.isin(self._blue_indices, self._clock_indices)]
         if self.options.adaptive:
             if not self.options.settle_fraction < self.boundary_fraction:
                 raise SimulationError(
@@ -305,12 +311,7 @@ class SynchronousMachine:
                     f"otherwise it waits on the worst-case schedule it "
                     f"is meant to replace")
             self._landing = self._landing_plan()
-        # Period estimate for sample-density planning (updated per cycle).
-        self._last_period: float | None = None
-        # Previous cycle's segment durations: time-to-event hints for the
-        # solver's chunked event search (cycle jitter is a few percent, so
-        # the previous duration is an excellent estimate).
-        self._segment_estimates: dict[str, float] = {}
+        return rates
 
     def make_monitor(self) -> ProtocolMonitor | None:
         """A fresh protocol-health monitor for one run (or ``None``
@@ -322,9 +323,11 @@ class SynchronousMachine:
             # Sub-quantization residues are flushed at each boundary and
             # are "absent" to the protocol, so states carrying only
             # residue-scale mass must not be judged: scale the monitor's
-            # floor to this machine's quantization threshold.
+            # floor to this machine's quantization threshold.  A machine
+            # that does not quantise (SSA counts) judges from one
+            # molecule up, so an empty cycle is skipped, not divided by.
             config = MonitorConfig(
-                min_signal_mass=10.0 * self.quantization)
+                min_signal_mass=10.0 * self.quantization or 1.0)
         view = ProtocolView(
             color_groups=self._signal_groups,
             indicator_names={
@@ -345,68 +348,59 @@ class SynchronousMachine:
     def design(self) -> MatrixDesign:
         return self.circuit.design
 
-    # -- cycle boundary event --------------------------------------------------------
+    # -- clock conditions ----------------------------------------------------------
+    #
+    # Each condition is a margin over state rows: ``x`` is one state
+    # vector or a 2-D array of rows, and the result has one margin per
+    # row (a scalar for one state, which keeps the ODE event path at
+    # Python-float cost).  The ODE engine turns the margins into
+    # terminal events; the SSA engine and the telemetry scan them over
+    # sampled rows.
 
-    def _effective_clock_red(self):
-        clock_index = self._clock_red_index
-        dimer_index = self._clock_red_dimer_index
+    def _clock_red(self, x: np.ndarray):
+        columns = x.T  # one state's own entries, or the rows' columns
+        red = columns[self._clock_red_index]
+        if self._clock_red_dimer_index is not None:
+            red = red + 2.0 * columns[self._clock_red_dimer_index]
+        return red
 
-        def value(x: np.ndarray) -> float:
-            red = float(x[clock_index])
-            if dimer_index is not None:
-                red += 2.0 * float(x[dimer_index])
-            return red
+    def _departure_margin(self, x: np.ndarray):
+        """Negative once the clock red has drained below half the clock
+        mass -- phase 1 is underway.
 
-        return value
-
-    def _departure_event(self):
-        """Fires when the clock red has drained -- phase 1 is underway.
-
-        Run before arming the boundary event: at a fresh boundary the
-        boundary condition is (by construction) exactly satisfied, so the
-        driver must first leave the boundary region or the event would
-        re-fire immediately, producing a zero-length cycle.
+        A cycle must depart before it may close: at a fresh boundary the
+        closing condition is (by construction) satisfied, so testing it
+        before departure would end a zero-length cycle.
         """
-        threshold = 0.5 * self.circuit.clock.mass
-        clock_red = self._effective_clock_red()
+        return self._clock_red(x) - 0.5 * self.circuit.clock.mass
 
-        def event(t: float, x: np.ndarray) -> float:
-            return clock_red(x) - threshold
+    def _boundary_margin(self, x: np.ndarray):
+        """Fixed clocking: clock red back above ``boundary_fraction`` of
+        the clock mass and every blue species drained to
+        ``blue_tolerance``."""
+        blues = x.take(self._blue_indices, -1).sum(-1)
+        return _least(
+            self._clock_red(x)
+            - self.boundary_fraction * self.circuit.clock.mass,
+            self.blue_tolerance - blues)
 
-        event.terminal = True
-        event.direction = -1.0
-        return event
+    def _settle_margin(self, x: np.ndarray, signal_mass: float):
+        """Adaptive clocking: the state has digitally settled, instead of
+        waiting out the worst-case schedule.
 
-    def _boundary_event(self, signal_mass: float):
-        threshold = self.boundary_fraction * self.circuit.clock.mass
-        epsilon = self.blue_tolerance
-        blue_indices = self._blue_indices
-        clock_red = self._effective_clock_red()
-
-        def event(t: float, x: np.ndarray) -> float:
-            blues = float(x[blue_indices].sum())
-            return min(clock_red(x) - threshold, epsilon - blues)
-
-        event.terminal = True
-        event.direction = 1.0
-        return event
-
-    def _settle_event(self, signal_mass: float):
-        """Adaptive-boundary event: fires once the state has digitally
-        settled, instead of waiting out the worst-case schedule.
-
-        Three conditions, combined as a min so the event function
-        crosses zero upward exactly when the last one is met:
+        Three conditions, combined as a min so the margin crosses zero
+        upward exactly when the last one is met:
 
         * clock red back above ``settle_fraction`` of nominal -- phase 3
-          is underway (the fraction exceeds 0.5, so the value is
-          negative right after departure and cannot re-fire at segment
-          start);
+          is underway (the fraction exceeds 0.5, so the margin is
+          negative right after departure);
         * the green category drained to ``blue_tolerance`` -- every
           green -> blue transfer has completed, so the signal-blue total
           below measures a *draining* tail, not one still being fed;
-        * the signal blues below the settling residual (an R104-style
-          boundary residual, kept under the monitor's warn fraction).
+        * the signal blues below the settling residual, which scales
+          with the cycle's ``signal_mass`` (an R104-style boundary
+          residual, kept under the monitor's warn fraction) and never
+          drops below ``blue_tolerance``.
 
         The clock's own blue is deliberately absent: its tail is the
         slowest drain of all and carries no digital information -- the
@@ -414,23 +408,45 @@ class SynchronousMachine:
         red exactly.
         """
         opts = self.options
-        floor = opts.settle_fraction * self.circuit.clock.mass
-        green_tol = self.blue_tolerance
+        greens = x.take(self._green_indices, -1).sum(-1)
+        blues = x.take(self._signal_blue_indices, -1).sum(-1)
         blue_tol = max(self.blue_tolerance,
                        opts.settle_residual * signal_mass)
-        green_indices = self._green_indices
-        signal_blues = self._signal_blue_indices
-        clock_red = self._effective_clock_red()
+        return _least(
+            self._clock_red(x)
+            - opts.settle_fraction * self.circuit.clock.mass,
+            self.blue_tolerance - greens, blue_tol - blues)
 
-        def event(t: float, x: np.ndarray) -> float:
-            greens = float(x[green_indices].sum())
-            blues = float(x[signal_blues].sum())
-            return min(clock_red(x) - floor, green_tol - greens,
-                       blue_tol - blues)
+    def _closing_margin(self, signal_mass: float):
+        """The margin (a function of rows) that ends a cycle starting
+        with ``signal_mass`` under this clocking mode."""
+        if self.options.adaptive:
+            return lambda x: self._settle_margin(x, signal_mass)
+        return self._boundary_margin
 
-        event.terminal = True
-        event.direction = 1.0
-        return event
+    def _scan(self, rows: np.ndarray, closing, departed: bool = False
+              ) -> tuple[bool, int | None]:
+        """Scan sampled state rows, in time order, for a cycle's end.
+
+        The cycle departs at the first row with a negative departure
+        margin (unless it already ``departed``); the first *later* row
+        where ``closing(rows)`` is non-negative ends it.  Returns
+        whether the cycle has departed and the closing row's index, or
+        ``None`` when no row closes it.
+        """
+        start = 0
+        if not departed:
+            left = self._departure_margin(rows) < 0.0
+            start = int(left.argmax()) + 1
+            if not left[start - 1]:
+                return False, None
+        if start == rows.shape[0]:
+            return True, None
+        hits = closing(rows[start:]) >= 0.0
+        first = int(hits.argmax())
+        return True, (start + first if hits[first] else None)
+
+    # -- adaptive landing -----------------------------------------------------------
 
     def _landing_plan(self) -> list[tuple[int, list[tuple[int, float]]]]:
         """Index-resolved blue seed transfers for the adaptive boundary.
@@ -454,8 +470,9 @@ class SynchronousMachine:
                     f"adaptive clocking needs a gated seed transfer for "
                     f"every blue species, but {name!r} has none: its "
                     f"boundary residual cannot be landed")
-            plan.append((index, [(self.network.species_index(target),
-                                  ratio) for target, ratio in targets]))
+            plan.append((int(index),
+                         [(self.network.species_index(target), ratio)
+                          for target, ratio in targets]))
         return plan
 
     def _land_residuals(self, state: np.ndarray) -> np.ndarray:
@@ -466,25 +483,24 @@ class SynchronousMachine:
         is its gated seed transfer, whose completion fixed clocking
         waits for.  Moving the residual to the transfer's products keeps
         the readout identical (readouts count in-flight blues and landed
-        targets alike) and hands :meth:`_quantize` a state with the same
-        digital content as a fixed boundary would have.
+        targets alike) and leaves a state with the same digital content
+        as a fixed boundary would have.
         """
         state = state.copy()
         for index, targets in self._landing:
-            amount = float(state[index])
-            if amount <= 0.0:
+            amount = state[index]
+            if amount <= 0:
                 continue
-            state[index] = 0.0
+            state[index] = 0
             for target_index, ratio in targets:
-                state[target_index] += amount * ratio
+                state[target_index] += self._landed(amount * ratio)
         return state
 
     # -- driving ------------------------------------------------------------------------
 
     def run(self, inputs: Mapping[str, Sequence[float]],
             extra_cycles: int = 1,
-            record: bool = False,
-            samples_per_cycle: int = 60) -> MachineRun:
+            record: bool = False) -> MachineRun:
         """Stream input samples through the machine.
 
         Parameters
@@ -502,7 +518,7 @@ class SynchronousMachine:
         n_samples = len(next(iter(streams.values()))) if streams else 0
         n_cycles = n_samples + max(int(extra_cycles), 1)
 
-        state = self.network.initial_vector()
+        state = self._initial_state()
         spans: list[CycleSpan] = []
         cumulative = {name: [self._readout(state, name)]
                       for name in self.design.outputs}
@@ -516,14 +532,13 @@ class SynchronousMachine:
                 state = self._inject(state, {name: streams[name][cycle]
                                              for name in streams})
             state, span, segment = self._advance_cycle(
-                state, t, cycle, record, samples_per_cycle, monitor)
+                state, t, cycle, record, monitor)
             t = span.t1
             spans.append(span)
             for name in self.design.outputs:
                 cumulative[name].append(self._readout(state, name))
             state_history.append(self._register_values(state))
-            state = self._quantize(state)
-            state = self._boundary_faults(cycle, state)
+            state = self._boundary_faults(cycle, self._quantize(state))
             if record:
                 trajectory = segment if trajectory is None else \
                     trajectory.concat(segment)
@@ -534,7 +549,7 @@ class SynchronousMachine:
                    for name, series in cumulative.items()}
         reference = {name: np.array(values) for name, values in
                      self.design.reference_run(
-                         {k: list(v) for k, v in streams.items()}).items()}
+                         {k: list(v) for k, v in inputs.items()}).items()}
         diagnostics = monitor.finish() if monitor else []
         if self.probe.enabled:
             diagnostics = diagnostics + self.probe.finish(t)
@@ -556,9 +571,9 @@ class SynchronousMachine:
         return MachineStepper(self)
 
     def _advance_cycle(self, state: np.ndarray, t_start: float,
-                       index: int, record: bool, samples_per_cycle: int,
+                       index: int, record: bool,
                        monitor: ProtocolMonitor | None
-                       ) -> tuple[np.ndarray, CycleSpan, Trajectory]:
+                       ) -> tuple[np.ndarray, CycleSpan, Trajectory | None]:
         """Run one cycle and record its span (plus telemetry if on).
 
         This is the single path both :meth:`run` and the stepper go
@@ -566,12 +581,10 @@ class SynchronousMachine:
         """
         telemetry = self._telemetry
         wall_start = perf_counter() if telemetry else 0.0
-        segment = self._run_cycle(state, t_start, record,
-                                  samples_per_cycle)
+        state, t_end, segment = self._run_cycle(state, t_start,
+                                                record or telemetry)
         wall = perf_counter() - wall_start if telemetry else 0.0
-        span = CycleSpan(index, t_start, segment.t_final, wall)
-        self._last_period = span.duration
-        state = segment.final()
+        span = CycleSpan(index, t_start, t_end, wall)
         if self.options.adaptive:
             state = self._land_residuals(state)
         if telemetry:
@@ -631,30 +644,15 @@ class SynchronousMachine:
         deliberate: this is attribution telemetry, not an event.
         """
         states = segment.states
+        if states.shape[0] == 0:
+            return 0.0
+        signal_mass = self._signal_mass(states[0])
+        _, row = self._scan(
+            states, lambda rows: self._settle_margin(rows, signal_mass))
+        if row is None:
+            return 0.0
         times = segment.times
-        if times.size == 0:
-            return 0.0
-        reds = states[:, self._clock_red_index].astype(float)
-        if self._clock_red_dimer_index is not None:
-            reds = reds + 2.0 * states[:, self._clock_red_dimer_index]
-        mass = self.circuit.clock.mass
-        departed = np.nonzero(reds < 0.5 * mass)[0]
-        if departed.size == 0:
-            return 0.0
-        start = int(departed[0])
-        greens = states[:, self._green_indices].sum(axis=1)
-        blues = states[:, self._signal_blue_indices].sum(axis=1)
-        opts = self.options
-        blue_tol = max(self.blue_tolerance,
-                       opts.settle_residual * self._signal_mass(states[0]))
-        settled = ((reds >= opts.settle_fraction * mass)
-                   & (greens <= self.blue_tolerance)
-                   & (blues <= blue_tol))
-        hits = np.nonzero(settled[start:])[0]
-        if hits.size == 0:
-            return 0.0
-        t_settle = float(times[start + int(hits[0])])
-        return max(float(times[-1]) - t_settle, 0.0)
+        return max(float(times[-1]) - float(times[row]), 0.0)
 
     def _probe_cycle(self, span: CycleSpan, segment: Trajectory,
                      state: np.ndarray, phases, transfers,
@@ -671,7 +669,7 @@ class SynchronousMachine:
         probe = self.probe
         probe.observe_cycle(span, phases, transfers, boundary_wait)
         # Adaptive within-cycle sampling: at most ``samples_per_cycle``
-        # rows of the integrated segment; the change-list compresses
+        # rows of the cycle's segment; the change-list compresses
         # plateaus away.
         times = segment.times
         if times.size:
@@ -689,9 +687,7 @@ class SynchronousMachine:
         """Record one waveform row; returns identifier-safe values."""
         probe = self.probe
         values: dict[str, float] = {}
-        getter = self._getter(state)
-        for name in self.design.delays:
-            value = self.circuit.state_value(getter, name)
+        for name, value in self._register_values(state).items():
             probe.record(f"reg_{name}", t, value, kind="real")
             values[signal_key(f"reg_{name}")] = value
         clock_total = self._clock_total(state)
@@ -760,56 +756,6 @@ class SynchronousMachine:
                             {"cycle": span.index, "quantity": peak}))
         return results
 
-    def _run_cycle(self, state: np.ndarray, t_start: float, record: bool,
-                   samples_per_cycle: int) -> Trajectory:
-        signal_mass = self._signal_mass(state)
-        # Each segment's sample grid spans max_cycle_time (the event cuts
-        # it short), so hitting ``samples_per_cycle`` points *inside* the
-        # actual cycle needs the grid spacing planned from a period
-        # estimate -- the previous cycle's duration.  Telemetry and the
-        # monitors need that density for the phase and drain statistics;
-        # without them only the final state matters.
-        if record or self._telemetry:
-            period = self._last_period or 10.0 / self.scheme.slow
-            spacing = period / max(samples_per_cycle, 8)
-            n_samples = min(int(self.max_cycle_time / spacing) + 2, 50_000)
-        else:
-            n_samples = 8
-        estimates = self._segment_estimates
-        departure = self.simulator.simulate(
-            t_start + self.max_cycle_time, t_start=t_start, initial=state,
-            n_samples=n_samples, events=[self._departure_event()],
-            event_hint=estimates.get("departure"))
-        if "event" not in departure.meta:
-            raise SimulationError(
-                f"clock did not leave the boundary within "
-                f"{self.max_cycle_time:g} time units after t={t_start:g}: "
-                f"the oscillator appears stalled")
-        # The LSODA fast path supports exactly one terminal directional
-        # event per segment, so the adaptive settle event *replaces* the
-        # fixed boundary event rather than racing it.  Separate hint keys
-        # keep the warm-start estimates honest if a caller alternates.
-        if self.options.adaptive:
-            closing = self._settle_event(signal_mass)
-            estimate_key = "settle"
-        else:
-            closing = self._boundary_event(signal_mass)
-            estimate_key = "boundary"
-        boundary = self.simulator.simulate(
-            departure.t_final + self.max_cycle_time,
-            t_start=departure.t_final, initial=departure.final(),
-            n_samples=n_samples,
-            events=[closing],
-            event_hint=estimates.get(estimate_key))
-        if "event" not in boundary.meta:
-            raise SimulationError(
-                f"no cycle boundary within {self.max_cycle_time:g} time "
-                f"units after t={departure.t_final:g}: machine appears "
-                f"stalled (check rate separation and blue_tolerance)")
-        estimates["departure"] = departure.t_final - t_start
-        estimates[estimate_key] = boundary.t_final - departure.t_final
-        return departure.concat(boundary)
-
     def _quantize(self, state: np.ndarray) -> np.ndarray:
         """Round sub-threshold residues to zero (boundary discreteness).
 
@@ -820,7 +766,8 @@ class SynchronousMachine:
         erode the pacemaker by a few hundredths of a unit per cycle, and
         without replenishment (chemically, a reservoir species feeding the
         clock) the oscillator amplitude would drift below any fixed
-        boundary threshold after enough cycles.
+        boundary threshold after enough cycles.  A machine with
+        ``quantization`` 0 leaves its boundaries alone.
         """
         if self.quantization <= 0:
             return state
@@ -834,13 +781,13 @@ class SynchronousMachine:
     def _boundary_faults(self, cycle: int, state: np.ndarray) -> np.ndarray:
         """Apply runtime fault hooks (clock glitches...) at a boundary.
 
-        Runs *after* quantisation, so an injected perturbation survives
-        until the chemistry (or the next boundary's replenishment)
-        responds to it.
+        Runs *after* readout and quantisation, so an injected
+        perturbation survives until the chemistry (or the next
+        boundary's replenishment) responds to it.
         """
         if self.faults is not None and self.faults.active:
-            state = np.maximum(
-                self.faults.on_boundary(cycle, state, self.network), 0.0)
+            state = self._coerce(self.faults.on_boundary(
+                cycle, np.asarray(state, dtype=float), self.network))
         return state
 
     def _clock_total(self, state: np.ndarray) -> float:
@@ -854,7 +801,9 @@ class SynchronousMachine:
     # -- state accessors -----------------------------------------------------------------
 
     def _check_streams(self, inputs: Mapping[str, Sequence[float]]
-                       ) -> dict[str, Sequence[float]]:
+                       ) -> dict[str, list]:
+        """Check stream names, lengths and every sample up front;
+        returns the coerced samples."""
         expected = set(self.design.inputs)
         provided = set(inputs)
         if provided != expected:
@@ -864,13 +813,14 @@ class SynchronousMachine:
         lengths = {len(v) for v in inputs.values()}
         if len(lengths) > 1:
             raise SynthesisError("input streams must have equal length")
-        return dict(inputs)
+        return {name: [self._sample(name, value) for value in stream]
+                for name, stream in inputs.items()}
 
     def _inject(self, state: np.ndarray,
                 samples: Mapping[str, float]) -> np.ndarray:
+        """Add coerced input samples to their rails."""
         state = state.copy()
         for name, value in samples.items():
-            value = float(value)
             rail = "p" if value >= 0 else "n"
             if rail == "n" and not self.circuit.signed:
                 raise SynthesisError(
@@ -899,10 +849,140 @@ class SynchronousMachine:
 
     def _signal_mass(self, state: np.ndarray) -> float:
         total = 0.0
-        for species in self.network.species:
-            if species.role == "signal" and species.color is not None:
-                total += float(state[self.network.species_index(species)])
+        for index in self._signal_indices:
+            total += float(state[index])
         return total
+
+    # -- engine hooks (continuous quantities by default) ------------------------------
+
+    def _initial_state(self) -> np.ndarray:
+        return self._coerce(self.network.initial_vector())
+
+    def _sample(self, name: str, value) -> float:
+        """One input sample, checked and coerced for injection."""
+        number = float(value)
+        if not math.isfinite(number):
+            raise SynthesisError(
+                f"input sample {name}={number!r} is not finite")
+        return number
+
+    def _coerce(self, state: np.ndarray) -> np.ndarray:
+        """A perturbed state back in the engine's domain."""
+        return np.maximum(state, 0.0)
+
+    def _landed(self, amount):
+        """The quantity a landing transfer delivers."""
+        return amount
+
+
+class SynchronousMachine(_CycleDriver):
+    """Drives one synthesized circuit under mass-action ODEs."""
+
+    def __init__(self, design: MatrixDesign | SignalFlowGraph |
+                 SynthesizedCircuit,
+                 scheme: RateScheme | None = None,
+                 rates: np.ndarray | None = None,
+                 clock_mass: float = 20.0,
+                 signed: bool | None = None,
+                 gating: str = "catalytic",
+                 boundary_fraction: float = 0.9,
+                 blue_tolerance: float | None = None,
+                 quantization: float | None = None,
+                 max_cycle_time: float | None = None,
+                 method: str = "LSODA",
+                 rtol: float = 1e-7, atol: float = 1e-9,
+                 tracer=None, metrics=None,
+                 monitor: MonitorConfig | None = None,
+                 faults=None, probe=None,
+                 options: MachineOptions | None = None):
+        rates = self._setup(
+            design, scheme or RateScheme(), rates, clock_mass=clock_mass,
+            signed=signed, gating=gating,
+            boundary_fraction=boundary_fraction, tracer=tracer,
+            metrics=metrics, monitor=monitor, faults=faults, probe=probe,
+            options=options)
+        self.simulator = OdeSimulator(self.network, self.scheme,
+                                      rates=rates, method=method,
+                                      rtol=rtol, atol=atol,
+                                      tracer=tracer, metrics=metrics)
+        # Absence threshold of the sharpened indicators: a colour with
+        # more than this total quantity pins its indicator off.
+        theta = (self.scheme.values.get("amp", 30.0 * self.scheme.slow)
+                 / self.scheme.fast)
+        # The boundary requires the blue category to drain to the
+        # residual scale before a cycle ends.  The tolerance is a small
+        # multiple of the absence threshold: anything under it is flushed
+        # by the boundary quantisation below, and the headroom keeps the
+        # boundary reachable when per-reaction jitter moves the actual
+        # threshold around its nominal value.
+        self.blue_tolerance = blue_tolerance if blue_tolerance is not None \
+            else 3.0 * theta
+        # Sub-threshold residues are rounded to zero at each boundary.
+        # On the ODE's continuum they accumulate into mixed-residual
+        # deadlocks; physically they are fractions of a single molecule
+        # (an exact stochastic simulation has literally zero copies there
+        # almost always), so flushing them models discreteness rather than
+        # idealising the chemistry.
+        self.quantization = quantization if quantization is not None \
+            else 3.0 * theta
+        # Default cycle timeout: generous multiple of the slow time scale.
+        self.max_cycle_time = max_cycle_time or 500.0 / self.scheme.slow
+        # Period estimate for sample-density planning (updated per cycle).
+        self._last_period: float | None = None
+        # Previous cycle's segment durations: time-to-event hints for the
+        # solver's chunked event search (cycle jitter is a few percent, so
+        # the previous duration is an excellent estimate).
+        self._segment_estimates: dict[str, float] = {}
+
+    def _run_cycle(self, state: np.ndarray, t_start: float, keep: bool
+                   ) -> tuple[np.ndarray, float, Trajectory]:
+        """Integrate to departure, then to the closing event."""
+        signal_mass = self._signal_mass(state)
+        # Each segment's sample grid spans max_cycle_time (the event cuts
+        # it short), so hitting ``_SAMPLES_PER_CYCLE`` points *inside*
+        # the actual cycle needs the grid spacing planned from a period
+        # estimate -- the previous cycle's duration.  Telemetry and the
+        # monitors need that density for the phase and drain statistics;
+        # without them only the final state matters.
+        if keep:
+            period = self._last_period or 10.0 / self.scheme.slow
+            spacing = period / _SAMPLES_PER_CYCLE
+            n_samples = min(int(self.max_cycle_time / spacing) + 2, 50_000)
+        else:
+            n_samples = 8
+        estimates = self._segment_estimates
+        departure = self.simulator.simulate(
+            t_start + self.max_cycle_time, t_start=t_start, initial=state,
+            n_samples=n_samples,
+            events=[_terminal_event(self._departure_margin, -1.0)],
+            event_hint=estimates.get("departure"))
+        if "event" not in departure.meta:
+            raise SimulationError(
+                f"clock did not leave the boundary within "
+                f"{self.max_cycle_time:g} time units after t={t_start:g}: "
+                f"the oscillator appears stalled")
+        # The LSODA fast path supports exactly one terminal directional
+        # event per segment, so the adaptive settle margin *replaces* the
+        # fixed boundary margin rather than racing it.  Separate hint keys
+        # keep the warm-start estimates honest if a caller alternates.
+        estimate_key = "settle" if self.options.adaptive else "boundary"
+        boundary = self.simulator.simulate(
+            departure.t_final + self.max_cycle_time,
+            t_start=departure.t_final, initial=departure.final(),
+            n_samples=n_samples,
+            events=[_terminal_event(self._closing_margin(signal_mass),
+                                    1.0)],
+            event_hint=estimates.get(estimate_key))
+        if "event" not in boundary.meta:
+            raise SimulationError(
+                f"no cycle boundary within {self.max_cycle_time:g} time "
+                f"units after t={departure.t_final:g}: machine appears "
+                f"stalled (check rate separation and blue_tolerance)")
+        estimates["departure"] = departure.t_final - t_start
+        estimates[estimate_key] = boundary.t_final - departure.t_final
+        segment = departure.concat(boundary)
+        self._last_period = segment.t_final - t_start
+        return segment.final(), segment.t_final, segment
 
 
 class MachineStepper:
@@ -913,9 +993,9 @@ class MachineStepper:
     :meth:`flush` once after the last input to collect the final sample.
     """
 
-    def __init__(self, machine: SynchronousMachine):
+    def __init__(self, machine: _CycleDriver):
         self.machine = machine
-        self.state = machine.network.initial_vector()
+        self.state = machine._initial_state()
         self.time = 0.0
         self.spans: list[CycleSpan] = []
         self.monitor = machine.make_monitor()
@@ -938,12 +1018,10 @@ class MachineStepper:
     def step(self, inputs: Mapping[str, float]) -> dict[str, float]:
         """Inject one sample per input, advance one cycle, and return
         the output increments observed during that cycle."""
-        expected = set(self.machine.design.inputs)
-        if set(inputs) != expected:
-            raise SynthesisError(
-                f"step inputs {sorted(inputs)} do not match design "
-                f"inputs {sorted(expected)}")
-        self.state = self.machine._inject(self.state, inputs)
+        streams = self.machine._check_streams(
+            {name: [value] for name, value in inputs.items()})
+        self.state = self.machine._inject(
+            self.state, {name: stream[0] for name, stream in streams.items()})
         return self._advance()
 
     def flush(self) -> dict[str, float]:
@@ -955,17 +1033,18 @@ class MachineStepper:
         return self.machine._register_values(self.state)
 
     def _advance(self) -> dict[str, float]:
-        self.state, span, _ = self.machine._advance_cycle(
-            self.state, self.time, len(self.spans), record=False,
-            samples_per_cycle=60, monitor=self.monitor)
+        machine = self.machine
+        cycle = len(self.spans)
+        self.state, span, _ = machine._advance_cycle(
+            self.state, self.time, cycle, record=False,
+            monitor=self.monitor)
         self.time = span.t1
         self.spans.append(span)
         outputs = {}
-        for name in self.machine.design.outputs:
-            total = self.machine._readout(self.state, name)
+        for name in machine.design.outputs:
+            total = machine._readout(self.state, name)
             outputs[name] = total - self._previous[name]
             self._previous[name] = total
-        self.state = self.machine._quantize(self.state)
-        self.state = self.machine._boundary_faults(len(self.spans) - 1,
-                                                   self.state)
+        self.state = machine._boundary_faults(
+            cycle, machine._quantize(self.state))
         return outputs

@@ -23,32 +23,36 @@ stragglers (counts <= ``straggler_tolerance``) after ``patience`` time
 units without a boundary, modelling the slow degradation real molecules
 undergo; flush events are counted so results report how often recovery
 was needed.
+
+Everything but how a cycle advances -- stream checks, injection,
+readout, adaptive landing, boundary faults, the stepper, the probe,
+cycle spans, ``machine.*`` metrics and the protocol monitor -- is the
+shared driver of :mod:`repro.core.machine`.  This module supplies the
+SSA cycle step and the integer conversions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-
 import numpy as np
 
 from repro.crn.rates import RateScheme
+from repro.crn.simulation.result import Trajectory
 from repro.crn.simulation.ssa import StochasticSimulator
 from repro.core.dfg import MatrixDesign, SignalFlowGraph
-from repro.core.machine import MachineOptions, MachineRun
-from repro.core.phases import landing_map
-from repro.core.synthesis import SynthesizedCircuit, synthesize
+from repro.core.machine import MachineOptions, _CycleDriver
+from repro.core.synthesis import SynthesizedCircuit
 from repro.errors import SimulationError, SynthesisError
-from repro.obs.records import CycleSpan
-from repro.waves.probe import ensure_probe, signal_key
 
 
-class StochasticMachine:
+class StochasticMachine(_CycleDriver):
     """SSA counterpart of :class:`~repro.core.machine.SynchronousMachine`.
 
     Cycle boundaries are detected by polling the counts every
     ``poll_interval`` time units: a boundary holds when the clock-red
     count has re-accumulated and the blue category holds at most
-    ``blue_tolerance`` molecules.
+    ``blue_tolerance`` molecules.  Counts are already discrete, so the
+    machine does not quantise its boundaries (``quantization`` is 0)
+    and never tops the clock up.
     """
 
     def __init__(self, design: MatrixDesign | SignalFlowGraph |
@@ -66,13 +70,6 @@ class StochasticMachine:
                  tracer=None, metrics=None,
                  faults=None, probe=None,
                  options: MachineOptions | None = None):
-        self.options = options or MachineOptions()
-        if isinstance(design, SynthesizedCircuit):
-            self.circuit = design
-        else:
-            self.circuit = synthesize(design, clock_mass=clock_mass,
-                                      signed=signed,
-                                      oscillator=self.options.oscillator)
         if scheme is None:
             # The ODE driver keeps indicator generation tiny because the
             # continuum integrates its floor into cross-gate leaks.  In
@@ -83,189 +80,64 @@ class StochasticMachine:
             values = dict(RateScheme().values)
             values["gen"] = values["slow"]
             scheme = RateScheme(values)
-        self.scheme = scheme
-        self.faults = faults
-        rates = None
-        if faults is not None and faults.active:
-            setup = faults.materialize(self.circuit.network, self.scheme)
-            self._network = setup.network
-            self.scheme = setup.scheme
-            rates = setup.rates
-        else:
-            self._network = self.circuit.network
+        rates = self._setup(
+            design, scheme, None, clock_mass=clock_mass, signed=signed,
+            gating="catalytic", boundary_fraction=boundary_fraction,
+            tracer=tracer, metrics=metrics, monitor=None, faults=faults,
+            probe=probe, options=options)
         self.simulator = StochasticSimulator(self.network, self.scheme,
                                              rates=rates,
                                              seed=seed, tracer=tracer,
                                              metrics=metrics)
-        self.probe = ensure_probe(probe)
         self.poll_interval = poll_interval
-        self.boundary_fraction = boundary_fraction
         self.blue_tolerance = int(blue_tolerance)
+        self.quantization = 0.0
         self.patience = patience
         self.straggler_tolerance = int(straggler_tolerance)
         self.flush_events = 0
         self.max_cycle_time = max_cycle_time or 200.0 / self.scheme.slow
-        self._colored_indices = [
-            self.network.species_index(s) for s in self.network.species
-            if s.color is not None and s.role != "clock"]
-        self._blue_indices = [
-            self.network.species_index(s)
-            for s in self.network.species_with_color("blue")]
-        self._clock_red_index = self.network.species_index(
-            self.circuit.clock.red.name)
-        # Adaptive clocking under SSA mirrors the ODE driver: the poll
-        # scan accepts a boundary once the state has digitally settled,
-        # and the remaining (integer) blue residuals are landed along
-        # their unique gated seed transfers.
-        self._green_indices = [
-            self.network.species_index(s)
-            for s in self.network.species_with_color("green")]
-        clock_set = {self.network.species_index(name)
-                     for name in self.circuit.clock.species_names()}
-        self._signal_blue_indices = [i for i in self._blue_indices
-                                     if i not in clock_set]
-        if self.options.adaptive:
-            if not self.options.settle_fraction < self.boundary_fraction:
-                raise SimulationError(
-                    f"adaptive clocking needs settle_fraction "
-                    f"({self.options.settle_fraction}) below "
-                    f"boundary_fraction ({self.boundary_fraction})")
-            transfers = landing_map(self.network, self.circuit.protocol,
-                                    color="blue")
-            self._landing = []
-            for index in self._blue_indices:
-                name = self.network.species[index].name
-                targets = transfers.get(name)
-                if not targets:
-                    raise SynthesisError(
-                        f"adaptive clocking needs a gated seed transfer "
-                        f"for every blue species, but {name!r} has none")
-                self._landing.append(
-                    (index, [(self.network.species_index(target), ratio)
-                             for target, ratio in targets]))
 
-    @property
-    def network(self):
-        """The simulated network (faulted copy when ``faults`` is active)."""
-        return self._network
-
-    @property
-    def design(self) -> MatrixDesign:
-        return self.circuit.design
-
-    # -- driving ---------------------------------------------------------------
-
-    def run(self, inputs: Mapping[str, Sequence[float]],
-            extra_cycles: int = 1) -> MachineRun:
-        """Stream integer-valued samples through the machine under SSA."""
-        streams = self._check_streams(inputs)
-        n_samples = len(next(iter(streams.values()))) if streams else 0
-        n_cycles = n_samples + max(int(extra_cycles), 1)
-
-        counts = np.rint(self.network.initial_vector()).astype(np.int64)
-        spans: list[CycleSpan] = []
-        cumulative = {name: [self._readout(counts, name)]
-                      for name in self.design.outputs}
-        state_history = [self._register_values(counts)]
-
-        t = 0.0
-        for cycle in range(n_cycles):
-            if cycle < n_samples:
-                counts = self._inject(counts, {
-                    name: streams[name][cycle] for name in streams})
-            t_start = t
-            counts, t = self._run_cycle(counts, t)
-            span = CycleSpan(cycle, t_start, t)
-            spans.append(span)
-            if self.probe.enabled:
-                self._probe_cycle(span, counts)
-            if self.faults is not None and self.faults.active:
-                counts = np.maximum(np.rint(self.faults.on_boundary(
-                    cycle, counts.astype(float), self.network)),
-                    0).astype(np.int64)
-            for name in self.design.outputs:
-                cumulative[name].append(self._readout(counts, name))
-            state_history.append(self._register_values(counts))
-
-        outputs = {name: np.diff(np.array(series, dtype=float))
-                   for name, series in cumulative.items()}
-        reference = {name: np.array(values) for name, values in
-                     self.design.reference_run(
-                         {k: list(v) for k, v in streams.items()}).items()}
-        diagnostics = self.probe.finish(t) if self.probe.enabled else []
-        return MachineRun(outputs=outputs, reference=reference,
-                          cycles=spans,
-                          trajectory=None, state_history=state_history,
-                          diagnostics=diagnostics)
-
-    def _probe_cycle(self, span: CycleSpan, counts: np.ndarray) -> None:
-        """One boundary reading on the waveform probe (the SSA driver
-        polls chunks, so within-cycle rows are not recorded -- only the
-        boundary states, which is what the assertions judge)."""
-        probe = self.probe
-        probe.observe_cycle(span, [], [])
-        values = {"cycle": span.index, "t": span.t1,
-                  "period": span.duration}
-        clock_total = 0.0
-        for name in self.circuit.clock.species_names():
-            clock_total += float(counts[self.network.species_index(name)])
-        probe.record("clock_total", span.t1, clock_total, kind="real")
-        values["clock_total"] = clock_total
-        for name, value in self._register_values(counts).items():
-            probe.record(f"reg_{name}", span.t1, value, kind="real")
-            values[signal_key(f"reg_{name}")] = value
-        probe.boundary(span.index, span.t1, values)
-
-    def _run_cycle(self, counts: np.ndarray,
-                   t: float) -> tuple[np.ndarray, float]:
+    def _run_cycle(self, counts: np.ndarray, t_start: float, keep: bool
+                   ) -> tuple[np.ndarray, float, Trajectory | None]:
         """Advance one full rotation, scanning *within* each simulated
         chunk: the boundary window (clock red re-accumulated, blues
         empty) can be much shorter than a chunk, because the blue-absence
         gate is still on from the previous cycle and phase 1 restarts
-        immediately."""
-        opts = self.options
-        adaptive = opts.adaptive
-        threshold = (opts.settle_fraction if adaptive
-                     else self.boundary_fraction) * self.circuit.clock.mass
-        if adaptive:
-            # Settling residual scales with the cycle's live signal mass
-            # (integer counts), never below the fixed tolerance.
-            signal_mass = int(counts[self._colored_indices].sum())
-            settle_tol = max(self.blue_tolerance,
-                             int(opts.settle_residual * signal_mass))
-        samples_per_chunk = 16
+        immediately.
+
+        Every chunk restarts the simulator at ``t=0`` with exactly 16
+        samples: chunk boundaries consume random draws, so this call is
+        part of every seeded realisation (and the engine's own
+        ``ssa.batch`` spans are chunk-relative).  With ``keep``, the
+        polled rows come back as the cycle's segment, shifted to the
+        cycle's time and cut at the boundary row.
+        """
+        closing = self._closing_margin(self._signal_mass(counts))
+        times: list[np.ndarray] = []
+        rows: list[np.ndarray] = []
         departed = False
-        cycle_start = t
-        start = t
+        t = start = t_start
         while True:
-            trajectory = self.simulator.simulate(
-                self.poll_interval, initial=counts,
-                n_samples=samples_per_chunk)
-            states = trajectory.states
-            reds = states[:, self._clock_red_index]
-            if adaptive:
-                greens = states[:, self._green_indices].sum(axis=1)
-                blues = states[:, self._signal_blue_indices].sum(axis=1)
-            else:
-                blues = states[:, self._blue_indices].sum(axis=1)
-            for i in range(1, samples_per_chunk):
-                if not departed:
-                    if reds[i] < 0.5 * self.circuit.clock.mass:
-                        departed = True
-                elif adaptive:
-                    if (reds[i] >= threshold
-                            and greens[i] <= self.blue_tolerance
-                            and blues[i] <= settle_tol):
-                        counts = np.rint(states[i]).astype(np.int64)
-                        return (self._land_residuals(counts),
-                                t + float(trajectory.times[i]))
-                elif (reds[i] >= threshold
-                      and blues[i] <= self.blue_tolerance):
-                    # Restart from this recorded state (Markov property:
-                    # any sampled state is a valid SSA initial state).
-                    counts = np.rint(states[i]).astype(np.int64)
-                    return counts, t + float(trajectory.times[i])
-            counts = np.rint(trajectory.final()).astype(np.int64)
+            chunk = self.simulator.simulate(
+                self.poll_interval, initial=counts, n_samples=16)
+            states = chunk.states
+            # Row 0 is the chunk's initial state: the cycle's start or
+            # the previous chunk's last row.
+            departed, row = self._scan(states[1:], closing, departed)
+            if keep:
+                end = states.shape[0] if row is None else row + 2
+                first = 1 if times else 0
+                times.append(t + chunk.times[first:end])
+                rows.append(states[first:end])
+            if row is not None:
+                # Restart from this recorded state (Markov property:
+                # any sampled state is a valid SSA initial state).
+                segment = Trajectory(
+                    np.concatenate(times), np.vstack(rows),
+                    self.network.species_names) if keep else None
+                return (np.rint(states[row + 1]).astype(np.int64),
+                        t + float(chunk.times[row + 1]), segment)
+            counts = np.rint(chunk.final()).astype(np.int64)
             t += self.poll_interval
             if t - start > self.patience:
                 counts = self._flush_stragglers(counts)
@@ -274,36 +146,18 @@ class StochasticMachine:
             # renewal above would otherwise keep `t - start` below the
             # limit forever, so an unrecoverable wedge (e.g. clock mass
             # leaked to zero at low copy number) would spin indefinitely.
-            if t - cycle_start > self.max_cycle_time:
+            if t - t_start > self.max_cycle_time:
                 raise SimulationError(
                     f"no stochastic cycle boundary within "
                     f"{self.max_cycle_time:g} time units after "
-                    f"t={cycle_start:g}")
-
-    def _land_residuals(self, counts: np.ndarray) -> np.ndarray:
-        """Complete residual blue molecules along their seed transfers.
-
-        The integer counterpart of the ODE driver's algebraic landing:
-        each remaining blue molecule is moved to the products of its
-        unique gated seed transfer, exactly what the chemistry would do
-        in the dead time the adaptive boundary skipped.
-        """
-        counts = counts.copy()
-        for index, targets in self._landing:
-            amount = int(counts[index])
-            if amount <= 0:
-                continue
-            counts[index] = 0
-            for target_index, ratio in targets:
-                counts[target_index] += int(round(amount * ratio))
-        return counts
+                    f"t={t_start:g}")
 
     def _flush_stragglers(self, counts: np.ndarray) -> np.ndarray:
         """Degrade straggler molecules wedging the rotation (see module
         docstring)."""
         counts = counts.copy()
         flushed = 0
-        for index in self._colored_indices:
+        for index in self._signal_indices:
             if 0 < counts[index] <= self.straggler_tolerance:
                 flushed += int(counts[index])
                 counts[index] = 0
@@ -311,52 +165,18 @@ class StochasticMachine:
             self.flush_events += 1
         return counts
 
-    # -- helpers ------------------------------------------------------------------
+    # -- integer counts ------------------------------------------------------------
 
-    def _check_streams(self, inputs):
-        expected = set(self.design.inputs)
-        if set(inputs) != expected:
+    def _sample(self, name: str, value) -> int:
+        super()._sample(name, value)
+        if float(value) != int(value):
             raise SynthesisError(
-                f"input streams {sorted(inputs)} do not match design "
-                f"inputs {sorted(expected)}")
-        lengths = {len(v) for v in inputs.values()}
-        if len(lengths) > 1:
-            raise SynthesisError("input streams must have equal length")
-        for stream in inputs.values():
-            for value in stream:
-                if float(value) != int(value):
-                    raise SynthesisError(
-                        "stochastic semantics take integer molecule "
-                        f"counts; got {value!r}")
-        return dict(inputs)
+                "stochastic semantics take integer molecule "
+                f"counts; got {value!r}")
+        return int(value)
 
-    def _inject(self, counts: np.ndarray,
-                samples: Mapping[str, float]) -> np.ndarray:
-        counts = counts.copy()
-        for name, value in samples.items():
-            value = int(value)
-            rail = "p" if value >= 0 else "n"
-            if rail == "n" and not self.circuit.signed:
-                raise SynthesisError(
-                    f"negative input sample for unsigned design: "
-                    f"{name}={value}")
-            index = self.network.species_index(
-                self.circuit.source_species[name][rail])
-            counts[index] += abs(value)
-        return counts
+    def _coerce(self, state: np.ndarray) -> np.ndarray:
+        return np.maximum(np.rint(state), 0).astype(np.int64)
 
-    def _getter(self, counts: np.ndarray):
-        network = self.network
-
-        def get(name: str) -> float:
-            return float(counts[network.species_index(name)])
-
-        return get
-
-    def _readout(self, counts: np.ndarray, output: str) -> float:
-        return self.circuit.readout_value(self._getter(counts), output)
-
-    def _register_values(self, counts: np.ndarray) -> dict[str, float]:
-        getter = self._getter(counts)
-        return {name: self.circuit.state_value(getter, name)
-                for name in self.design.delays}
+    def _landed(self, amount) -> int:
+        return int(round(amount))

@@ -1,0 +1,257 @@
+"""The cycle driver shared by the ODE and SSA machines.
+
+``SynchronousMachine`` and ``StochasticMachine`` run one driver: stream
+checks, injection, readout, boundary faults, the stepper and cycle
+telemetry are written once, and each engine supplies only how a cycle
+advances.  These tests pin what the sharing must keep and what it gives
+the SSA machine:
+
+* seeded SSA realisations stay bitwise identical (the digests below; the
+  SSA loop draws from numpy's own bit generator, so they do not depend
+  on the host);
+* the stepper equals ``run`` on both engines;
+* telemetry does not change what a run computes;
+* the SSA machine emits cycle spans, ``machine.*`` metrics, boundary
+  events, monitor output and ``record=`` rows;
+* non-finite input samples are rejected on both engines.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from repro.apps.filters import moving_average
+from repro.core.dfg import SignalFlowGraph
+from repro.core.machine import MachineOptions, SynchronousMachine
+from repro.core.stochastic_machine import StochasticMachine
+from repro.errors import SynthesisError
+from repro.faults.models import ClockGlitch, FaultPlan
+from repro.obs import EventRecord, MemorySink, MetricsRegistry, SpanRecord
+from repro.obs import Tracer
+from repro.waves.probe import WaveformProbe
+
+
+def ma2() -> SignalFlowGraph:
+    """The E14 two-tap moving average."""
+    sfg = SignalFlowGraph("ma2")
+    x = sfg.input("x")
+    d = sfg.delay("d1", source=x)
+    sfg.output("y", sfg.add(sfg.gain(Fraction(1, 2), x),
+                            sfg.gain(Fraction(1, 2), d)))
+    return sfg
+
+
+def digest(runs) -> str:
+    """First 16 hex digits of a sha256 over ``(run, flush_events)``
+    pairs: outputs (float64 bytes, by name), register history, cycle
+    spans and, for SSA runs, the straggler-flush count."""
+    h = hashlib.sha256()
+    for run, flush_events in runs:
+        for name in sorted(run.outputs):
+            h.update(np.asarray(run.outputs[name],
+                                dtype=np.float64).tobytes())
+        for row in run.state_history:
+            h.update(repr(sorted(row.items())).encode())
+        for span in run.cycles:
+            h.update(repr((span.index, span.t0, span.t1)).encode())
+        if flush_events is not None:
+            h.update(repr(flush_events).encode())
+    return h.hexdigest()[:16]
+
+
+#: The first 60 ops of the ``ssa-machine`` benchmark pool: op ``k``
+#: streams two even counts drawn from ``default_rng((14, k))`` through a
+#: machine seeded with ``k``.  Ops 0, 5, 8, 15 and 45 are screened out of
+#: that pool.
+POOL = [k for k in range(65) if k not in (0, 5, 8, 15, 45)]
+
+
+def pool_op(k: int) -> list[int]:
+    rng = np.random.default_rng((14, k))
+    return [int(v) for v in 2 * rng.integers(0, 41, 2)]
+
+
+def _ssa_run(machine: StochasticMachine, stream):
+    return machine.run({"x": stream}), machine.flush_events
+
+
+class TestSsaPins:
+    @pytest.mark.parametrize("clocking,expected", [
+        ("fixed", "4f2e89638f10670d"),
+        ("adaptive", "caf3320805169dba"),
+    ])
+    def test_pool_realisations(self, clocking, expected):
+        options = MachineOptions(clocking=clocking)
+        runs = [_ssa_run(StochasticMachine(ma2(), seed=k, options=options),
+                         pool_op(k)) for k in POOL]
+        assert len(runs) == 60
+        assert digest(runs) == expected
+
+    def test_clock_glitch_realisations(self):
+        runs = []
+        for seed in range(10):
+            plan = FaultPlan([ClockGlitch(cycle=1, fraction=0.05)], seed=3)
+            machine = StochasticMachine(moving_average(2), seed=seed,
+                                        faults=plan)
+            runs.append(_ssa_run(machine, [8, 4, 6]))
+        assert digest(runs) == "8be176fdf47facd4"
+
+
+def _stepped(machine, stream):
+    stepper = machine.stepper()
+    outputs = [stepper.step({"x": value})["y"] for value in stream]
+    outputs.append(stepper.flush()["y"])
+    return stepper, np.array(outputs)
+
+
+def _spans(spans):
+    return [(span.index, span.t0, span.t1) for span in spans]
+
+
+ENGINES = {
+    "ode": lambda options, **kw: SynchronousMachine(
+        moving_average(2), options=options, **kw),
+    "ssa": lambda options, **kw: StochasticMachine(
+        moving_average(2), seed=4, options=options, **kw),
+}
+
+
+@pytest.mark.parametrize("clocking", ["fixed", "adaptive"])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+class TestOneDriver:
+    def test_stepper_equals_run(self, engine, clocking):
+        options = MachineOptions(clocking=clocking)
+        stream = [8, 4, 6]
+        run = ENGINES[engine](options).run({"x": stream})
+        stepper, stepped = _stepped(ENGINES[engine](options), stream)
+        assert stepped.tobytes() == run.outputs["y"].tobytes()
+        assert _spans(stepper.spans) == _spans(run.cycles)
+
+    def test_telemetry_leaves_outputs_alone(self, engine, clocking):
+        options = MachineOptions(clocking=clocking)
+        stream = [8, 4, 6, 2]
+        bare = ENGINES[engine](options).run({"x": stream})
+        observed = ENGINES[engine](
+            options, tracer=Tracer(MemorySink()),
+            metrics=MetricsRegistry(),
+            probe=WaveformProbe()).run({"x": stream})
+        if engine == "ssa":
+            assert observed.outputs["y"].tobytes() == \
+                bare.outputs["y"].tobytes()
+            assert observed.state_history == bare.state_history
+            assert _spans(observed.cycles) == _spans(bare.cycles)
+        else:
+            # Telemetry samples each ODE segment more densely, and the
+            # event search brackets on those samples, so boundary times
+            # move in the last digits; the digital outputs do not.
+            np.testing.assert_allclose(observed.outputs["y"],
+                                       bare.outputs["y"], atol=1e-6)
+            np.testing.assert_array_equal(
+                np.round(observed.outputs["y"] / 0.5),
+                np.round(bare.outputs["y"] / 0.5))
+
+
+class TestSsaTelemetry:
+    @pytest.fixture(scope="class")
+    def traced(self):
+        tracer = Tracer(MemorySink())
+        metrics = MetricsRegistry()
+        machine = StochasticMachine(moving_average(2), seed=0,
+                                    tracer=tracer, metrics=metrics)
+        run = machine.run({"x": [8, 4, 6]})
+        return run, tracer.sink.records, metrics.to_dict()
+
+    def test_cycle_spans_are_the_runs(self, traced):
+        run, records, _ = traced
+        cycles = [r for r in records
+                  if isinstance(r, SpanRecord) and r.name == "cycle"]
+        assert [(r.args["cycle"], r.t0, r.t1) for r in cycles] == \
+            _spans(run.cycles)
+
+    def test_cycle_counter(self, traced):
+        run, _, snapshot = traced
+        assert snapshot["counters"]["machine.cycles"] == run.n_cycles
+
+    def test_boundary_events_and_monitor(self, traced):
+        run, records, snapshot = traced
+        boundaries = [r for r in records if isinstance(r, EventRecord)
+                      and r.name == "boundary"]
+        assert [r.t for r in boundaries] == \
+            [span.t1 for span in run.cycles]
+        assert "monitor.boundary_residual" in snapshot["histograms"]
+        assert "machine.cycle_sim_time" in snapshot["histograms"]
+
+    def test_all_zero_stream_is_judged_from_one_molecule(self):
+        tracer = Tracer(MemorySink())
+        machine = StochasticMachine(moving_average(2), seed=0,
+                                    tracer=tracer)
+        run = machine.run({"x": [0, 0, 0]})
+        assert run.n_cycles == 4
+        assert np.all(run.outputs["y"] == 0.0)
+
+    def test_record_keeps_each_cycles_rows(self):
+        machine = StochasticMachine(moving_average(2), seed=0)
+        run = machine.run({"x": [8, 4, 6]}, record=True)
+        trajectory = run.trajectory
+        assert np.all(np.diff(trajectory.times) > 0)
+        assert trajectory.times[0] == 0.0
+        get = machine.network.species_index
+        for span, registers in zip(run.cycles, run.state_history[1:]):
+            row = trajectory.states[trajectory.times == span.t1]
+            assert row.shape[0] == 1
+            value = machine.circuit.state_value(
+                lambda name: float(row[0][get(name)]), "d1")
+            assert value == registers["d1"]
+        assert trajectory.times[-1] == run.cycles[-1].t1
+
+    def test_probe_sees_phases_within_cycles(self):
+        probe = WaveformProbe()
+        machine = StochasticMachine(moving_average(2), seed=0, probe=probe)
+        run = machine.run({"x": [8, 4, 6]})
+        assert [record[0] for record in probe.cycle_records] == run.cycles
+        for span, phases, _, _ in probe.cycle_records:
+            assert phases and phases[0][1] == span.t0
+            assert phases[-1][2] == span.t1
+
+
+def test_consuming_gated_ssa_run_completes():
+    """``gating="consuming"`` parks clock red in the ``I_C_red`` dimer;
+    the SSA boundary test counts it."""
+    from repro.core.synthesis import synthesize
+
+    circuit = synthesize(moving_average(2), gating="consuming")
+    assert f"I_{circuit.clock.red.name}" in circuit.network
+    run = StochasticMachine(circuit, seed=0).run({"x": [8, 4, 6]})
+    assert run.n_cycles == 4
+    assert run.max_error() <= 4.0
+
+
+NOT_FINITE = r"x=-?(nan|inf) is not finite"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+class TestNonFiniteSamples:
+    def test_run_rejects_before_any_cycle(self, engine, value):
+        metrics = MetricsRegistry()
+        machine = ENGINES[engine](MachineOptions(), metrics=metrics)
+        with pytest.raises(SynthesisError, match=NOT_FINITE):
+            machine.run({"x": [4, value]})
+        assert "machine.cycles" not in metrics.to_dict()["counters"]
+
+    def test_step_rejects(self, engine, value):
+        stepper = ENGINES[engine](MachineOptions()).stepper()
+        with pytest.raises(SynthesisError, match=NOT_FINITE):
+            stepper.step({"x": value})
+        assert stepper.cycles == 0
+
+
+def test_ssa_step_takes_integer_counts():
+    stepper = StochasticMachine(moving_average(2), seed=0).stepper()
+    with pytest.raises(SynthesisError, match="integer"):
+        stepper.step({"x": 1.5})
