@@ -78,16 +78,13 @@ class EngineSpec:
 
     ``exact`` marks engines whose metamorphic comparisons must be
     bitwise (stochastic engines on matched seeds); the rest are compared
-    at solver tolerance.  ``backend`` selects the facade execution
-    backend, so the structure-of-arrays SSA engine runs the same
-    battery as the reference it must match bitwise.
+    at solver tolerance.
     """
 
     name: str
     method: str
     solver: str = "LSODA"
     exact: bool = False
-    backend: str = "reference"
 
     def run(self, network: Network, t_final: float,
             scheme: RateScheme | None, *, seed: int | None = None,
@@ -98,7 +95,7 @@ class EngineSpec:
         options = SimulationOptions(
             solver=self.solver, seed=seed, rates=rates, t_start=t_start,
             n_samples=n_samples, rtol=rtol, atol=atol,
-            max_events=max_events, backend=self.backend)
+            max_events=max_events)
         return simulate(network, t_final, self.method, scheme=scheme,
                         options=options)
 
@@ -108,8 +105,6 @@ ENGINE_SPECS: dict[str, EngineSpec] = {
     "ode-bdf": EngineSpec("ode-bdf", "ode", solver="BDF"),
     "rk45": EngineSpec("rk45", "ode", solver="internal-rk45"),
     "ssa": EngineSpec("ssa", "ssa", exact=True),
-    "ssa-batch": EngineSpec("ssa-batch", "ssa", exact=True,
-                            backend="batch"),
     "tau": EngineSpec("tau", "tau", exact=True),
 }
 

@@ -20,12 +20,13 @@ numerical agreement:
     Tau-leaping is an approximation of exact SSA: ensemble mean final
     states on matched seed lists must agree within the combined CLT
     bands plus a leaping-bias allowance.
-``diff.batch-vs-reference``
-    The structure-of-arrays SSA backend is not an approximation at all:
-    on matched per-trial seeds every sampled trajectory (and event
-    count) must equal the reference engine's **bitwise** -- the
-    strongest oracle in the battery, and the contract that keeps seeded
-    corpora and cached baselines valid across backends.
+``diff.ensemble-vs-trial``
+    A seeded SSA ensemble (``StochasticSimulator.simulate_ensemble``, one
+    compiled call for every trial) is not an approximation at all: each
+    trial's sampled trajectory and event count must equal an
+    independent ``simulate`` run on the same seed **bitwise** -- the
+    contract that keeps ensemble means, seeded corpora and cached
+    baselines valid whichever path ran them.
 ``diff.native-vs-numpy``
     The compiled mass-action kernel and its NumPy twin must return the
     same RHS and Jacobian **bitwise** at every sampled state of the
@@ -54,7 +55,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.conformance.metamorphic import CheckResult, _guarded, _Skip
-from repro.crn.simulation import SimulationOptions, simulate
+from repro.crn.simulation import (SimulationOptions, StochasticSimulator,
+                                  simulate)
 from repro.crn.simulation.sweep import ParallelSweepRunner
 from repro.errors import SimulationError
 
@@ -100,49 +102,41 @@ def _ensemble_finals(network, method: str, rates: np.ndarray,
     return np.vstack(runner.map(_final_state_worker, payloads))
 
 
-def check_batch_vs_reference(target, seed: int,
-                             n_workers: int | None = None,
-                             n_runs: int = 8) -> CheckResult:
-    """Batch-backend realisations must match the reference bitwise."""
+def check_ensemble_vs_trial(target, seed: int,
+                            n_runs: int = 8) -> CheckResult:
+    """Ensemble trials must equal independent seeded runs bitwise."""
     def body():
         if not target.stochastic:
             raise _Skip("stochastic engines disabled for this target")
-        from repro.crn.simulation import BatchStochasticSimulator
-
         network = target.network
         t_final = min(target.t_final, 1.0)
         rates = network.rate_vector(target.scheme)
         seeds = np.random.SeedSequence(seed).spawn(n_runs)
         try:
-            reference = []
-            for member in seeds:
-                options = SimulationOptions(
-                    seed=np.random.default_rng(member), rates=rates,
-                    n_samples=17, max_events=MAX_EVENTS)
-                reference.append(simulate(network, t_final, "ssa",
-                                          scheme=None, options=options))
-            ensemble = BatchStochasticSimulator(
+            runs = [StochasticSimulator(network, rates=rates,
+                                        seed=np.random.default_rng(member))
+                    .simulate(t_final, n_samples=17, max_events=MAX_EVENTS)
+                    for member in seeds]
+            ensemble = StochasticSimulator(
                 network, rates=rates).simulate_ensemble(
-                    t_final, seeds=list(seeds), n_samples=17,
-                    max_events=MAX_EVENTS)
+                    t_final, seeds, n_samples=17, max_events=MAX_EVENTS)
         except SimulationError as exc:
             raise _Skip(f"ensemble over event budget: {exc}") from exc
-        for i, run in enumerate(reference):
-            batch_run = ensemble.trial(i)
-            if not np.array_equal(run.states, batch_run.states):
-                row = int(np.argmax(np.any(
-                    run.states != batch_run.states, axis=1)))
-                return (f"trial {i}: batch states diverge from the "
-                        f"reference engine at sample {row} "
+        for i, run in enumerate(runs):
+            trial = ensemble.trial(i)
+            if not np.array_equal(run.states, trial.states):
+                row = int(np.argmax(np.any(run.states != trial.states,
+                                           axis=1)))
+                return (f"trial {i}: ensemble states diverge from the "
+                        f"independent run at sample {row} "
                         f"(t={run.times[row]:g}); seeded realisations "
                         f"must match bitwise")
-            if run.meta["events"] != batch_run.meta["events"]:
-                return (f"trial {i}: batch fired "
-                        f"{batch_run.meta['events']} events vs "
-                        f"reference {run.meta['events']}")
+            if run.meta["events"] != trial.meta["events"]:
+                return (f"trial {i}: ensemble fired "
+                        f"{trial.meta['events']} events vs "
+                        f"{run.meta['events']} in the independent run")
         return None
-    return _guarded("diff.batch-vs-reference", target.name, "ssa-batch",
-                    body)
+    return _guarded("diff.ensemble-vs-trial", target.name, "ssa", body)
 
 
 def check_ode_solvers(target, seed: int,
@@ -379,7 +373,7 @@ def check_lsoda_walk_vs_odeint(target, seed: int,
 #: The differential battery, in report order.
 DIFFERENTIAL_CHECKS = (
     check_ode_solvers,
-    check_batch_vs_reference,
+    check_ensemble_vs_trial,
     check_ssa_vs_ode,
     check_tau_vs_ssa,
     check_native_vs_numpy,

@@ -26,7 +26,7 @@ from repro.conformance.metamorphic import (ENGINE_SPECS,
                                            check_canonical_form,
                                            check_duplicate_merge,
                                            check_sampling_guard)
-from repro.conformance.oracles import (check_batch_vs_reference,
+from repro.conformance.oracles import (check_ensemble_vs_trial,
                                        check_lsoda_walk_vs_odeint,
                                        check_native_ssa_vs_python,
                                        check_native_vs_numpy,
@@ -110,8 +110,7 @@ def _cells_for(target: Target, target_index: int, seed: int,
     """
     engines = [ENGINE_SPECS["ode"]]
     if target.stochastic:
-        engines += [ENGINE_SPECS["ssa"], ENGINE_SPECS["tau"],
-                    ENGINE_SPECS["ssa-batch"]]
+        engines += [ENGINE_SPECS["ssa"], ENGINE_SPECS["tau"]]
     cells = []
     cell_index = 0
 
@@ -140,8 +139,7 @@ def _cells_for(target: Target, target_index: int, seed: int,
     # serving cache keys on (reported under the ode engine column).
     add(check_canonical_form, ENGINE_SPECS["ode"])
     add(check_ode_solvers, n_workers=n_workers)
-    add(check_batch_vs_reference, n_workers=n_workers,
-        n_runs=budget.n_runs)
+    add(check_ensemble_vs_trial, n_runs=budget.n_runs)
     add(check_ssa_vs_ode, n_workers=n_workers, n_runs=budget.n_runs)
     add(check_tau_vs_ssa, n_workers=n_workers, n_runs=budget.n_runs)
     add(check_native_vs_numpy)
@@ -198,7 +196,7 @@ def replay_network(network, *, name: str = "corpus",
 
     Used by ``tests/conformance/test_corpus_replay.py`` and the CLI's
     ``--replay`` mode: every metamorphic invariant on every applicable
-    engine, plus the cross-solver and bitwise batch-vs-reference
+    engine, plus the cross-solver and bitwise ensemble-vs-trial
     oracles, the two bitwise compiled-kernel oracles and the bitwise
     LSODA walk oracle -- cheap enough to run on every shrunk reproducer
     in tier-1, forever.

@@ -18,8 +18,10 @@ load and one fallback warning serve both.
   ``random_standard_exponential`` and the bit generator's
   ``next_double``, on the generator's own ``bitgen_t``, so a seeded
   realisation -- and the generator state it leaves behind -- is bitwise
-  what the Python loop produces.  The module takes numpy's headers from
-  ``np.get_include()`` and links its ``libnpyrandom.a``.
+  what the Python loop produces.  ``repro_ssa_ensemble`` runs that loop
+  once per generator of a seeded ensemble in one call.  The module
+  takes numpy's headers from ``np.get_include()`` and links its
+  ``libnpyrandom.a``.
 
 The source is built with ``-ffp-contract=off`` so no multiply-add is
 fused.  It is network-independent, so it is compiled once per machine
@@ -124,6 +126,10 @@ CDEF = _STRUCT + """
 void repro_rhs(const repro_kinetics *k, const double *x);
 void repro_jacobian(const repro_kinetics *k, const double *x);
 int repro_ssa_run(repro_ssa *s);
+int repro_ssa_ensemble(repro_ssa *s, const int64_t *initial,
+                       void *const *bitgens, int64_t n_trials,
+                       double t_start, double *samples, int64_t *events,
+                       int64_t *failed);
 """
 
 SOURCE = """
@@ -331,6 +337,39 @@ int repro_ssa_run(repro_ssa *s)
     s->t = t;
     s->next_sample = next;
     return status;
+}
+
+/* StochasticSimulator.simulate_ensemble: one realisation per generator
+   from the same initial counts, each into its own block of samples and
+   held to the end of the grid; a trial that stops early returns its
+   status and its index in *failed. */
+int repro_ssa_ensemble(repro_ssa *s, const int64_t *initial,
+                       void *const *bitgens, int64_t n_trials,
+                       double t_start, double *samples, int64_t *events,
+                       int64_t *failed)
+{
+    int64_t n_s = s->n_species;
+    for (int64_t k = 0; k < n_trials; k++) {
+        double *out = samples + k * s->n_times * n_s;
+        memcpy(s->counts, initial, (size_t)n_s * sizeof(int64_t));
+        ssa_rebuild(s);
+        for (int64_t i = 0; i < n_s; i++)
+            out[i] = (double)initial[i];
+        s->bitgen = bitgens[k];
+        s->samples = out;
+        s->t = t_start;
+        s->next_sample = 1;
+        int status = repro_ssa_run(s);
+        if (status != REPRO_SSA_DONE) {
+            *failed = k;
+            return status;
+        }
+        events[k] = s->events;
+        for (int64_t row = s->next_sample; row < s->n_times; row++)
+            for (int64_t i = 0; i < n_s; i++)
+                out[row * n_s + i] = (double)s->counts[i];
+    }
+    return REPRO_SSA_DONE;
 }
 """
 

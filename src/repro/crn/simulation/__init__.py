@@ -9,33 +9,20 @@ Gillespie SSA (:class:`StochasticSimulator`) and approximate tau-leaping
 :class:`SimulationOptions` bag, so callers never plumb engine-specific
 keyword arguments.  The engine classes remain public for callers that
 need to reuse a compiled simulator across many calls (the machine
-drivers do).
-
-Execution backends
-------------------
-Orthogonal to the engine name, :attr:`SimulationOptions.backend` picks
-the *implementation*: ``"reference"`` is the per-trial scalar engines
-above, ``"batch"`` routes exact SSA through the structure-of-arrays
-ensemble engine (:class:`BatchStochasticSimulator`), which produces
-bitwise-identical trajectories on matched seeds.  Backends register in
-:data:`_BACKEND_DISPATCH` via :func:`register_backend`; a backend that
-does not vectorise an engine (ODE and tau-leaping under ``"batch"``)
-delegates to the reference dispatch, so every ``(engine, backend)``
-combination is valid.
+drivers do), or to run a seeded ensemble in one call
+(:meth:`StochasticSimulator.simulate_ensemble`, an
+:class:`EnsembleResult`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-from repro.crn.simulation.batch import (BatchStochasticSimulator,
-                                        EnsembleResult)
 from repro.crn.simulation.events import (species_above, species_below,
                                          total_above, total_below)
 from repro.crn.simulation.ode import JACOBIAN_MODES, METHODS, OdeSimulator
 from repro.crn.simulation.options import (BACKENDS, ENGINES,
                                           SimulationOptions)
-from repro.crn.simulation.result import SimulationResult, Trajectory
+from repro.crn.simulation.result import (EnsembleResult, SimulationResult,
+                                         Trajectory)
 from repro.crn.simulation.rk import integrate_rk45
 from repro.crn.simulation.sampling import (cumulative_propensities,
                                            select_reaction)
@@ -65,9 +52,43 @@ def _resolve_engine(method: str) -> tuple[str, str | None]:
         f"{ENGINES}")
 
 
-def _reference_dispatch(engine: str, network, t_final: float, scheme,
-                        opts: SimulationOptions) -> Trajectory:
-    """The per-trial scalar engines (the default backend)."""
+def simulate(network, t_final: float, method: str = "ode", *,
+             scheme=None, options: SimulationOptions | None = None,
+             **overrides) -> Trajectory:
+    """Unified simulation facade (the supported entry point).
+
+    Parameters
+    ----------
+    network:
+        the :class:`~repro.crn.network.Network` to simulate.
+    t_final:
+        end of the integration span.
+    method:
+        ``"ode"`` (deterministic mass-action), ``"ssa"`` (exact
+        Gillespie) or ``"tau"`` (tau-leaping).
+    scheme:
+        :class:`~repro.crn.rates.RateScheme` resolving symbolic rate
+        categories; defaults to the paper's ``fast=1000, slow=1``.
+    options:
+        a :class:`SimulationOptions` bag; defaults to
+        ``SimulationOptions()``.
+    **overrides:
+        individual option fields overriding ``options`` (convenience
+        for one-off calls); unknown names raise :class:`TypeError`.
+
+    Returns a :class:`Trajectory` whatever the engine, so downstream
+    scoring code is engine-agnostic (see :class:`SimulationResult`).
+    """
+    engine, solver = _resolve_engine(method)
+    opts = options if options is not None else SimulationOptions()
+    if overrides:
+        opts = opts.replace(**overrides)
+    if solver is not None:
+        opts = opts.replace(solver=solver)
+    if opts.events and engine != "ode":
+        raise SimulationError(
+            "event detection is only supported by the ODE engine; "
+            "got events with method=" + repr(engine))
     if engine == "ode":
         simulator = OdeSimulator(
             network, scheme, rates=opts.rates, method=opts.solver,
@@ -96,97 +117,8 @@ def _reference_dispatch(engine: str, network, t_final: float, scheme,
         n_samples=n_samples, **kwargs)
 
 
-def _batch_dispatch(engine: str, network, t_final: float, scheme,
-                    opts: SimulationOptions) -> Trajectory:
-    """The structure-of-arrays SSA backend (bitwise vs reference).
-
-    Only exact SSA is vectorised; the ODE and tau-leaping engines
-    delegate to the reference dispatch (vectorising tau-leaping's
-    adaptive control flow cannot preserve the seeded draw order).
-    """
-    if engine != "ssa":
-        return _reference_dispatch(engine, network, t_final, scheme, opts)
-    simulator = BatchStochasticSimulator(
-        network, scheme, rates=opts.rates, volume=opts.volume,
-        seed=opts.seed, tracer=opts.tracer, metrics=opts.metrics)
-    kwargs = {}
-    if opts.max_events is not None:
-        kwargs["max_events"] = opts.max_events
-    n_samples = opts.n_samples if opts.n_samples is not None else 200
-    return simulator.simulate(
-        t_final, t_start=opts.t_start, initial=opts.initial,
-        n_samples=n_samples, **kwargs)
-
-
-#: Engine-backend registry: backend name -> dispatch callable with the
-#: signature ``(engine, network, t_final, scheme, opts) -> Trajectory``.
-_BACKEND_DISPATCH: dict[str, Callable] = {}
-
-
-def register_backend(name: str, dispatch: Callable) -> None:
-    """Register (or replace) a simulation backend by name."""
-    _BACKEND_DISPATCH[str(name)] = dispatch
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_BACKEND_DISPATCH))
-
-
-register_backend("reference", _reference_dispatch)
-register_backend("batch", _batch_dispatch)
-
-
-def simulate(network, t_final: float, method: str = "ode", *,
-             scheme=None, options: SimulationOptions | None = None,
-             **overrides) -> Trajectory:
-    """Unified simulation facade (the supported entry point).
-
-    Parameters
-    ----------
-    network:
-        the :class:`~repro.crn.network.Network` to simulate.
-    t_final:
-        end of the integration span.
-    method:
-        ``"ode"`` (deterministic mass-action), ``"ssa"`` (exact
-        Gillespie) or ``"tau"`` (tau-leaping).
-    scheme:
-        :class:`~repro.crn.rates.RateScheme` resolving symbolic rate
-        categories; defaults to the paper's ``fast=1000, slow=1``.
-    options:
-        a :class:`SimulationOptions` bag; defaults to
-        ``SimulationOptions()``.  ``options.backend`` selects the
-        execution backend (see :data:`BACKENDS`).
-    **overrides:
-        individual option fields overriding ``options`` (convenience
-        for one-off calls); unknown names raise :class:`TypeError`.
-
-    Returns a :class:`Trajectory` whatever the engine, so downstream
-    scoring code is engine-agnostic (see :class:`SimulationResult`).
-    """
-    engine, solver = _resolve_engine(method)
-    opts = options if options is not None else SimulationOptions()
-    if overrides:
-        opts = opts.replace(**overrides)
-    if solver is not None:
-        opts = opts.replace(solver=solver)
-    if opts.events and engine != "ode":
-        raise SimulationError(
-            "event detection is only supported by the ODE engine; "
-            "got events with method=" + repr(engine))
-    try:
-        dispatch = _BACKEND_DISPATCH[opts.backend]
-    except KeyError:
-        raise SimulationError(
-            f"unknown simulation backend {opts.backend!r}; registered "
-            f"backends: {backend_names()}") from None
-    return dispatch(engine, network, t_final, scheme, opts)
-
-
 __all__ = [
     "BACKENDS",
-    "BatchStochasticSimulator",
     "ENGINES",
     "EnsembleResult",
     "IncrementalPropensities",
@@ -199,10 +131,8 @@ __all__ = [
     "StochasticSimulator",
     "TauLeapingSimulator",
     "Trajectory",
-    "backend_names",
     "cumulative_propensities",
     "integrate_rk45",
-    "register_backend",
     "run_seeded",
     "select_reaction",
     "simulate",

@@ -30,12 +30,9 @@ ENGINES = ("ode", "ssa", "tau")
 #: migration path: content-addressed caches key on the canonical form.
 OPTIONS_SCHEMA = "repro.options/1"
 
-#: Execution backends accepted by :attr:`SimulationOptions.backend`.
-#: ``reference`` is the per-trial scalar engines; ``batch`` routes
-#: exact SSA through the structure-of-arrays ensemble engine
-#: (:mod:`repro.crn.simulation.batch`), which is seeded-bitwise
-#: identical to the reference.  Engines the batch backend does not
-#: vectorise (ODE, tau-leaping) fall back to the reference path.
+#: Values accepted by :attr:`SimulationOptions.backend`.  Every engine
+#: has one implementation now, so the field selects nothing; it stays
+#: because job files carry it and served cache keys hash it.
 BACKENDS = ("reference", "batch")
 
 
@@ -81,11 +78,9 @@ class SimulationOptions:
     tracer / metrics:
         optional telemetry hooks (see :mod:`repro.obs`).
     backend:
-        execution backend (one of :data:`BACKENDS`).  ``"batch"``
-        routes exact SSA through the structure-of-arrays ensemble
-        engine -- bitwise identical trajectories on matched seeds,
-        much faster for ensembles; engines it does not vectorise fall
-        back to the reference implementation.
+        one of :data:`BACKENDS`, validated and otherwise ignored; a
+        non-default value still enters :meth:`canonical_dict`, so cache
+        keys of jobs that set it do not move.
     """
 
     # -- shared ----------------------------------------------------------
@@ -110,6 +105,12 @@ class SimulationOptions:
     # -- tau-leaping -----------------------------------------------------
     epsilon: float = 0.03
     n_critical: int = 10
+
+    def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise SimulationError(
+                f"unknown simulation backend {self.backend!r}; expected "
+                f"one of {BACKENDS}")
 
     def replace(self, **changes) -> "SimulationOptions":
         """A copy with the given fields changed.

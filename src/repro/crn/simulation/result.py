@@ -246,3 +246,31 @@ class Trajectory:
         return (f"<Trajectory {len(self)} samples, {len(self.names)} species, "
                 f"t in [{self.times[0] if len(self) else 0:g}, "
                 f"{self.t_final if len(self) else 0:g}]>")
+
+
+class EnsembleResult:
+    """Sampled trajectories of one seeded ensemble on a shared grid:
+    ``times`` ``(n_times,)``, ``states`` ``(trials, n_times, species)``
+    and int64 ``events`` per trial (solver steps for tau-leaping)."""
+
+    def __init__(self, times: np.ndarray, states: np.ndarray,
+                 names: Sequence[str], events: np.ndarray):
+        self.times = times
+        self.states = states
+        self.names = list(names)
+        self.events = events
+
+    def __len__(self) -> int:
+        return self.states.shape[0]
+
+    def trial(self, i: int) -> Trajectory:
+        """Trial ``i`` as the :class:`Trajectory` a single run returns."""
+        return Trajectory(self.times, self.states[i], self.names,
+                          {"events": int(self.events[i])})
+
+    def summed_states(self) -> np.ndarray:
+        """Every trial's states added left to right, in trial order."""
+        total = self.states[0].copy()
+        for states in self.states[1:]:
+            total += states
+        return total

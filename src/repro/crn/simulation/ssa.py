@@ -17,12 +17,18 @@ numpy's own bit generator, so it produces the same realisation, bit for
 bit, as its Python twin :meth:`IncrementalPropensities.advance_python`.
 The twin runs when the kernel is unavailable and when the generator is
 a ``Generator`` subclass, whose draws the kernel cannot see.
+
+A seeded ensemble runs through the same loop in one compiled call
+(:meth:`StochasticSimulator.simulate_ensemble`), with
+:meth:`IncrementalPropensities.ensemble_python` as its twin.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from contextlib import ExitStack
 from time import perf_counter
 
 import numpy as np
@@ -31,7 +37,7 @@ from repro.crn import native
 from repro.crn.kinetics import MassActionKinetics, build_kinetics
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
-from repro.crn.simulation.result import Trajectory
+from repro.crn.simulation.result import EnsembleResult, Trajectory
 from repro.crn.simulation.sampling import (NO_POSITIVE_PROPENSITY,
                                            select_reaction)
 from repro.errors import SimulationError
@@ -52,6 +58,22 @@ PROPENSITY_REBUILD_INTERVAL = 4096
 
 #: The compiled loop counts events in an int64.
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+def _bitgen(ffi, rng: np.random.Generator):
+    """``rng``'s ``bitgen_t *``, valid while ``rng`` is alive."""
+    return ffi.cast("void *",
+                    rng.bit_generator.ctypes.bit_generator.value)
+
+
+def _over_budget(max_events, t: float) -> str:
+    return f"SSA exceeded {max_events} events at t={t:g}"
+
+
+def _trial_error(message, trial: int) -> SimulationError:
+    """A failed ensemble trial's error: what ``simulate`` would raise on
+    its generator, plus the trial index."""
+    return SimulationError(f"{message} (ensemble trial {trial})")
 
 
 class IncrementalPropensities:
@@ -128,11 +150,10 @@ class IncrementalPropensities:
                           if int(i) in generic]))
         return plan
 
-    def reset(self, counts: np.ndarray) -> float:
+    def reset(self, counts: np.ndarray) -> None:
         """Adopt a full state vector and recompute every propensity."""
         self.counts[:] = counts
         self.rebuild()
-        return float(self.a.sum())
 
     def rebuild(self) -> None:
         """Recompute every propensity exactly from the current counts."""
@@ -186,14 +207,19 @@ class IncrementalPropensities:
         is a plain :class:`numpy.random.Generator`, and the Python twin
         :meth:`advance_python` otherwise; the two agree bitwise.
         """
-        loop = self._native
-        if loop is None:
-            loop = self._native = _bind_loop(self)
+        loop = self._loop()
         if loop and type(rng) is np.random.Generator:
             return loop.run(self, rng, t, t_final, sample_times, samples,
                             max_events, firings)
         return self.advance_python(rng, t, t_final, sample_times, samples,
                                    max_events, firings)
+
+    def _loop(self):
+        """The compiled-loop binding, bound on first use; ``False`` when
+        there is no kernel."""
+        if self._native is None:
+            self._native = _bind_loop(self)
+        return self._native
 
     def advance_python(self, rng, t, t_final, sample_times, samples,
                        max_events, firings) -> tuple[float, int, int, bool]:
@@ -226,20 +252,43 @@ class IncrementalPropensities:
                 firings[j] += 1
         return t, events, next_sample, False
 
+    def ensemble_python(self, rngs, initial, t_start, t_final,
+                        sample_times, max_events, firings
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Python twin of the compiled ensemble loop: :meth:`reset` and
+        :meth:`advance_python` per trial.  Returns the samples
+        ``(trials, n_times, species)`` and the per-trial event counts."""
+        states = np.empty((len(rngs), sample_times.size, initial.size))
+        events = np.zeros(len(rngs), dtype=np.int64)
+        for trial, (rng, samples) in enumerate(zip(rngs, states)):
+            self.reset(initial)
+            samples[0] = initial
+            try:
+                t, events[trial], next_sample, exceeded = \
+                    self.advance_python(rng, t_start, t_final, sample_times,
+                                        samples, max_events, firings)
+            except SimulationError as exc:  # an absorbing draw
+                raise _trial_error(exc, trial) from exc
+            if exceeded:
+                raise _trial_error(_over_budget(max_events, t), trial)
+            samples[next_sample:] = self.counts
+        return states, events
+
 
 class _CompiledLoop:
     """One propensity state packed into the kernel's ``repro_ssa`` struct.
 
     The struct points at the state's own counts, gather buffer and
     propensities, which the state updates in place, and at index arrays
-    owned by the binding; :meth:`run` adds the call's sample grid and
-    outputs and the generator's ``bitgen_t``.
+    owned by the binding; :meth:`run` and :meth:`ensemble` add the call's
+    sample grid, outputs and limits and the generators' ``bitgen_t``.
     """
 
     def __init__(self, module, state: IncrementalPropensities):
         ffi, lib = module.ffi, module.lib
         self._ffi = ffi
         self._run = lib.repro_ssa_run
+        self._ensemble = lib.repro_ssa_ensemble
         self._exceeded = lib.REPRO_SSA_MAX_EVENTS
         self._absorbing = lib.REPRO_SSA_ABSORBING
         k = state.kinetics
@@ -279,32 +328,37 @@ class _CompiledLoop:
         self._rng = None
         self._lock = None
 
-    def run(self, state, rng, t, t_final, sample_times, samples,
-            max_events, firings) -> tuple[float, int, int, bool]:
-        """:meth:`IncrementalPropensities.advance` in C."""
+    def _limits(self, state, sample_times, firings, max_events,
+                t_final) -> None:
+        """Point the struct at a call's grid, firing counters and limits
+        (the caller's arrays own the memory)."""
         if (sample_times.dtype != np.float64
-                or samples.shape != (len(sample_times), self._n_species)
-                or samples.dtype != np.float64
                 or (firings is not None
                     and firings.shape != (self._n_reactions,))):
             raise ValueError("sample buffers do not fit the network")
         ffi, ctx = self._ffi, self.ctx
-        if rng is not self._rng:
-            bit_generator = rng.bit_generator
-            ctx.bitgen = ffi.cast(
-                "void *", bit_generator.ctypes.bit_generator.value)
-            self._lock = bit_generator.lock
-            self._rng = rng  # keeps the bitgen_t alive
-        grid = ffi.from_buffer("double[]", sample_times)
-        out = ffi.from_buffer("double[]", samples)
-        hits = ffi.NULL if firings is None else \
+        ctx.grid = ffi.from_buffer("double[]", sample_times)
+        ctx.firings = ffi.NULL if firings is None else \
             ffi.from_buffer("int64_t[]", firings)
-        ctx.grid, ctx.samples, ctx.firings = grid, out, hits
         ctx.n_times = len(sample_times)
         ctx.rebuild_interval = state.rebuild_interval
         ctx.events_since_rebuild = state._events_since_rebuild
         ctx.max_events = math.ceil(min(max_events, _INT64_MAX))
         ctx.t_final = t_final
+
+    def run(self, state, rng, t, t_final, sample_times, samples,
+            max_events, firings) -> tuple[float, int, int, bool]:
+        """:meth:`IncrementalPropensities.advance` in C."""
+        if (samples.shape != (len(sample_times), self._n_species)
+                or samples.dtype != np.float64):
+            raise ValueError("sample buffers do not fit the network")
+        self._limits(state, sample_times, firings, max_events, t_final)
+        ffi, ctx = self._ffi, self.ctx
+        if rng is not self._rng:
+            ctx.bitgen = _bitgen(ffi, rng)
+            self._lock = rng.bit_generator.lock
+            self._rng = rng  # keeps the bitgen_t alive
+        ctx.samples = ffi.from_buffer("double[]", samples)
         ctx.t = t
         ctx.next_sample = 1
         # cffi releases the GIL for the call: hold the generator's lock
@@ -316,6 +370,39 @@ class _CompiledLoop:
             raise SimulationError(NO_POSITIVE_PROPENSITY)
         return ctx.t, ctx.events, ctx.next_sample, status == self._exceeded
 
+    def ensemble(self, state, rngs, initial, t_start, t_final,
+                 sample_times, max_events, firings
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`IncrementalPropensities.ensemble_python` in C."""
+        if initial.shape != (self._n_species,) or initial.dtype != np.int64:
+            raise ValueError("initial counts do not fit the network")
+        ffi, ctx = self._ffi, self.ctx
+        states = np.empty((len(rngs), len(sample_times), self._n_species))
+        events = np.zeros(len(rngs), dtype=np.int64)
+        self._limits(state, sample_times, firings, max_events, t_final)
+        bitgens = ffi.new("void *[]", [_bitgen(ffi, rng) for rng in rngs])
+        failed = ffi.new("int64_t *")
+        # Hold every generator's lock through the GIL-free call, each
+        # once: a generator may serve several trials, and its lock need
+        # not be re-entrant.
+        with ExitStack() as locked:
+            for lock in sorted({rng.bit_generator.lock for rng in rngs},
+                               key=id):
+                locked.enter_context(lock)
+            status = self._ensemble(
+                ctx, ffi.from_buffer("int64_t[]", initial), bitgens,
+                len(rngs), t_start, ffi.from_buffer("double[]", states),
+                ffi.from_buffer("int64_t[]", events), failed)
+        # ctx.bitgen now points at a trial's generator: the next run()
+        # must re-point it whatever generator it is given.
+        self._rng = None
+        state._events_since_rebuild = ctx.events_since_rebuild
+        if status == self._absorbing:
+            raise _trial_error(NO_POSITIVE_PROPENSITY, failed[0])
+        if status == self._exceeded:
+            raise _trial_error(_over_budget(max_events, ctx.t), failed[0])
+        return states, events
+
 
 def _bind_loop(state: IncrementalPropensities):
     """A :class:`_CompiledLoop`, or ``False`` when there is no kernel."""
@@ -326,17 +413,13 @@ def _bind_loop(state: IncrementalPropensities):
 class StochasticSimulator:
     """Exact SSA (Gillespie direct method) for one network.
 
-    An optional ``tracer``/``metrics`` pair records each ``simulate``
-    call as an ``ssa.batch`` solver span and counts reaction firings,
-    overall and per channel (``ssa.firings[<reaction label>]``).
+    An optional ``tracer``/``metrics`` pair records each ``simulate``,
+    ``simulate_ensemble`` and ``mean_trajectory`` call as an ``ssa.batch``
+    solver span and counts reaction firings, overall and per channel
+    (``ssa.firings[<reaction label>]``).
     """
 
     _batch_kind = "ssa"
-
-    #: Whether the structure-of-arrays ensemble engine can run this
-    #: simulator's ensembles (exact SSA only; tau-leaping's adaptive
-    #: control flow cannot be vectorised while preserving draw order).
-    _supports_batch_ensembles = True
 
     def __init__(self, network: Network, scheme: RateScheme | None = None,
                  rates: np.ndarray | None = None, volume: float = 1.0,
@@ -429,8 +512,7 @@ class StochasticSimulator:
             self._record_batch("ssa", t_start, t_final, events,
                                perf_counter() - wall_start, firings)
         if exceeded:
-            raise SimulationError(
-                f"SSA exceeded {max_events} events at t={t:g}")
+            raise SimulationError(_over_budget(max_events, t))
         samples[next_sample:] = state.counts
         return Trajectory(sample_times, samples, self.network.species_names,
                           {"events": events})
@@ -443,11 +525,56 @@ class StochasticSimulator:
 
     # -- ensembles -------------------------------------------------------------
 
-    def _clone_spec(self) -> dict:
-        """Constructor spec for per-run ensemble clones (picklable)."""
-        return {"cls": type(self), "network": self.network,
-                "rates": np.asarray(self.kinetics.rates),
-                "volume": self.volume, "extra": {}}
+    def simulate_ensemble(self, t_final: float, seeds: Sequence, *,
+                          t_start: float = 0.0,
+                          initial: Mapping[str, float] | np.ndarray
+                          | None = None,
+                          n_samples: int = 200,
+                          max_events: int = 50_000_000) -> EnsembleResult:
+        """Run one realisation per entry of ``seeds`` on a shared grid.
+
+        Trial ``k`` is bitwise what :meth:`simulate` gives from
+        ``initial`` on ``np.random.default_rng(seeds[k])`` (a
+        ``Generator`` is drawn from directly; trials run in order).
+        ``max_events`` is per trial; a trial that exceeds it, or draws
+        on an absorbing state, raises what ``simulate`` would, naming
+        the trial.  Telemetry records the call as one ``ssa.batch`` span.
+        """
+        if t_final <= t_start:
+            raise SimulationError("t_final must exceed t_start")
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        if not rngs:
+            raise SimulationError("seeds must be non-empty")
+        initial = self._initial_counts(initial)
+        sample_times = np.linspace(t_start, t_final,
+                                   max(int(n_samples), 2))
+        telemetry = self.tracer.enabled or self.metrics.enabled
+        wall_start = perf_counter() if telemetry else 0.0
+        firings = np.zeros(self.network.n_reactions, dtype=np.int64) \
+            if self.metrics.enabled else None
+        state = self.propensity_state
+        loop = state._loop()
+        if loop and all(type(rng) is np.random.Generator for rng in rngs):
+            states, events = loop.ensemble(state, rngs, initial, t_start,
+                                           t_final, sample_times,
+                                           max_events, firings)
+        else:
+            states, events = state.ensemble_python(
+                rngs, initial, t_start, t_final, sample_times, max_events,
+                firings)
+        if telemetry:
+            self._record_batch("ssa", t_start, t_final, int(events.sum()),
+                               perf_counter() - wall_start, firings,
+                               extra={"ensemble_trials": len(rngs)})
+        return EnsembleResult(sample_times, states,
+                              self.network.species_names, events)
+
+    def _clone(self) -> "StochasticSimulator":
+        """This simulator without telemetry, for ensemble chunks: a
+        shallow copy sharing its kinetics and compiled loop."""
+        clone = copy.copy(self)
+        clone.tracer, clone.metrics = ensure_tracer(None), ensure_metrics(None)
+        return clone
 
     def _spawn_run_seeds(self, n_runs: int) -> list[np.random.SeedSequence]:
         """Independent, reproducible per-run seed sequences.
@@ -466,65 +593,34 @@ class StochasticSimulator:
     def mean_trajectory(self, t_final: float, n_runs: int,
                         n_samples: int = 100, *,
                         n_workers: int | None = None,
-                        backend: str = "reference",
                         **kwargs) -> Trajectory:
         """Sample mean over ``n_runs`` independent realisations.
 
         Each run gets its own spawned seed, and runs are summed in fixed
-        chunks of :data:`ENSEMBLE_CHUNK_RUNS`, so the result is bitwise
+        chunks of :data:`ENSEMBLE_CHUNK_RUNS`, one
+        :meth:`simulate_ensemble` call each, so the result is bitwise
         identical whether the ensemble executes serially (``n_workers``
         ``None``/1) or through a
         :class:`~repro.crn.simulation.sweep.ParallelSweepRunner` pool.
-
-        ``backend="batch"`` computes each chunk through the
-        structure-of-arrays ensemble engine (one batched call for all
-        seeds when running serially); per-trial realisations and the
-        chunk-ordered reduction are bitwise identical to the reference
-        path, so this changes wall time only.  Simulators the batch
-        engine cannot vectorise (tau-leaping) fall back to reference.
+        The chunks run on :meth:`_clone`, so the call records one span.
         """
-        from repro.crn.simulation.sweep import (ENSEMBLE_BACKENDS,
-                                                ParallelSweepRunner,
+        from repro.crn.simulation.sweep import (ParallelSweepRunner,
                                                 simulate_mean_chunk)
 
         if n_runs < 1:
             raise SimulationError("n_runs must be >= 1")
-        if backend not in ENSEMBLE_BACKENDS:
-            raise SimulationError(
-                f"unknown ensemble backend {backend!r}; expected one of "
-                f"{ENSEMBLE_BACKENDS}")
         telemetry = self.tracer.enabled or self.metrics.enabled
         wall_start = perf_counter() if telemetry else 0.0
         t_start = kwargs.get("t_start", 0.0)
         seeds = self._spawn_run_seeds(n_runs)
-        runner = ParallelSweepRunner(n_workers)
-        use_batch = backend == "batch" and self._supports_batch_ensembles
-        if use_batch and (runner.n_workers <= 1 or n_runs
-                          <= ENSEMBLE_CHUNK_RUNS):
-            # Serial: one structure-of-arrays call over every seed
-            # (EnsembleResult.mean applies the same chunked reduction).
-            from repro.crn.simulation.batch import BatchStochasticSimulator
-
-            batch = BatchStochasticSimulator(
-                self.network, rates=np.asarray(self.kinetics.rates),
-                volume=self.volume)
-            mean = batch.simulate_ensemble(
-                t_final, seeds=seeds, n_samples=n_samples,
-                **kwargs).mean()
-            if telemetry:
-                self._record_batch(
-                    self._batch_kind, t_start, t_final,
-                    int(mean.meta["events"]), perf_counter() - wall_start,
-                    extra={"ensemble_runs": n_runs})
-            return mean
-        spec = self._clone_spec()
-        spec["backend"] = backend
+        clone = self._clone()
         payloads = [
-            (spec, seeds[i:i + ENSEMBLE_CHUNK_RUNS], t_final, n_samples,
+            (clone, seeds[i:i + ENSEMBLE_CHUNK_RUNS], t_final, n_samples,
              kwargs)
             for i in range(0, n_runs, ENSEMBLE_CHUNK_RUNS)
         ]
-        partials = runner.map(simulate_mean_chunk, payloads)
+        partials = ParallelSweepRunner(n_workers).map(simulate_mean_chunk,
+                                                      payloads)
         times, accumulator, events = partials[0]
         accumulator = accumulator.copy()
         for index, (chunk_times, states, chunk_events) in \

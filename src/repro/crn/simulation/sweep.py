@@ -9,10 +9,9 @@ payloads were distributed over workers.  Combined with fixed-size
 chunking on the caller side, serial and parallel execution produce
 bitwise-identical reductions.
 
-``simulate_mean_chunk`` is the worker for stochastic ensembles: it
-rebuilds a simulator from a constructor spec (see
-``StochasticSimulator._clone_spec``) per run and sums the sampled
-states over the chunk's seeds.
+``simulate_mean_chunk`` is the worker for stochastic ensembles: it runs
+one chunk of seeds as a single ``simulate_ensemble`` call and sums the
+sampled states over the chunk.
 """
 
 from __future__ import annotations
@@ -23,15 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
-
-from repro.errors import SimulationError
-
-#: Ensemble execution backends understood by ``simulate_mean_chunk``.
-#: ``reference`` runs one scalar simulator per seed; ``batch`` runs the
-#: whole chunk through the structure-of-arrays engine
-#: (:mod:`repro.crn.simulation.batch`) when the spec's simulator class
-#: supports it -- bitwise-identical states either way.
-ENSEMBLE_BACKENDS = ("reference", "batch")
 
 
 class ParallelSweepRunner:
@@ -66,60 +56,16 @@ class ParallelSweepRunner:
 
 def simulate_mean_chunk(payload: tuple) -> tuple[np.ndarray, np.ndarray,
                                                  int]:
-    """Ensemble worker: sum sampled states over one chunk of seeded runs.
+    """Ensemble worker: one ``simulate_ensemble`` call over a chunk.
 
-    ``payload`` is ``(spec, seeds, t_final, n_samples, kwargs)`` where
-    ``spec`` is a simulator constructor spec and ``seeds`` a sequence of
-    per-run :class:`~numpy.random.SeedSequence`.  Returns the shared
-    sample times, the per-chunk state sum, and the total event count.
-
-    ``spec["backend"]`` (default ``"reference"``) selects how the chunk
-    executes: ``"batch"`` runs every seed through one
-    structure-of-arrays ensemble call when the simulator class supports
-    it, producing the bitwise-identical chunk sum.  Runs within a chunk
-    must agree on the sample grid; a run that comes back misaligned
-    raises :class:`~repro.errors.SimulationError` naming the offending
-    chunk run instead of silently summing mismatched states.
+    ``payload`` is ``(simulator, seeds, t_final, n_samples, kwargs)``.
+    Returns the sample times, the chunk's state sum (runs added in seed
+    order) and the total event count.
     """
-    spec, seeds, t_final, n_samples, kwargs = payload
-    backend = spec.get("backend", "reference")
-    if backend not in ENSEMBLE_BACKENDS:
-        raise SimulationError(
-            f"unknown ensemble backend {backend!r}; expected one of "
-            f"{ENSEMBLE_BACKENDS}")
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("empty seed chunk")
-    if backend == "batch" and getattr(spec["cls"],
-                                      "_supports_batch_ensembles", False):
-        from repro.crn.simulation.batch import BatchStochasticSimulator
-
-        simulator = BatchStochasticSimulator(
-            spec["network"], rates=spec["rates"], volume=spec["volume"])
-        result = simulator.simulate_ensemble(
-            t_final, seeds=seeds, n_samples=n_samples, **kwargs)
-        return result.times, result.summed_states(), \
-            int(result.events.sum())
-    times: np.ndarray | None = None
-    acc: np.ndarray | None = None
-    events = 0
-    for index, seed in enumerate(seeds):
-        simulator = spec["cls"](
-            spec["network"], rates=spec["rates"], volume=spec["volume"],
-            seed=np.random.default_rng(seed), **spec["extra"])
-        run = simulator.simulate(t_final, n_samples=n_samples, **kwargs)
-        if acc is None:
-            times = run.times
-            acc = run.states.copy()
-        elif not np.array_equal(run.times, times):
-            raise SimulationError(
-                f"ensemble chunk run {index} returned a misaligned "
-                f"sample grid (size {run.times.size} vs {times.size}); "
-                f"refusing to sum mismatched states")
-        else:
-            acc += run.states
-        events += int(run.meta.get("events", run.meta.get("steps", 0)))
-    return times, acc, events
+    simulator, seeds, t_final, n_samples, kwargs = payload
+    result = simulator.simulate_ensemble(t_final, seeds,
+                                         n_samples=n_samples, **kwargs)
+    return result.times, result.summed_states(), int(result.events.sum())
 
 
 def run_seeded(fn: Callable, payloads: Sequence,

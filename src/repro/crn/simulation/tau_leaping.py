@@ -15,14 +15,14 @@ back-filled the whole burst with the end-of-burst counts).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from time import perf_counter
 
 import numpy as np
 
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
-from repro.crn.simulation.result import Trajectory
+from repro.crn.simulation.result import EnsembleResult, Trajectory
 from repro.crn.simulation.sampling import select_reaction
 from repro.crn.simulation.ssa import IncrementalPropensities, \
     StochasticSimulator
@@ -32,17 +32,13 @@ from repro.errors import SimulationError
 class TauLeapingSimulator(StochasticSimulator):
     """Tau-leaping variant of :class:`StochasticSimulator`.
 
-    The structure-of-arrays ensemble backend cannot vectorise the
-    adaptive leap-size control flow while preserving the seeded draw
-    order, so tau-leaping ensembles always execute on the reference
-    per-run path whatever ``backend`` a caller selects.  The exact-SSA
-    fallback bursts share :class:`IncrementalPropensities` with the SSA
-    engine, so they inherit its clamped, periodically-rebuilt
-    propensity updates.
+    There is no compiled leap loop, so :meth:`simulate_ensemble` runs
+    :meth:`simulate` once per seed.  The exact-SSA fallback bursts share
+    :class:`IncrementalPropensities` with the SSA engine, so they
+    inherit its clamped, periodically-rebuilt propensity updates.
     """
 
     _batch_kind = "tau"
-    _supports_batch_ensembles = False
 
     def __init__(self, network: Network, scheme: RateScheme | None = None,
                  epsilon: float = 0.03, n_critical: int = 10, **kwargs):
@@ -52,11 +48,29 @@ class TauLeapingSimulator(StochasticSimulator):
         self.epsilon = epsilon
         self.n_critical = n_critical
 
-    def _clone_spec(self) -> dict:
-        spec = super()._clone_spec()
-        spec["extra"] = {"epsilon": self.epsilon,
-                         "n_critical": self.n_critical}
-        return spec
+    def simulate_ensemble(self, t_final: float, seeds: Sequence, *,
+                          t_start: float = 0.0,
+                          initial: Mapping[str, float] | np.ndarray
+                          | None = None,
+                          n_samples: int = 200,
+                          max_events: int = 5_000_000) -> EnsembleResult:
+        """:meth:`simulate` once per seed on ``default_rng(seed)``; each
+        run records its own telemetry, and ``events`` counts steps."""
+        own_rng, runs = self.rng, []
+        try:
+            for seed in seeds:
+                self.rng = np.random.default_rng(seed)
+                runs.append(self.simulate(
+                    t_final, t_start=t_start, initial=initial,
+                    n_samples=n_samples, max_events=max_events))
+        finally:
+            self.rng = own_rng
+        if not runs:
+            raise SimulationError("seeds must be non-empty")
+        return EnsembleResult(
+            runs[0].times, np.stack([run.states for run in runs]),
+            self.network.species_names,
+            np.array([run.meta["steps"] for run in runs], dtype=np.int64))
 
     def simulate(self, t_final: float, *, t_start: float = 0.0,
                  initial: Mapping[str, float] | np.ndarray | None = None,

@@ -261,7 +261,7 @@ def _execute_sweep(spec: JobSpec, n_workers: int | None, emit) -> dict:
     n_samples = opts.n_samples if opts.n_samples is not None else 100
     mean = simulator.mean_trajectory(
         spec.t_final, spec.n_runs, n_samples=n_samples,
-        n_workers=n_workers, backend=opts.backend, **run_kwargs)
+        n_workers=n_workers, **run_kwargs)
     emit({"event": "sweep", "n_runs": spec.n_runs,
           "n_workers": n_workers})
     result = _trajectory_result("sweep", mean)

@@ -1,10 +1,12 @@
-"""Batched structure-of-arrays ensemble engine (PR 8).
+"""Seeded SSA ensembles in one call (``simulate_ensemble``).
 
-The contract under test is *bitwise* equivalence: a seeded trial run
-through :class:`BatchStochasticSimulator` must reproduce the reference
-:class:`StochasticSimulator` realisation exactly -- states, sample
-grid and event count -- so cached baselines and seeded corpora stay
-valid whichever backend executes them.
+The contract under test is *bitwise* equivalence: trial ``k`` of
+:meth:`StochasticSimulator.simulate_ensemble` must reproduce the
+independent :class:`StochasticSimulator` realisation on the same seed
+exactly -- states, sample grid and event count -- so ensemble means,
+cached baselines and seeded corpora stay valid whichever path runs
+them.  The compiled-vs-twin checks of the ensemble loop live in
+``test_native_ssa.py``.
 """
 
 import numpy as np
@@ -14,13 +16,9 @@ from hypothesis import strategies as st
 
 from repro.conformance.generator import BUDGETS, generate_targets
 from repro.crn.network import Network
-from repro.crn.simulation import (SimulationOptions, backend_names,
-                                  register_backend, simulate)
-from repro.crn.simulation.batch import (BatchStochasticSimulator,
-                                        EnsembleResult)
-from repro.crn.simulation.ssa import StochasticSimulator
-from repro.crn.simulation.sweep import simulate_mean_chunk
-from repro.crn.simulation.result import Trajectory
+from repro.crn.simulation import (EnsembleResult, SimulationOptions,
+                                  simulate)
+from repro.crn.simulation.ssa import ENSEMBLE_CHUNK_RUNS, StochasticSimulator
 from repro.errors import SimulationError
 
 
@@ -41,14 +39,14 @@ def _decay(x0=30):
 
 
 def _reference_runs(network, seeds, t_final, n_samples=40, rates=None,
-                    volume=1.0, initial=None):
+                    volume=1.0, initial=None, t_start=0.0):
     runs = []
     for seed in seeds:
         simulator = StochasticSimulator(
             network, rates=rates, volume=volume,
             seed=np.random.default_rng(seed))
         runs.append(simulator.simulate(t_final, n_samples=n_samples,
-                                       initial=initial))
+                                       initial=initial, t_start=t_start))
     return runs
 
 
@@ -65,24 +63,26 @@ class TestBitwiseEquivalence:
     def test_chain_network_matches_reference(self):
         network = _chain()
         seeds = np.random.SeedSequence(42).spawn(24)
-        ensemble = BatchStochasticSimulator(network).simulate_ensemble(
-            3.0, seeds=seeds, n_samples=40)
+        ensemble = StochasticSimulator(network).simulate_ensemble(
+            3.0, seeds, n_samples=40)
         _assert_trials_match(
             ensemble, _reference_runs(network, seeds, 3.0))
 
     def test_absorbing_network_matches_reference(self):
         seeds = np.random.SeedSequence(7).spawn(16)
         network = _decay(x0=5)
-        ensemble = BatchStochasticSimulator(network).simulate_ensemble(
-            50.0, seeds=seeds, n_samples=25)
+        ensemble = StochasticSimulator(network).simulate_ensemble(
+            50.0, seeds, n_samples=25)
         runs = _reference_runs(network, seeds, 50.0, n_samples=25)
         _assert_trials_match(ensemble, runs)
-        assert ensemble.absorbed.all()
+        a = network.species_names.index("A")
+        assert np.all(ensemble.states[:, -1, a] == 0)
+        assert np.all(ensemble.events == 5)
 
     @pytest.mark.parametrize("budget_name", ["tiny", "small"])
     def test_generator_corpus_matches_reference(self, budget_name):
-        """Every stochastic conformance-generator target is bitwise
-        identical between backends on matched per-trial seeds."""
+        """Every stochastic conformance-generator target's ensemble is
+        bitwise the independent runs on the same seeds."""
         budget = BUDGETS[budget_name]
         checked = 0
         for index, target in enumerate(generate_targets(budget, seed=3)):
@@ -94,9 +94,9 @@ class TestBitwiseEquivalence:
             try:
                 runs = _reference_runs(target.network, seeds, t_final,
                                        n_samples=17, rates=rates)
-                ensemble = BatchStochasticSimulator(
+                ensemble = StochasticSimulator(
                     target.network, rates=rates).simulate_ensemble(
-                        t_final, seeds=seeds, n_samples=17)
+                        t_final, seeds, n_samples=17)
             except SimulationError:
                 continue  # over the event budget for a test-sized run
             _assert_trials_match(ensemble, runs)
@@ -106,61 +106,46 @@ class TestBitwiseEquivalence:
     def test_t_start_shift_matches_reference(self):
         network = _chain()
         seeds = np.random.SeedSequence(5).spawn(6)
-        ensemble = BatchStochasticSimulator(network).simulate_ensemble(
-            4.0, seeds=seeds, t_start=1.0, n_samples=33)
-        runs = []
-        for seed in seeds:
-            simulator = StochasticSimulator(
-                network, seed=np.random.default_rng(seed))
-            runs.append(simulator.simulate(4.0, t_start=1.0,
-                                           n_samples=33))
-        _assert_trials_match(ensemble, runs)
+        ensemble = StochasticSimulator(network).simulate_ensemble(
+            4.0, seeds, t_start=1.0, n_samples=33)
+        _assert_trials_match(ensemble, _reference_runs(
+            network, seeds, 4.0, n_samples=33, t_start=1.0))
 
-    def test_per_trial_rates_match_reference(self):
-        network = _chain()
-        seeds = np.random.SeedSequence(8).spawn(10)
-        rng = np.random.default_rng(123)
-        draws = rng.uniform(0.2, 3.0, size=(10, network.n_reactions))
-        ensemble = BatchStochasticSimulator(network).simulate_ensemble(
-            2.0, seeds=seeds, rates=draws, n_samples=21)
-        for i, seed in enumerate(seeds):
-            run = _reference_runs(network, [seed], 2.0, n_samples=21,
-                                  rates=draws[i])[0]
-            trial = ensemble.trial(i)
-            assert np.array_equal(trial.states, run.states)
-            assert trial.meta["events"] == run.meta["events"]
-
-    def test_per_trial_initials_and_volume_match_reference(self):
+    def test_shared_initial_and_volume_match_reference(self):
         network = _chain()
         seeds = np.random.SeedSequence(9).spawn(6)
-        initials = [{"A": 10 + 5 * i} for i in range(6)]
-        ensemble = BatchStochasticSimulator(
+        ensemble = StochasticSimulator(
             network, volume=2.5).simulate_ensemble(
-                2.0, seeds=seeds, initial=initials, n_samples=21)
-        for i, seed in enumerate(seeds):
-            run = _reference_runs(network, [seed], 2.0, n_samples=21,
-                                  volume=2.5, initial=initials[i])[0]
-            assert np.array_equal(ensemble.trial(i).states, run.states)
+                2.0, seeds, initial={"A": 25}, n_samples=21)
+        _assert_trials_match(ensemble, _reference_runs(
+            network, seeds, 2.0, n_samples=21, volume=2.5,
+            initial={"A": 25}))
 
     def test_mean_matches_mean_trajectory_serial_and_pooled(self):
+        """``mean_trajectory`` is the chunked, left-to-right sum of
+        ensemble calls over the root seed's spawned seeds."""
         network = _chain()
-        reference = StochasticSimulator(network, seed=17).mean_trajectory(
-            2.0, n_runs=24, n_samples=31, n_workers=1)
-        batch_serial = StochasticSimulator(
-            network, seed=17).mean_trajectory(
-                2.0, n_runs=24, n_samples=31, n_workers=1,
-                backend="batch")
-        batch_pooled = StochasticSimulator(
-            network, seed=17).mean_trajectory(
-                2.0, n_runs=24, n_samples=31, n_workers=2,
-                backend="batch")
-        for candidate in (batch_serial, batch_pooled):
-            assert np.array_equal(candidate.states, reference.states)
-            assert candidate.meta == reference.meta
+        n_runs = 24
+        seeds = np.random.SeedSequence(17).spawn(n_runs)
+        simulator = StochasticSimulator(network)
+        partials = [
+            simulator.simulate_ensemble(
+                2.0, seeds[i:i + ENSEMBLE_CHUNK_RUNS], n_samples=31)
+            for i in range(0, n_runs, ENSEMBLE_CHUNK_RUNS)]
+        total = partials[0].summed_states()
+        for partial in partials[1:]:
+            total += partial.summed_states()
+        events = sum(int(partial.events.sum()) for partial in partials)
+        for n_workers in (1, 2):
+            mean = StochasticSimulator(network, seed=17).mean_trajectory(
+                2.0, n_runs=n_runs, n_samples=31, n_workers=n_workers)
+            assert np.array_equal(mean.states, total / n_runs)
+            assert mean.meta == {"n_runs": n_runs, "events": events}
 
 
 class TestFacadeRouting:
     def test_backend_batch_matches_reference(self):
+        """``backend`` is validated and selects nothing."""
         network = _chain()
         options = SimulationOptions(seed=np.random.default_rng(7))
         reference = simulate(network, 2.0, "ssa", options=options)
@@ -182,62 +167,36 @@ class TestFacadeRouting:
             simulate(_chain(), 1.0, "ssa",
                      options=SimulationOptions(backend="gpu"))
 
-    def test_registry_lists_backends(self):
-        names = backend_names()
-        assert "reference" in names and "batch" in names
-
-    def test_registered_backend_receives_dispatch(self):
-        from repro.crn.simulation import _BACKEND_DISPATCH
-
-        seen = {}
-
-        def probe(engine, network, t_final, scheme, options):
-            seen["engine"] = engine
-            return simulate(network, t_final, engine, scheme=scheme)
-
-        register_backend("probe-backend", probe)
-        try:
-            result = simulate(_chain(), 1.0, "ode",
-                              options=SimulationOptions(
-                                  backend="probe-backend"))
-            assert seen["engine"] == "ode"
-            assert result.states.shape[0] > 0
-        finally:
-            _BACKEND_DISPATCH.pop("probe-backend", None)
-
 
 class TestEnsembleSemantics:
     def test_max_events_raises_with_trial_index(self):
         network = _chain(x0=200)
         seeds = np.random.SeedSequence(1).spawn(4)
-        with pytest.raises(SimulationError, match="ensemble trial"):
-            BatchStochasticSimulator(network).simulate_ensemble(
-                5.0, seeds=seeds, max_events=10)
+        with pytest.raises(SimulationError, match="ensemble trial 0"):
+            StochasticSimulator(network).simulate_ensemble(
+                5.0, seeds, max_events=10)
 
     def test_n_trials_spawning_matches_explicit_root(self):
+        """``mean_trajectory`` spawns its trials' seeds from the
+        simulator's root seed."""
         network = _chain()
-        first = BatchStochasticSimulator(
-            network, seed=3).simulate_ensemble(1.0, n_trials=5,
-                                               n_samples=11)
-        seeds = np.random.SeedSequence(3).spawn(5)
-        second = BatchStochasticSimulator(network).simulate_ensemble(
-            1.0, seeds=seeds, n_samples=11)
-        assert np.array_equal(first.states, second.states)
+        mean = StochasticSimulator(network, seed=3).mean_trajectory(
+            1.0, n_runs=5, n_samples=11, n_workers=1)
+        ensemble = StochasticSimulator(network).simulate_ensemble(
+            1.0, np.random.SeedSequence(3).spawn(5), n_samples=11)
+        assert np.array_equal(mean.states, ensemble.summed_states() / 5)
+        assert mean.meta["events"] == int(ensemble.events.sum())
 
     def test_invalid_ensemble_arguments(self):
-        simulator = BatchStochasticSimulator(_chain())
-        with pytest.raises(SimulationError, match="n_trials"):
-            simulator.simulate_ensemble(1.0)
-        with pytest.raises(SimulationError, match="disagrees"):
-            simulator.simulate_ensemble(
-                1.0, 3, seeds=np.random.SeedSequence(0).spawn(2))
+        simulator = StochasticSimulator(_chain())
         with pytest.raises(SimulationError, match="non-empty"):
-            simulator.simulate_ensemble(1.0, seeds=[])
+            simulator.simulate_ensemble(1.0, [])
         with pytest.raises(SimulationError, match="t_final"):
-            simulator.simulate_ensemble(0.0, 2)
+            simulator.simulate_ensemble(
+                0.0, np.random.SeedSequence(0).spawn(2))
 
 
-# -- active-mask freeze properties (hypothesis) ----------------------------
+# -- absorbing and horizon properties (hypothesis) -------------------------
 
 _FREEZE_SETTINGS = settings(
     max_examples=20, deadline=None,
@@ -252,35 +211,32 @@ class TestFreezeProperties:
     def test_absorbed_trials_stay_absorbed(self, seed, n_trials, x0):
         """Once a trial's total propensity hits zero it is frozen: the
         recorded tail repeats the absorbing state and no further events
-        fire, however ragged the rest of the batch still is."""
+        fire, whatever the other trials still do."""
         network = _decay(x0=x0)
-        ensemble = BatchStochasticSimulator(
-            network, seed=seed).simulate_ensemble(
-                200.0, n_trials=n_trials, n_samples=15)
+        ensemble = StochasticSimulator(network).simulate_ensemble(
+            200.0, np.random.SeedSequence(seed).spawn(n_trials),
+            n_samples=15)
         a = ensemble.states[:, :, network.species_names.index("A")]
         assert np.all(np.diff(a, axis=1) <= 0)
         for i in range(n_trials):
             assert ensemble.events[i] == x0 - a[i, -1]
-            if ensemble.absorbed[i]:
-                assert a[i, -1] == 0
-                frozen = np.nonzero(a[i] == 0)[0]
+            frozen = np.nonzero(a[i] == 0)[0]
+            if frozen.size:
                 assert np.all(a[i, frozen[0]:] == 0)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            n_trials=st.integers(min_value=1, max_value=8))
     @_FREEZE_SETTINGS
     def test_no_post_horizon_events(self, seed, n_trials):
-        """A trial that crosses ``t_final`` is retired immediately:
-        extending the horizon with the same seeds replays the short
-        ensemble's samples exactly (prefix property), so no short-run
-        trial can have consumed post-horizon draws."""
+        """A trial stops at ``t_final``: extending the horizon with the
+        same seeds replays the short ensemble's samples exactly (prefix
+        property), so no short-run trial can have consumed post-horizon
+        draws."""
         network = _chain(x0=15)
         seeds = np.random.SeedSequence(seed).spawn(n_trials)
-        simulator = BatchStochasticSimulator(network)
-        short = simulator.simulate_ensemble(1.0, seeds=seeds,
-                                            n_samples=11)
-        long = simulator.simulate_ensemble(2.0, seeds=seeds,
-                                           n_samples=21)
+        simulator = StochasticSimulator(network)
+        short = simulator.simulate_ensemble(1.0, seeds, n_samples=11)
+        long = simulator.simulate_ensemble(2.0, seeds, n_samples=21)
         # The grids share their first ten points bitwise (the short
         # grid's final point is forced to exactly 1.0 by linspace, so
         # it is excluded from the prefix comparison).
@@ -292,54 +248,41 @@ class TestFreezeProperties:
     @_FREEZE_SETTINGS
     def test_trial_views_match_bulk_arrays(self, seed):
         network = _chain(x0=10)
-        ensemble = BatchStochasticSimulator(
-            network, seed=seed).simulate_ensemble(1.0, n_trials=4,
-                                                  n_samples=9)
-        for i, trial in enumerate(ensemble.trials()):
+        ensemble = StochasticSimulator(network).simulate_ensemble(
+            1.0, np.random.SeedSequence(seed).spawn(4), n_samples=9)
+        for i in range(len(ensemble)):
+            trial = ensemble.trial(i)
             assert np.array_equal(trial.states, ensemble.states[i])
-        assert np.array_equal(ensemble.final_states(),
-                              ensemble.states[:, -1])
+            assert trial.meta["events"] == ensemble.events[i]
 
 
 # -- ensemble chunk grid validation ----------------------------------------
 
-class _VaryingGridSimulator:
-    """Stub whose sample grid drifts between constructions."""
+class _VaryingGridSimulator(StochasticSimulator):
+    """An engine whose ensembles' sample grids drift between calls."""
 
     calls = 0
-    _supports_batch_ensembles = False
 
-    def __init__(self, network, rates=None, volume=1.0, seed=None):
-        self.network = network
-
-    def simulate(self, t_final, n_samples=10, **kwargs):
+    def simulate_ensemble(self, t_final, seeds, n_samples=10, **kwargs):
         cls = type(self)
         size = n_samples + cls.calls
         cls.calls += 1
-        times = np.linspace(0.0, t_final, size)
-        states = np.zeros((size, len(self.network.species_names)))
-        return Trajectory(times, states, self.network.species_names,
-                          {"events": 0})
+        states = np.zeros((len(seeds), size, len(self.network.species_names)))
+        return EnsembleResult(np.linspace(0.0, t_final, size), states,
+                              self.network.species_names,
+                              np.zeros(len(seeds), dtype=np.int64))
 
 
 class TestChunkGridValidation:
     def test_mismatched_run_grid_raises_with_index(self):
-        network = _decay()
+        """A chunk whose ensemble comes back on another grid is refused,
+        naming the chunk, through the real chunk worker."""
         _VaryingGridSimulator.calls = 0
-        spec = {"cls": _VaryingGridSimulator, "network": network,
-                "rates": None, "volume": 1.0, "extra": {}}
-        seeds = np.random.SeedSequence(0).spawn(3)
+        simulator = _VaryingGridSimulator(_decay(), seed=0)
         with pytest.raises(SimulationError,
-                           match="chunk run 1 .*misaligned"):
-            simulate_mean_chunk((spec, seeds, 1.0, 10, {}))
-
-    def test_unknown_chunk_backend_raises(self):
-        spec = {"cls": StochasticSimulator, "network": _decay(),
-                "rates": None, "volume": 1.0, "extra": {},
-                "backend": "quantum"}
-        seeds = np.random.SeedSequence(0).spawn(2)
-        with pytest.raises(SimulationError, match="quantum"):
-            simulate_mean_chunk((spec, seeds, 1.0, 10, {}))
+                           match="chunk 1 .*misaligned"):
+            simulator.mean_trajectory(1.0, n_runs=3 * ENSEMBLE_CHUNK_RUNS,
+                                      n_samples=10, n_workers=1)
 
     def test_cross_chunk_mismatch_raises_with_chunk_index(self,
                                                           monkeypatch):
@@ -360,27 +303,21 @@ class TestChunkGridValidation:
             simulator.mean_trajectory(1.0, n_runs=16, n_samples=5,
                                       n_workers=1)
 
-    def test_mean_trajectory_unknown_backend_raises(self):
-        simulator = StochasticSimulator(_decay(), seed=0)
-        with pytest.raises(SimulationError, match="gpu"):
-            simulator.mean_trajectory(1.0, n_runs=2, backend="gpu")
-
 
 class TestEnsembleResult:
     def test_summed_states_matches_left_associated_sum(self):
         network = _chain()
-        ensemble = BatchStochasticSimulator(
-            network, seed=2).simulate_ensemble(1.0, n_trials=9,
-                                               n_samples=7)
+        ensemble = StochasticSimulator(network).simulate_ensemble(
+            1.0, np.random.SeedSequence(2).spawn(9), n_samples=7)
         expected = ensemble.states[0].copy()
         for i in range(1, 9):
             expected += ensemble.states[i]
         assert np.array_equal(ensemble.summed_states(), expected)
 
     def test_len_and_meta(self):
-        ensemble = BatchStochasticSimulator(
-            _decay(), seed=1).simulate_ensemble(1.0, n_trials=3,
-                                                n_samples=5)
+        ensemble = StochasticSimulator(_decay()).simulate_ensemble(
+            1.0, np.random.SeedSequence(1).spawn(3), n_samples=5)
         assert len(ensemble) == 3
         assert isinstance(ensemble, EnsembleResult)
         assert ensemble.states.shape == (3, 5, 2)
+        assert ensemble.events.dtype == np.int64

@@ -8,7 +8,10 @@ leaves behind: the sampled trajectory and its meta (or the error it
 raised), the counts, the propensities, the gather buffer, the rebuild
 counter, the firing counters and the generator's next draw.  The
 fallback test checks that a missing compiler costs one
-``RuntimeWarning`` and nothing else.
+``RuntimeWarning`` and nothing else.  ``IncrementalPropensities.ensemble``
+runs a seeded ensemble through the same loop in one call, against
+``ensemble_python``: the same contract per trial, every generator's next
+draw included.
 """
 
 import json
@@ -16,6 +19,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -350,3 +354,177 @@ def test_synthesized_machine_network_matches(kernel, ma2_sfg):
     initial = network.initial_vector()
     initial[network.species_index(circuit.source_species["x"]["p"])] += 40
     _assert_same(*_both(network, initial=initial, t_final=3.0))
+
+
+# -- seeded ensembles in one call ----------------------------------------------
+
+def _realise_ensemble(network, compiled, *, seeds=(0, 1, 2),
+                      bit_generator=np.random.PCG64, rates=None,
+                      rebuild_interval=None, metrics=False, t_final=2.0,
+                      **kwargs):
+    """One seeded ensemble, everything it leaves behind, and each
+    trial's generator's next draw; a repeated seed repeats one
+    generator."""
+    generators = {seed: np.random.Generator(bit_generator(seed))
+                  for seed in seeds}
+    rngs = [generators[seed] for seed in seeds]
+    registry = MetricsRegistry() if metrics else None
+    simulator = StochasticSimulator(network, rates=rates, metrics=registry)
+    state = simulator.propensity_state
+    if rebuild_interval is not None:
+        state.rebuild_interval = rebuild_interval
+    if not compiled:
+        state._native = False
+    kwargs.setdefault("max_events", 20_000)
+    try:
+        result = simulator.simulate_ensemble(t_final, rngs, **kwargs)
+        outcome = (result.times, result.states, result.events)
+    except SimulationError as exc:
+        outcome = str(exc)
+    assert bool(state._native) == compiled
+    return {"outcome": outcome, "counts": state.counts.copy(),
+            "a": state.a.copy(), "cb": state._cb.copy(),
+            "since": state._events_since_rebuild,
+            "next": [rng.random() for rng in rngs],
+            "counters": registry.to_dict()["counters"] if metrics else None}
+
+
+def _assert_same_ensemble(compiled: dict, twin: dict) -> None:
+    if isinstance(compiled["outcome"], tuple):
+        assert isinstance(twin["outcome"], tuple), twin["outcome"]
+        for got, want in zip(compiled["outcome"], twin["outcome"]):
+            assert _same_bits(got, want)
+    else:
+        assert compiled["outcome"] == twin["outcome"]
+    for key in ("counts", "a", "cb", "next"):
+        assert _same_bits(compiled[key], twin[key]), key
+    assert compiled["since"] == twin["since"]
+    assert compiled["counters"] == twin["counters"]
+
+
+def _both_ensembles(network, **kwargs):
+    return (_realise_ensemble(network, True, **kwargs),
+            _realise_ensemble(network, False, **kwargs))
+
+
+ENSEMBLE_CONDITIONS = dict(CONDITIONS, repeated_generator={"seeds": (4, 4)})
+
+
+@pytest.mark.parametrize("condition", list(ENSEMBLE_CONDITIONS))
+@pytest.mark.parametrize(("network", "setup"),
+                         [(MACHINE, MACHINE_KW), (_higher_order(), {})],
+                         ids=["machine", "higher_order"])
+def test_ensemble_matches_the_twin_bitwise(kernel, condition, network,
+                                           setup):
+    compiled, twin = _both_ensembles(network, **setup,
+                                     **ENSEMBLE_CONDITIONS[condition])
+    _assert_same_ensemble(compiled, twin)
+    if condition == "max_events":
+        assert compiled["outcome"].startswith("SSA exceeded 37 events")
+        assert compiled["outcome"].endswith("(ensemble trial 0)")
+    else:
+        assert compiled["outcome"][2].min() > 37
+
+
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_ensemble_on_every_bit_generator(kernel, bit_generator):
+    _assert_same_ensemble(*_both_ensembles(
+        MACHINE, bit_generator=bit_generator, **MACHINE_KW))
+
+
+def test_ensemble_trials_are_the_independent_runs(kernel):
+    """Each trial is bitwise ``simulate`` on its generator, and leaves
+    that generator where ``simulate`` leaves it."""
+    ensemble = _realise_ensemble(MACHINE, True, seeds=(5, 6, 7),
+                                 **MACHINE_KW)
+    for trial, seed in enumerate((5, 6, 7)):
+        run = _realise(MACHINE, True, seed=seed, **MACHINE_KW)
+        times, states, meta = run["outcome"]
+        assert _same_bits(ensemble["outcome"][0], times)
+        assert _same_bits(ensemble["outcome"][1][trial], states)
+        assert ensemble["outcome"][2][trial] == meta["events"]
+        assert ensemble["next"][trial] == run["next"]
+
+
+def test_simulate_after_an_ensemble_draws_from_its_own_generator(kernel):
+    """The ensemble points the compiled loop at its trials' generators;
+    the simulator's next ``simulate`` must draw from its own again."""
+    simulator = _machine_simulator(3)
+    fresh = _machine_simulator(3)
+    trials = [np.random.default_rng(seed) for seed in (8, 9)]
+    kw = {"initial": MACHINE_KW["initial"]}
+    before = simulator.simulate(1.0, **kw)
+    simulator.simulate_ensemble(1.0, trials, **kw)
+    after = simulator.simulate(1.0, **kw)
+    assert _same_bits(before.states, fresh.simulate(1.0, **kw).states)
+    assert _same_bits(after.states, fresh.simulate(1.0, **kw).states)
+    assert simulator.rng.random() == fresh.rng.random()
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "twin"])
+def test_repeated_generator_runs_its_trials_in_order(kernel, compiled):
+    """``seeds=[g, g]`` is two sequential runs on ``g`` and does not
+    deadlock on the generator's lock, which need not be re-entrant."""
+    g = np.random.default_rng(12)
+    simulator = _machine_simulator(0)
+    if not compiled:
+        simulator.propensity_state._native = False
+    kw = {"initial": MACHINE_KW["initial"]}
+    done = []
+    worker = threading.Thread(daemon=True, target=lambda: done.append(
+        simulator.simulate_ensemble(1.0, [g, g], **kw)))
+    worker.start()
+    worker.join(120)
+    assert done, "an ensemble over a repeated generator deadlocked"
+    reference = _machine_simulator(np.random.default_rng(12))
+    for trial in range(2):
+        run = reference.simulate(1.0, **kw)
+        assert _same_bits(done[0].states[trial], run.states)
+        assert done[0].events[trial] == run.meta["events"]
+    assert g.random() == reference.rng.random()
+
+
+def _overrun_in_trial_3():
+    """Seeds whose trial 3 fires more events than any earlier trial on a
+    decay chain, and the budget that only trial 3 exceeds."""
+    network = Network("decay")
+    network.add("A", "B", 1.0)
+    network.set_initial("A", 60)
+    for root in range(100):
+        seeds = np.random.SeedSequence(root).spawn(4)
+        events = [StochasticSimulator(network, seed=np.random.default_rng(
+            seed)).simulate(1.0).meta["events"] for seed in seeds]
+        if events[3] > max(events[:3]):
+            return network, seeds, max(events[:3])
+    raise AssertionError("no seed root overruns in trial 3")
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "twin"])
+def test_budget_overrun_names_its_trial(kernel, compiled):
+    network, seeds, budget = _overrun_in_trial_3()
+    with pytest.raises(SimulationError) as expected:
+        StochasticSimulator(network, seed=np.random.default_rng(
+            seeds[3])).simulate(1.0, max_events=budget)
+    simulator = StochasticSimulator(network)
+    if not compiled:
+        simulator.propensity_state._native = False
+    with pytest.raises(SimulationError) as raised:
+        simulator.simulate_ensemble(1.0, seeds, max_events=budget)
+    assert str(raised.value) == \
+        f"{expected.value} (ensemble trial 3)"
+    assert bool(simulator.propensity_state._native) == compiled
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "twin"])
+def test_absorbing_draw_in_an_ensemble_names_its_trial(kernel, compiled):
+    network = Network("nan")
+    network.add("A", "B", 1.0)
+    simulator = StochasticSimulator(network, rates=np.array([np.inf]))
+    if not compiled:
+        simulator.propensity_state._native = False
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(SimulationError) as raised:
+        simulator.simulate_ensemble(1.0, [0, 1])
+    assert str(raised.value) == \
+        f"{NO_POSITIVE_PROPENSITY} (ensemble trial 0)"

@@ -27,16 +27,26 @@ class TestReplace:
             SimulationOptions().replace(zzzzz=1)
 
 
+class TestBackend:
+    def test_unknown_backend_rejected_at_construction(self):
+        for make in (lambda: SimulationOptions(backend="gpu"),
+                     lambda: SimulationOptions().replace(backend="gpu")):
+            with pytest.raises(SimulationError,
+                               match="'gpu'.*'reference', 'batch'"):
+                make()
+
+
 class TestCanonicalDict:
     def test_defaults_collapse_to_schema_tag(self):
         assert SimulationOptions().canonical_dict() == {
             "schema": OPTIONS_SCHEMA}
 
     def test_non_default_fields_appear(self):
+        # ``backend`` selects nothing, but stays in the key.
         payload = SimulationOptions(
-            solver="BDF", n_samples=50).canonical_dict()
-        assert payload == {"schema": OPTIONS_SCHEMA,
-                           "solver": "BDF", "n_samples": 50}
+            solver="BDF", n_samples=50, backend="batch").canonical_dict()
+        assert payload == {"schema": OPTIONS_SCHEMA, "solver": "BDF",
+                           "n_samples": 50, "backend": "batch"}
 
     def test_mapping_initial_serialises_sorted(self):
         payload = SimulationOptions(

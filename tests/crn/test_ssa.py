@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.crn.network import Network
-from repro.crn.simulation.batch import BatchStochasticSimulator
 from repro.crn.simulation.ode import simulate
 from repro.crn.simulation.ssa import StochasticSimulator
 from repro.crn.simulation.tau_leaping import TauLeapingSimulator
@@ -114,16 +113,23 @@ class TestBatchSpans:
                 4.0, t_start=2.5)) == ("tau.batch", 2.5, 4.0)
 
     def test_batch_ensemble(self):
-        assert self._span(lambda tracer: BatchStochasticSimulator(
-            _decay(), seed=0, tracer=tracer).simulate_ensemble(
-                4.0, 3, t_start=2.5)) == ("ssa.batch", 2.5, 4.0)
-
-    @pytest.mark.parametrize("backend", ["reference", "batch"])
-    def test_mean_trajectory(self, backend):
         assert self._span(lambda tracer: StochasticSimulator(
-            _decay(), seed=0, tracer=tracer).mean_trajectory(
-                4.0, n_runs=3, n_samples=5, backend=backend,
+            _decay(), tracer=tracer).simulate_ensemble(
+                4.0, np.random.SeedSequence(0).spawn(3),
                 t_start=2.5)) == ("ssa.batch", 2.5, 4.0)
+
+    @pytest.mark.parametrize("path", ["reference", "batch"])
+    def test_mean_trajectory(self, path):
+        """One span on either ensemble path: ``batch`` is the compiled
+        ensemble call (the twin when no kernel is built), ``reference``
+        the per-trial Python twin it is checked against."""
+        def run(tracer):
+            simulator = StochasticSimulator(_decay(), seed=0, tracer=tracer)
+            if path == "reference":
+                simulator.propensity_state._native = False  # twin runs
+            simulator.mean_trajectory(4.0, n_runs=3, n_samples=5,
+                                      t_start=2.5)
+        assert self._span(run) == ("ssa.batch", 2.5, 4.0)
 
 
 class TestTauLeaping:

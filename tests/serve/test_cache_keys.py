@@ -15,7 +15,7 @@ import pytest
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
 from repro.crn.simulation.options import SimulationOptions
-from repro.errors import ServeError
+from repro.errors import ServeError, SimulationError
 from repro.serve import JobSpec
 
 
@@ -156,6 +156,14 @@ class TestValidation:
     def test_unknown_budget(self):
         with pytest.raises(ServeError, match="unknown conformance"):
             JobSpec(kind="conformance", budget="huge").validate()
+
+    def test_unknown_backend_rejected_before_a_key(self):
+        """A bad backend fails when the spec is read, not later in the
+        worker thread."""
+        with pytest.raises(SimulationError, match="backend 'gpu'"):
+            JobSpec.from_dict({"kind": "sweep", "scenario": "counter",
+                               "method": "ssa", "t_final": 1.0,
+                               "n_runs": 4, "options": {"backend": "gpu"}})
 
 
 class TestJobFiles:
