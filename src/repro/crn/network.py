@@ -188,8 +188,14 @@ class Network:
         return self
 
     def copy(self, name: str | None = None) -> "Network":
+        """An independent copy: every species, every reaction in order
+        (exact duplicates included, unlike :meth:`merge`) and the initial
+        quantities.  Provenance is not carried over."""
         clone = Network(name or self.name)
-        clone.merge(self)
+        clone._species = dict(self._species)
+        clone._order = list(self._order)
+        clone.reactions = list(self.reactions)
+        clone._initial = dict(self._initial)
         return clone
 
     # -- matrices ------------------------------------------------------------
@@ -310,6 +316,18 @@ class Network:
             "reactions": [merged[key] for key in sorted(order)],
         }
 
+    def canonical_text(self) -> str:
+        """The canonical form, excluding the display name, as the
+        compact sorted-key JSON text :meth:`canonical_hash` digests.
+
+        :meth:`from_canonical_text` rebuilds :meth:`canonical_form`
+        from it exactly, so the text is a complete, object-free record
+        of the chemistry.
+        """
+        payload = self.to_canonical_dict()
+        del payload["name"]
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
     def canonical_hash(self) -> str:
         """SHA-256 of the canonical form, excluding the display name.
 
@@ -319,11 +337,7 @@ class Network:
         may serve one's results for the other -- provided both were
         simulated *in canonical form* (see :meth:`canonical_form`).
         """
-        payload = dict(self.to_canonical_dict())
-        del payload["name"]
-        text = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(text.encode("ascii")).hexdigest()
+        return canonical_digest(self.canonical_text())
 
     @classmethod
     def from_canonical_dict(cls, payload: Mapping) -> "Network":
@@ -369,6 +383,12 @@ class Network:
             network.set_initial(name, float(value))
         return network
 
+    @classmethod
+    def from_canonical_text(cls, text: str, name: str = "crn") -> "Network":
+        """Rebuild a network from :meth:`canonical_text` output, which
+        carries no display name."""
+        return cls.from_canonical_dict({**json.loads(text), "name": name})
+
     def canonical_form(self) -> "Network":
         """This network rebuilt in canonical order.
 
@@ -410,3 +430,8 @@ class Network:
 
     def __repr__(self) -> str:
         return f"<Network {self.summary()}>"
+
+
+def canonical_digest(text: str) -> str:
+    """:meth:`Network.canonical_hash` of a :meth:`Network.canonical_text`."""
+    return hashlib.sha256(text.encode("ascii")).hexdigest()

@@ -11,14 +11,16 @@ fsm, ma, iir, random).
 
 from __future__ import annotations
 
-from repro.scenarios.registry import (Scenario, get_scenario,
-                                      register_scenario, scenario_names)
+from repro.scenarios.registry import (Scenario, canonical_memo,
+                                      get_scenario, register_scenario,
+                                      scenario_names)
 
 # Importing the package registers the built-in menu.
 import repro.scenarios.builtin  # noqa: E402,F401  (registration side effect)
 
 __all__ = [
     "Scenario",
+    "canonical_memo",
     "get_scenario",
     "register_scenario",
     "scenario_names",

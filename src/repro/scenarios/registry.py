@@ -26,15 +26,28 @@ Capabilities a scenario does not support are ``None``; consumers filter
 with :func:`scenario_names` tags instead of try/except.  Registration
 order is meaningful and preserved (CLI choice lists, conformance target
 order, golden reports all depend on it).
+
+A network builder must be a function of its params alone:
+:meth:`Scenario.canonical_network` serves repeat requests from
+:func:`canonical_memo`, a bounded process-wide memo of canonical network
+*text* (never objects), so the serving layer builds each network once
+per process.
 """
 
 from __future__ import annotations
 
 import difflib
+import functools
+import json
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import ScenarioError
+
+#: Param value types the memo accepts.  Each survives a JSON round trip
+#: with its exact type and value, and its JSON text keeps ``1``, ``1.0``
+#: and ``True`` (and ``0.0`` and ``-0.0``) apart.
+_PLAIN_TYPES = (str, int, float, bool, type(None))
 
 
 @dataclass(frozen=True)
@@ -64,6 +77,20 @@ class Scenario:
                 f"network (capabilities: {sorted(self.tags)})")
         return self.build_network(**params)
 
+    def canonical_network(self, **params) -> tuple[str, str]:
+        """``(name, canonical text)`` of :meth:`network`'s result.
+
+        The text is :meth:`~repro.crn.network.Network.canonical_text`.
+        Params whose values are all plain scalars are served from
+        :func:`canonical_memo`; any other params (numpy scalars, lists)
+        build every time.
+        """
+        if self.build_network is not None and all(
+                type(value) in _PLAIN_TYPES for value in params.values()):
+            return canonical_memo(self.build_network,
+                                  json.dumps(params, sort_keys=True))
+        return _name_and_text(self.network(**params))
+
     def circuit(self, **params):
         """Build the scenario's fault-campaign adapter."""
         if self.make_circuit is None:
@@ -81,11 +108,34 @@ class Scenario:
         return self.build_driver(**params)
 
 
+def _name_and_text(network) -> tuple[str, str]:
+    return network.name, network.canonical_text()
+
+
+@functools.lru_cache(maxsize=4096)
+def canonical_memo(build: Callable, params_json: str) -> tuple[str, str]:
+    """``(name, canonical text)`` of ``build(**json.loads(params_json))``.
+
+    Keyed on the builder function, not the scenario name, so a name
+    registered again with another builder cannot be served a stale
+    entry.  An entry for a ``random`` network costs about 0.7 KB.
+    Exceptions are not cached: bad params raise on every call.
+    ``canonical_memo.cache_info()`` reports hits and misses.
+    """
+    return _name_and_text(build(**json.loads(params_json)))
+
+
 _REGISTRY: dict[str, Scenario] = {}
 
 
 def register_scenario(scenario: Scenario) -> Scenario:
-    """Add a scenario to the registry (duplicate names are an error)."""
+    """Add a scenario to the registry (duplicate names are an error).
+
+    ``build_network`` must depend on its params alone (no clock, global
+    state or unseeded randomness): the serving layer memoises its
+    canonical text per params in :func:`canonical_memo`, so a process
+    builds each ``(builder, params)`` once.
+    """
     if scenario.name in _REGISTRY:
         raise ScenarioError(
             f"scenario {scenario.name!r} is already registered")

@@ -25,6 +25,12 @@ keys must produce byte-identical responses.  That is why
 only canonicalised networks make permutation-equivalent requests
 byte-identical) and why live/positional options fields are rejected by
 ``SimulationOptions.canonical_dict()``.
+
+The key hashes the network's canonical *text*, and
+:meth:`resolve_network` rebuilds the canonical network from that same
+text, only when a miss executes.  A scenario's text comes from the
+process-wide :func:`~repro.scenarios.canonical_memo`, so a repeat
+request neither builds nor canonicalises its network.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from repro.crn.network import Network
+from repro.crn.network import Network, canonical_digest
 from repro.crn.rates import RateScheme
 from repro.crn.simulation.options import ENGINES, SimulationOptions
 from repro.errors import ScenarioError, ServeError
@@ -162,6 +168,32 @@ class JobSpec:
 
     # -- resolution -----------------------------------------------------------
 
+    def _canonical_network(self) -> tuple[str, str, str]:
+        """``(name, text, hash)`` of the job's network in canonical form.
+
+        ``text`` is :meth:`Network.canonical_text` and ``hash`` its
+        :meth:`Network.canonical_hash`.  Computed once per spec (one
+        canonicalisation, or a scenario memo hit) and kept on the
+        frozen spec.
+        """
+        cached = self.__dict__.get("_canonical")
+        if cached is not None:
+            return cached
+        if self.network is not None:
+            name, text = self.network.name, self.network.canonical_text()
+        else:
+            from repro.scenarios import get_scenario
+
+            try:
+                scenario = get_scenario(self.scenario)
+                name, text = scenario.canonical_network(
+                    **self.scenario_params)
+            except ScenarioError as exc:
+                raise ServeError(str(exc)) from None
+        cached = (name, text, canonical_digest(text))
+        object.__setattr__(self, "_canonical", cached)
+        return cached
+
     def resolve_network(self) -> Network:
         """The job's network, always in canonical form.
 
@@ -172,26 +204,17 @@ class JobSpec:
         the canonical representative.  Responses are therefore always
         in canonical (sorted) species order.
 
-        The network is resolved once and memoised on the (frozen) spec,
-        like :meth:`cache_key`, so a cache miss builds it once for its
-        key and its execution.
+        The network is rebuilt from the canonical text the key hashed,
+        only when a job executes (a cache hit never builds it), and is
+        memoised on the (frozen) spec; no two specs share one object.
         """
         cached = self.__dict__.get("_network")
         if cached is not None:
             return cached
-        if self.network is not None:
-            network = self.network
-        else:
-            from repro.scenarios import get_scenario
-
-            try:
-                scenario = get_scenario(self.scenario)
-                network = scenario.network(**dict(self.scenario_params))
-            except ScenarioError as exc:
-                raise ServeError(str(exc)) from None
-        canonical = network.canonical_form()
-        object.__setattr__(self, "_network", canonical)
-        return canonical
+        name, text, _ = self._canonical_network()
+        network = Network.from_canonical_text(text, name)
+        object.__setattr__(self, "_network", network)
+        return network
 
     def _scheme_payload(self):
         if self.scheme is None:
@@ -206,7 +229,7 @@ class JobSpec:
         payload: dict = {"schema": KEY_SCHEMA, "kind": self.kind}
         if self.kind in ("simulate", "sweep"):
             payload.update({
-                "network": self.resolve_network().canonical_hash(),
+                "network": self._canonical_network()[2],
                 "t_final": float(self.t_final),
                 "method": self.method,
                 "scheme": self._scheme_payload(),
@@ -235,7 +258,7 @@ class JobSpec:
         Equal keys promise byte-identical responses; any delta in the
         chemistry, options, seed or kind-specific knobs moves the key.
         The key is memoised on the (frozen, hence immutable) spec, so
-        repeat submissions skip re-canonicalising the network.
+        repeat submissions of one spec object skip even the payload.
         """
         cached = self.__dict__.get("_cache_key")
         if cached is not None:

@@ -13,7 +13,8 @@ telemetry bridged from the existing :class:`~repro.obs.Tracer` /
 Every result is content-addressed into the service's
 :mod:`~repro.serve.cache` store before the handle resolves, so a
 duplicate request -- the common case at scale -- short-circuits at
-submit time and returns the stored result object itself.  The
+submit time and returns the stored result object itself (its arrays
+read-only; a client copies anything else it edits).  The
 determinism contract (canonical network form + SeedSequence-per-shard
 ensembles + timing-free results) guarantees the cached response is
 byte-identical to what recomputation would produce, at any worker
@@ -213,13 +214,17 @@ def _execute(spec: JobSpec, n_workers: int | None, emit) -> dict:
 
 
 def _trajectory_result(kind: str, trajectory) -> dict:
-    """Result dict for trajectory jobs: pure data, no timings."""
-    return {
-        "kind": kind,
-        "names": list(trajectory.names),
-        "times": np.asarray(trajectory.times, dtype=float),
-        "states": np.asarray(trajectory.states, dtype=float),
-    }
+    """Result dict for trajectory jobs: pure data, no timings.
+
+    The arrays are private, read-only copies: a memory-store hit hands
+    every client this very dict, so one client writing into an array
+    would change the bytes every later hit returns.
+    """
+    times = np.array(trajectory.times, dtype=float)
+    states = np.array(trajectory.states, dtype=float)
+    times.flags.writeable = states.flags.writeable = False
+    return {"kind": kind, "names": list(trajectory.names),
+            "times": times, "states": states}
 
 
 def _execute_simulate(spec: JobSpec, emit) -> dict:

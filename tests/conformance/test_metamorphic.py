@@ -7,8 +7,10 @@ deliberately broken engine -- otherwise the harness is a rubber stamp.
 
 import numpy as np
 
-from repro.conformance.generator import CONFORMANCE_SCHEME, Target
+from repro.conformance.generator import (CONFORMANCE_SCHEME, Target,
+                                        random_network)
 from repro.conformance.metamorphic import (ENGINE_SPECS, compare_states,
+                                           check_canonical_form,
                                            check_conservation,
                                            check_duplicate_merge,
                                            check_permutation,
@@ -99,6 +101,22 @@ class TestTransformsAndComparison:
         network = _network()
         doubled = duplicate_reaction(network, 0)
         assert doubled.n_reactions == network.n_reactions + 1
+
+    def test_duplicate_reaction_on_a_listed_duplicate(self):
+        """``random`` seed 5 lists one reaction twice; doubling any
+        reaction must keep both copies and move the canonical hash."""
+        network = random_network(5)
+        assert len(set(network.reactions)) < network.n_reactions
+        for index in range(network.n_reactions):
+            doubled = duplicate_reaction(network, index)
+            assert doubled.reactions[:-1] == network.reactions
+            assert doubled.canonical_hash() != network.canonical_hash()
+        target = Target("random:5", network, CONFORMANCE_SCHEME,
+                        t_final=1.0)
+        for seed in range(3):
+            for check in (check_duplicate_merge, check_canonical_form):
+                result = check(target, ENGINE_SPECS["ode"], seed=seed)
+                assert result.status == "pass", result.detail
 
     def test_compare_states_exact_and_tolerant(self):
         a = np.zeros((4, 2))

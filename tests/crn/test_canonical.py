@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crn.network import CANONICAL_SCHEMA, Network
+from repro.crn.network import CANONICAL_SCHEMA, Network, canonical_digest
 from repro.crn.reaction import Reaction
 from repro.crn.species import Species
 from repro.errors import NetworkError
@@ -135,6 +135,16 @@ class TestRoundTrip:
         assert again.species_names == canonical.species_names
         assert [str(r) for r in again.reactions] == \
             [str(r) for r in canonical.reactions]
+
+    def test_text_round_trip_is_the_canonical_form(self):
+        network = _permuted()
+        text = network.canonical_text()
+        assert canonical_digest(text) == network.canonical_hash()
+        rebuilt = Network.from_canonical_text(text, network.name)
+        canonical = network.canonical_form()
+        assert rebuilt.name == canonical.name
+        assert rebuilt.species_names == canonical.species_names
+        assert rebuilt.to_canonical_dict() == canonical.to_canonical_dict()
 
     def test_duplicates_re_expanded(self):
         net = Network()

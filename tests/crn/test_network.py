@@ -124,6 +124,23 @@ class TestMerge:
         assert a.n_reactions == 1
         assert clone.n_reactions == 2
 
+    def test_copy_keeps_exact_duplicates(self):
+        """``copy`` is not ``merge``: a reaction listed twice stays
+        listed twice, so rate vectors keep lining up with the copy."""
+        a = Network("a")
+        a.add("X", "Y", 2.0)
+        a.add("Y", "X", 1.0)
+        a.add("X", "Y", 2.0)
+        a.set_initial("X", 3.0)
+        clone = a.copy(name="b")
+        assert clone.name == "b"
+        assert clone.reactions == a.reactions
+        assert clone.species_names == a.species_names
+        assert clone.initial == a.initial
+        assert clone.canonical_hash() == a.canonical_hash()
+        clone.set_initial("Y", 1.0)
+        assert a.get_initial("Y") == 0.0
+
 
 class TestMatrices:
     def _network(self):

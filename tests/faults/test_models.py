@@ -161,6 +161,20 @@ class TestPlanContract:
         assert setup.rates.shape == (setup.network.n_reactions,)
         np.testing.assert_array_equal(setup.rates[:rates.size], rates)
 
+    def test_listed_duplicate_keeps_caller_rates_aligned(self):
+        doubled = parse_network("""
+            network: listed_twice
+            A -> B @ fast
+            A -> B @ fast
+            B -> A @ slow
+            init A = 5
+        """)
+        rates = np.array([1.0, 2.0, 3.0])
+        setup = FaultPlan([], seed=0).materialize(doubled, SCHEME,
+                                                  rates=rates)
+        assert setup.network.reactions == doubled.reactions
+        np.testing.assert_array_equal(setup.rates, rates)
+
     def test_empty_plan_is_inactive(self, network):
         plan = FaultPlan([], seed=0)
         assert not plan.active

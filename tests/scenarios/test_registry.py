@@ -33,6 +33,8 @@ class TestRegistry:
     def test_missing_capability_is_a_clear_error(self):
         with pytest.raises(ScenarioError, match="fsm.*network"):
             get_scenario("fsm").network()
+        with pytest.raises(ScenarioError, match="fsm.*network"):
+            get_scenario("fsm").canonical_network()
         with pytest.raises(ScenarioError, match="clock.*adapter"):
             get_scenario("clock").circuit()
 
@@ -44,6 +46,12 @@ class TestBuiltinNetworks:
         network = get_scenario(name).network()
         assert isinstance(network, Network)
         assert network.n_reactions > 0
+
+    @pytest.mark.parametrize("name", ["counter", "random"])
+    def test_canonical_network_is_the_built_networks_text(self, name):
+        network = get_scenario(name).network()
+        assert get_scenario(name).canonical_network() == \
+            (network.name, network.canonical_text())
 
     def test_counter_params(self):
         two = get_scenario("counter").network(bits=2)

@@ -10,13 +10,21 @@ t_final, scheme, n_runs, kind) must move the key.
 
 from __future__ import annotations
 
+import asyncio
+import math
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
 from repro.crn.simulation.options import SimulationOptions
 from repro.errors import ServeError, SimulationError
-from repro.serve import JobSpec
+from repro.scenarios import Scenario, canonical_memo, get_scenario
+from repro.scenarios import registry
+from repro.serve import JobSpec, SimulationService
 
 
 def _network(order: str = "forward") -> Network:
@@ -188,3 +196,129 @@ class TestJobFiles:
     def test_non_mapping_rejected(self):
         with pytest.raises(ServeError, match="mapping"):
             JobSpec.from_dict(["simulate"])
+
+
+class TestScenarioMemo:
+    """Scenario networks resolve through a process-wide memo of
+    canonical text; a memo hit must never change a key."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        canonical_memo.cache_clear()
+        yield
+        canonical_memo.cache_clear()
+
+    @pytest.fixture
+    def probe(self, monkeypatch):
+        """Register a ``probe`` scenario whose builder records every
+        params dict it receives."""
+        calls = []
+
+        def build(**params):
+            calls.append(params)
+            network = Network("probe")
+            network.add("X", "Y", 1.0)
+            network.set_initial("X", 1.0 + len(repr(params)))
+            return network
+
+        monkeypatch.setitem(registry._REGISTRY, "probe", Scenario(
+            name="probe", description="test probe", build_network=build))
+        return calls
+
+    @staticmethod
+    def _key(scenario: str = "random", **params) -> str:
+        return JobSpec(kind="simulate", scenario=scenario,
+                       scenario_params=params, seed=1).cache_key()
+
+    def test_cold_and_warm_keys_agree(self):
+        cold = [self._key(seed=s) for s in range(4)]
+        assert canonical_memo.cache_info().misses == 4
+        warm = [self._key(seed=s) for s in range(4)]
+        assert canonical_memo.cache_info().hits == 4
+        assert warm == cold
+        built = [JobSpec(kind="simulate", seed=1,
+                         network=get_scenario("random").network(seed=s)
+                         ).cache_key() for s in range(4)]
+        assert built == cold
+
+    def test_equal_specs_build_once(self, probe):
+        assert self._key("probe", k=2) == self._key("probe", k=2)
+        assert probe == [{"k": 2}]
+
+    def test_json_distinct_params_resolve_separately(self, probe):
+        values = (1, 1.0, True, 0.0, -0.0)
+        for value in values:
+            self._key("probe", k=value)
+        assert len(probe) == len(values)
+        for value, params in zip(values, probe):
+            received = params["k"]
+            assert type(received) is type(value) and received == value
+            if isinstance(value, float):
+                assert math.copysign(1.0, received) == \
+                    math.copysign(1.0, value)
+
+    @pytest.mark.parametrize("params", [{"k": [1, 2]}, {"k": np.int64(2)},
+                                        {"k": {"nested": 1}}])
+    def test_non_scalar_params_bypass_the_memo(self, probe, params):
+        self._key("probe", **params)
+        self._key("probe", **params)
+        assert len(probe) == 2
+        assert canonical_memo.cache_info().currsize == 0
+
+    def test_unknown_scenario_raises_at_submit(self):
+        async def submit():
+            async with SimulationService(n_workers=1) as service:
+                await service.submit(JobSpec(kind="simulate",
+                                             scenario="randon"))
+        with pytest.raises(ServeError, match="did you mean 'random'"):
+            asyncio.run(submit())
+
+    def test_bad_params_raise_every_time(self):
+        for _ in range(2):
+            with pytest.raises(TypeError, match="sed"):
+                self._key(sed=3)
+        assert canonical_memo.cache_info().currsize == 0
+
+    def test_concurrent_keys_agree(self):
+        barrier = threading.Barrier(4)
+        keys = []
+
+        def worker():
+            barrier.wait(timeout=30)
+            mine = [(s, self._key(seed=s)) for s in (11, 12, 11)]
+            keys.extend(mine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(keys) == 12
+        assert set(keys) == {(11, self._key(seed=11)),
+                             (12, self._key(seed=12))}
+
+    def test_network_path_canonicalises_once(self, monkeypatch):
+        calls = []
+        to_dict = Network.to_canonical_dict
+
+        def counting(network):
+            calls.append(network.name)
+            return to_dict(network)
+
+        monkeypatch.setattr(Network, "to_canonical_dict", counting)
+        network = _network("reversed")
+        spec = JobSpec(kind="simulate", network=network)
+        spec.cache_key()
+        resolved = spec.resolve_network()
+        assert calls == ["keys"]
+        monkeypatch.undo()
+        assert resolved.to_canonical_dict() == \
+            network.canonical_form().to_canonical_dict()
+        assert spec.cache_key() == \
+            JobSpec(kind="simulate", network=_network()).cache_key()

@@ -71,6 +71,25 @@ class TestSubmitFlow:
         assert canonical_result_bytes(first) == \
             canonical_result_bytes(second)
 
+    @pytest.mark.parametrize(("kind", "method"), [("simulate", "ode"),
+                                                  ("sweep", "ssa")])
+    def test_no_client_can_edit_a_later_hit(self, kind, method):
+        """A memory-store hit is the stored dict itself, so its arrays
+        must refuse writes from any earlier client."""
+        spec = JobSpec(kind=kind, network=_network(), method=method,
+                       t_final=0.5, n_runs=2)
+
+        async def scenario():
+            async with SimulationService(n_workers=1) as service:
+                first = await service.run(spec)
+                pristine = canonical_result_bytes(first)
+                for name in ("times", "states"):
+                    with pytest.raises(ValueError, match="read-only"):
+                        first[name][0] = -1.0
+                return pristine, await service.run(spec)
+        pristine, second = _run(scenario())
+        assert canonical_result_bytes(second) == pristine
+
     def test_progress_stream_lifecycles(self):
         async def scenario():
             async with SimulationService() as service:
@@ -157,11 +176,13 @@ class TestDeterminism:
 
 
 class TestResolveOnce:
-    """A miss resolves its network once, for its key and its run."""
+    """A miss resolves its network once, for its key and its run; the
+    process-wide memo then spares every equal spec the build."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         from repro.conformance import generator
+        from repro.scenarios import canonical_memo
 
         calls = []
         build = generator.random_network
@@ -171,7 +192,9 @@ class TestResolveOnce:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(generator, "random_network", counting)
-        return calls
+        canonical_memo.cache_clear()
+        yield calls
+        canonical_memo.cache_clear()
 
     @pytest.mark.parametrize(("kind", "method"), [("simulate", "ode"),
                                                   ("simulate", "ssa"),
@@ -197,6 +220,26 @@ class TestResolveOnce:
                             options=SimulationOptions(seed=4))
         assert canonical_result_bytes(result) == canonical_result_bytes(
             _trajectory_result("simulate", expected))
+
+    def test_a_fresh_equal_spec_builds_nothing(self, builds):
+        def spec():
+            return JobSpec(kind="simulate", scenario="random",
+                           scenario_params={"seed": 3}, t_final=1.0,
+                           seed=4)
+
+        async def scenario():
+            # Two services: the second spec misses the result store
+            # and simulates, but its network comes from the memo.
+            async with SimulationService(n_workers=1) as service:
+                first = await service.run(spec())
+            async with SimulationService(n_workers=1) as service:
+                handle = await service.submit(spec())
+                return first, handle.cached, await handle.result()
+        first, cached, second = _run(scenario())
+        assert not cached
+        assert len(builds) == 1
+        assert canonical_result_bytes(first) == \
+            canonical_result_bytes(second)
 
 
 class TestLoadGenerator:
