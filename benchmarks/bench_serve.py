@@ -3,7 +3,8 @@
 The deterministic load generator (:mod:`repro.serve.loadgen`) drives a
 :class:`~repro.serve.SimulationService` with a fixed job mix -- ODE
 trajectories over the conformance random-network family plus one
-sharded SSA sweep -- submitted round-robin so the first pass is all
+SSA sweep, whose ensemble runs in its job's thread -- submitted
+round-robin so the first pass is all
 cold misses and every later pass is all cache hits.  Headline numbers:
 jobs/second over the whole run, p50/p99 latency, and the cold-vs-hit
 p50 split.
@@ -13,9 +14,9 @@ Two properties are *gates*, not observations:
 - a cache hit must be at least :data:`HIT_SPEEDUP_FLOOR` times faster
   than the cold computation at p50 (the whole point of
   content-addressing results);
-- a duplicate job's response must be **byte-identical across worker
-  counts** -- an ensemble computed on a wide pool is the same bytes as
-  on a narrow one, so cached results are portable between service
+- a duplicate job's response must be **byte-identical across service
+  widths** -- the width sizes robustness campaigns only and never
+  enters a sweep, so cached results are portable between service
   configurations.
 """
 
@@ -42,7 +43,7 @@ HIT_SPEEDUP_FLOOR = 10.0
 
 
 def _workers_bitwise(base_seed) -> bool:
-    """One sharded sweep job, served at two pool widths, same bytes."""
+    """One sweep job, served at two service widths, same bytes."""
     spec = build_job_mix(
         N_DISTINCT, seed=base_seed, t_final=T_FINAL,
         n_samples=N_SAMPLES, sweep_runs=SWEEP_RUNS,
@@ -84,9 +85,9 @@ def test_bench_serve(benchmark, bench_seed, bench_json):
          ["hit speedup", f"{result['hit_speedup']:,.0f}x"]])
     body += (f"\n\n{N_DISTINCT} distinct jobs x {REPEATS} passes "
              f"(ODE trajectories t_final={T_FINAL:g} plus one "
-             f"{SWEEP_RUNS}-run SSA sweep), 2 ensemble workers.  "
-             f"Duplicate-job responses byte-identical across worker "
-             f"counts: "
+             f"{SWEEP_RUNS}-run SSA sweep), service width 2, which "
+             f"never enters a sweep.  Duplicate-job responses "
+             f"byte-identical across service widths: "
              f"{'OK' if result['workers_bitwise'] else 'FAILED'}.\n")
     save_report("E18_serve",
                 "E18 -- serving layer: throughput and cache wins",

@@ -23,8 +23,6 @@ margin or the composition is rejected with REPRO-C802.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from repro.crn.rates import RateScheme
 from repro.errors import CertifyError
 from repro.certify.certificate import Certificate, CertifyConfig
@@ -123,11 +121,3 @@ def certify_composition(first: object, second: object,
             f"{certificate.separation:g} (needs >= "
             f"{certificate.min_separation(config):.4g}) (REPRO-C802)")
     return certificate
-
-
-def cascade_gain(gains: list[Fraction]) -> Fraction:
-    """End-to-end ISS gain of a chain of stages."""
-    total = Fraction(1)
-    for gain in gains:
-        total *= gain
-    return total

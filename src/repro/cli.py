@@ -556,9 +556,6 @@ def _add_conformance(subparsers) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="root seed; (budget, seed) names one "
                              "exact target list forever (default 0)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool size for ensemble oracles "
-                             "(default: CPU count; 1 forces serial)")
     parser.add_argument("--json", default="", metavar="FILE",
                         help="write the deterministic JSON report")
     parser.add_argument("--corpus", default="", metavar="DIR",
@@ -602,7 +599,7 @@ def _run_conformance(args) -> int:
     corpus_dir = args.corpus or (
         str(DEFAULT_CORPUS_DIR) if DEFAULT_CORPUS_DIR.is_dir() else None)
     report = run_conformance(
-        args.budget, args.seed, n_workers=args.workers,
+        args.budget, args.seed,
         corpus_dir=None if args.no_shrink else corpus_dir,
         shrink=not args.no_shrink)
     print(report.render())
@@ -864,8 +861,8 @@ def _add_serve(subparsers) -> None:
                         help="persist results to an on-disk store "
                              "(default: in-memory LRU)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool size for sharded ensemble "
-                             "jobs (default: CPU count)")
+                        help="process-pool size for robustness jobs "
+                             "(default: CPU count)")
     parser.add_argument("--seed", type=int, default=0,
                         help="root seed for the --demo job mix "
                              "(default 0)")
@@ -983,6 +980,12 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Downstream consumer closed the pipe (e.g. ``| head``).
         return 0
+    except OSError as error:
+        # A path named on the command line cannot be read or written.
+        where = f"cannot access {error.filename}: " if error.filename \
+            else ""
+        print(f"error: {where}{error.strerror or error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,8 +18,7 @@ and against algebraic invariants of mass-action kinetics:
 - :mod:`repro.conformance.oracles` -- differential oracles: scipy LSODA
   vs BDF vs the in-house RK45 at tight tolerances, SSA ensemble means vs
   the ODE limit under CLT acceptance bands, and tau-leaping vs exact SSA
-  on matched seed lists (ensembles fanned over
-  :class:`~repro.crn.simulation.sweep.ParallelSweepRunner`);
+  on matched seed lists (each ensemble one ``simulate_ensemble`` call);
 - :mod:`repro.conformance.shrink` -- a greedy shrinker that reduces any
   failing network to a minimal ``.crn`` reproducer under
   ``tests/conformance/corpus/``, which tier-1 replays forever after;

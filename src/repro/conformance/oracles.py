@@ -11,11 +11,10 @@ numerical agreement:
 ``diff.ssa-vs-ode``
     In the large-copy-number limit the SSA ensemble mean converges to
     the deterministic solution.  Initial counts are scaled by
-    :data:`VOLUME` (and the simulation volume with them), an ensemble
-    of seeded realisations is fanned over
-    :class:`~repro.crn.simulation.sweep.ParallelSweepRunner`, and the
-    rescaled mean final state must sit inside a CLT acceptance band
-    around the ODE final state (plus an O(1/V) discreteness allowance).
+    :data:`VOLUME` (and the simulation volume with them), a seeded
+    ensemble runs in one ``simulate_ensemble`` call, and the rescaled
+    mean final state must sit inside a CLT acceptance band around the
+    ODE final state (plus an O(1/V) discreteness allowance).
 ``diff.tau-vs-ssa``
     Tau-leaping is an approximation of exact SSA: ensemble mean final
     states on matched seed lists must agree within the combined CLT
@@ -46,8 +45,9 @@ numerical agreement:
     scipy lacks the resumable entry point.
 
 Every ensemble member's seed is spawned from one root
-:class:`numpy.random.SeedSequence` and reductions are payload-ordered,
-so results are identical serial or parallel, whatever the worker count.
+:class:`numpy.random.SeedSequence`, and each ensemble row is bitwise the
+independent run on its seed (``diff.ensemble-vs-trial``), so a verdict
+is a pure function of the cell seed.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ import numpy as np
 
 from repro.conformance.metamorphic import CheckResult, _guarded, _Skip
 from repro.crn.simulation import (SimulationOptions, StochasticSimulator,
-                                  simulate)
-from repro.crn.simulation.sweep import ParallelSweepRunner
+                                  TauLeapingSimulator, simulate)
 from repro.errors import SimulationError
 
 #: Copy-number scaling for the SSA-vs-ODE limit oracle.
@@ -81,25 +80,16 @@ SOLVER_RTOL = 1e-5
 SOLVER_ATOL = 1e-8
 
 
-def _final_state_worker(payload: tuple) -> np.ndarray:
-    """One ensemble member's final state vector (process-pool worker)."""
-    network, method, rates, volume, seed, t_final, initial = payload
-    options = SimulationOptions(
-        seed=np.random.default_rng(seed), rates=rates, volume=volume,
-        initial=initial, n_samples=2, max_events=MAX_EVENTS)
-    trajectory = simulate(network, t_final, method, scheme=None,
-                          options=options)
-    return trajectory.states[-1]
-
-
 def _ensemble_finals(network, method: str, rates: np.ndarray,
-                     volume: float, seeds, t_final: float, initial,
-                     n_workers: int | None) -> np.ndarray:
-    """Stacked final states over one seeded ensemble (payload order)."""
-    payloads = [(network, method, rates, volume, seed, t_final, initial)
-                for seed in seeds]
-    runner = ParallelSweepRunner(n_workers)
-    return np.vstack(runner.map(_final_state_worker, payloads))
+                     volume: float, seeds, t_final: float,
+                     initial) -> np.ndarray:
+    """Final states of one seeded ``"ssa"`` or ``"tau"`` ensemble, one
+    row per seed, in seed order."""
+    engine = StochasticSimulator if method == "ssa" else TauLeapingSimulator
+    simulator = engine(network, rates=rates, volume=volume)
+    return simulator.simulate_ensemble(
+        t_final, seeds, initial=initial, n_samples=2,
+        max_events=MAX_EVENTS).states[:, -1]
 
 
 def check_ensemble_vs_trial(target, seed: int,
@@ -139,8 +129,7 @@ def check_ensemble_vs_trial(target, seed: int,
     return _guarded("diff.ensemble-vs-trial", target.name, "ssa", body)
 
 
-def check_ode_solvers(target, seed: int,
-                      n_workers: int | None = None) -> CheckResult:
+def check_ode_solvers(target, seed: int) -> CheckResult:
     def body():
         network = target.network
         t_final = target.t_final
@@ -169,9 +158,7 @@ def check_ode_solvers(target, seed: int,
     return _guarded("diff.ode-solvers", target.name, "ode", body)
 
 
-def check_ssa_vs_ode(target, seed: int,
-                     n_workers: int | None = None,
-                     n_runs: int = 16) -> CheckResult:
+def check_ssa_vs_ode(target, seed: int, n_runs: int = 16) -> CheckResult:
     def body():
         if not target.stochastic:
             raise _Skip("stochastic engines disabled for this target")
@@ -183,8 +170,7 @@ def check_ssa_vs_ode(target, seed: int,
         seeds = np.random.SeedSequence(seed).spawn(n_runs)
         try:
             finals = _ensemble_finals(network, "ssa", rates, VOLUME,
-                                      seeds, t_final, scaled_initial,
-                                      n_workers)
+                                      seeds, t_final, scaled_initial)
         except SimulationError as exc:
             raise _Skip(f"ensemble over event budget: {exc}") from exc
         mean = finals.mean(axis=0) / VOLUME
@@ -206,9 +192,7 @@ def check_ssa_vs_ode(target, seed: int,
     return _guarded("diff.ssa-vs-ode", target.name, "ssa", body)
 
 
-def check_tau_vs_ssa(target, seed: int,
-                     n_workers: int | None = None,
-                     n_runs: int = 16) -> CheckResult:
+def check_tau_vs_ssa(target, seed: int, n_runs: int = 16) -> CheckResult:
     def body():
         if not target.stochastic:
             raise _Skip("stochastic engines disabled for this target")
@@ -218,9 +202,9 @@ def check_tau_vs_ssa(target, seed: int,
         seeds = np.random.SeedSequence(seed).spawn(n_runs)
         try:
             ssa = _ensemble_finals(network, "ssa", rates, 1.0, seeds,
-                                   t_final, None, n_workers)
+                                   t_final, None)
             tau = _ensemble_finals(network, "tau", rates, 1.0, seeds,
-                                   t_final, None, n_workers)
+                                   t_final, None)
         except SimulationError as exc:
             raise _Skip(f"ensemble over event budget: {exc}") from exc
         mean_ssa = ssa.mean(axis=0)
@@ -251,8 +235,7 @@ def _first_difference(native: np.ndarray, numpy: np.ndarray) -> str | None:
             f"{native[index]!r} vs {numpy[index]!r}")
 
 
-def check_native_vs_numpy(target, seed: int,
-                          n_workers: int | None = None) -> CheckResult:
+def check_native_vs_numpy(target, seed: int) -> CheckResult:
     """Compiled kernel and NumPy twin must agree bitwise."""
     def body():
         from repro.crn import native
@@ -283,8 +266,7 @@ def check_native_vs_numpy(target, seed: int,
     return _guarded("diff.native-vs-numpy", target.name, "ode", body)
 
 
-def check_native_ssa_vs_python(target, seed: int,
-                               n_workers: int | None = None) -> CheckResult:
+def check_native_ssa_vs_python(target, seed: int) -> CheckResult:
     """Compiled SSA loop and Python twin must agree bitwise."""
     def body():
         if not target.stochastic:
@@ -336,9 +318,7 @@ def _never(t, x) -> float:
     return 1.0
 
 
-def check_lsoda_walk_vs_odeint(target, seed: int,
-                               n_workers: int | None = None
-                               ) -> CheckResult:
+def check_lsoda_walk_vs_odeint(target, seed: int) -> CheckResult:
     """Resumable LSODA walk and ``odeint`` must agree bitwise."""
     def body():
         from repro.crn.simulation import ode

@@ -6,7 +6,7 @@ metamorphic battery per applicable engine and the differential oracles
 per target, greedily shrink every distinct failing check to a minimal
 ``.crn`` reproducer, and return a :class:`ConformanceReport` whose JSON
 form is bit-identical across runs of the same ``(budget, seed)`` pair
-(no timestamps, no wall times, payload-ordered reductions).
+(no timestamps, no wall times, seed-ordered reductions).
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def _seed_for(seed: int, target_index: int, cell_index: int) -> int:
 
 
 def _cells_for(target: Target, target_index: int, seed: int,
-               budget: GeneratorBudget, n_workers: int | None) -> list:
+               budget: GeneratorBudget) -> list:
     """The (runner, check-name) cells applicable to one target.
 
     Each cell is a zero-argument callable returning a
@@ -138,10 +138,10 @@ def _cells_for(target: Target, target_index: int, seed: int,
     # Engine-independent: the canonical-serialisation contract the
     # serving cache keys on (reported under the ode engine column).
     add(check_canonical_form, ENGINE_SPECS["ode"])
-    add(check_ode_solvers, n_workers=n_workers)
+    add(check_ode_solvers)
     add(check_ensemble_vs_trial, n_runs=budget.n_runs)
-    add(check_ssa_vs_ode, n_workers=n_workers, n_runs=budget.n_runs)
-    add(check_tau_vs_ssa, n_workers=n_workers, n_runs=budget.n_runs)
+    add(check_ssa_vs_ode, n_runs=budget.n_runs)
+    add(check_tau_vs_ssa, n_runs=budget.n_runs)
     add(check_native_vs_numpy)
     add(check_native_ssa_vs_python)
     add(check_lsoda_walk_vs_odeint)
@@ -149,7 +149,6 @@ def _cells_for(target: Target, target_index: int, seed: int,
 
 
 def run_conformance(budget: str = "small", seed: int = 0, *,
-                    n_workers: int | None = None,
                     corpus_dir: str | Path | None = None,
                     shrink: bool = True) -> ConformanceReport:
     """Run the full conformance battery for one ``(budget, seed)``.
@@ -167,8 +166,7 @@ def run_conformance(budget: str = "small", seed: int = 0, *,
     reproducers: list[str] = []
     shrunk_checks: set[str] = set()
     for target_index, target in enumerate(targets):
-        for cell in _cells_for(target, target_index, seed, spec,
-                               n_workers):
+        for cell in _cells_for(target, target_index, seed, spec):
             result = cell()
             results.append(result)
             if (result.failed and shrink and corpus_dir is not None
@@ -204,7 +202,7 @@ def replay_network(network, *, name: str = "corpus",
     target = Target(name, network, CONFORMANCE_SCHEME,
                     t_final=t_final, stochastic=stochastic)
     budget = BUDGETS["tiny"]
-    cells = _cells_for(target, 0, seed, budget, n_workers=1)
+    cells = _cells_for(target, 0, seed, budget)
     # Drop the two *statistical* ensemble oracles (ssa-vs-ode and
     # tau-vs-ssa): statistically meaningless on minimal reproducers and
     # by far the slowest cells.  The bitwise oracles stay -- they are

@@ -34,8 +34,6 @@ from repro.core.phases import (ACCELERATION_MODES, CATALYTIC, CONSUMING,
                                rational_gain)
 from repro.core.stochastic_machine import StochasticMachine
 from repro.core.synthesis import SynthesizedCircuit, synthesize
-from repro.core.verify import VerificationReport, check_circuit, \
-    verify_circuit
 
 __all__ = [
     "ACCELERATION_MODES",
@@ -70,7 +68,4 @@ __all__ = [
     "settling_time",
     "synthesize",
     "transfer_fidelity",
-    "VerificationReport",
-    "check_circuit",
-    "verify_circuit",
 ]

@@ -37,16 +37,6 @@ def effective_value(trajectory: Trajectory, name: str,
     return float(np.interp(t, trajectory.times, series))
 
 
-def effective_state_value(network: Network, state: np.ndarray,
-                          name: str) -> float:
-    """Effective value from a raw state vector."""
-    value = float(state[network.species_index(name)])
-    dimer = f"I_{name}"
-    if dimer in network:
-        value += 2.0 * float(state[network.species_index(dimer)])
-    return value
-
-
 def color_totals(network: Network, trajectory: Trajectory,
                  roles: tuple[str, ...] = ("signal", "clock")
                  ) -> dict[str, np.ndarray]:

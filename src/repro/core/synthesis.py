@@ -57,9 +57,6 @@ class SynthesizedCircuit:
     def rails(self) -> tuple[str, ...]:
         return RAILS if self.signed else ("p",)
 
-    def input_rail(self, name: str, rail: str = "p") -> str:
-        return self.source_species[name][rail]
-
     def state_value(self, state_getter, name: str) -> float:
         """Effective (dimer-inclusive) value of a delay register.
 

@@ -252,9 +252,6 @@ class Network:
         basis = null_space(stoich.T, rcond=tol)
         return basis.T
 
-    def conserved_total(self, weights: np.ndarray, state: np.ndarray) -> float:
-        return float(np.dot(weights, state))
-
     def summary(self) -> str:
         """One-line size summary used in reports."""
         return (f"{self.name}: {self.n_species} species, "

@@ -28,7 +28,7 @@ from repro.crn.simulation.sampling import (cumulative_propensities,
                                            select_reaction)
 from repro.crn.simulation.ssa import (IncrementalPropensities,
                                       StochasticSimulator)
-from repro.crn.simulation.sweep import ParallelSweepRunner, run_seeded
+from repro.crn.simulation.sweep import ParallelSweepRunner
 from repro.crn.simulation.tau_leaping import TauLeapingSimulator
 from repro.errors import SimulationError
 
@@ -133,7 +133,6 @@ __all__ = [
     "Trajectory",
     "cumulative_propensities",
     "integrate_rk45",
-    "run_seeded",
     "select_reaction",
     "simulate",
     "species_above",

@@ -44,9 +44,9 @@ from repro.errors import SimulationError
 from repro.obs.metrics import ensure_metrics
 from repro.obs.tracer import ensure_tracer
 
-#: Runs per ensemble chunk.  The chunk structure (not the worker count)
-#: fixes the floating-point summation order, so serial and parallel
-#: ensemble means are bitwise identical for the same seed.
+#: Runs per ``mean_trajectory`` chunk.  The chunks fix the floating-point
+#: summation order of an ensemble mean, and bound its sample buffer at
+#: this many runs.
 ENSEMBLE_CHUNK_RUNS = 8
 
 #: Events between exact full-propensity rebuilds in
@@ -591,22 +591,15 @@ class StochasticSimulator:
         return self._seed_seq.spawn(n_runs)
 
     def mean_trajectory(self, t_final: float, n_runs: int,
-                        n_samples: int = 100, *,
-                        n_workers: int | None = None,
-                        **kwargs) -> Trajectory:
+                        n_samples: int = 100, **kwargs) -> Trajectory:
         """Sample mean over ``n_runs`` independent realisations.
 
         Each run gets its own spawned seed, and runs are summed in fixed
         chunks of :data:`ENSEMBLE_CHUNK_RUNS`, one
-        :meth:`simulate_ensemble` call each, so the result is bitwise
-        identical whether the ensemble executes serially (``n_workers``
-        ``None``/1) or through a
-        :class:`~repro.crn.simulation.sweep.ParallelSweepRunner` pool.
-        The chunks run on :meth:`_clone`, so the call records one span.
+        :meth:`simulate_ensemble` call each, in the calling thread; the
+        chunk sums are added in chunk order.  The chunks run on
+        :meth:`_clone`, so the call records one span.
         """
-        from repro.crn.simulation.sweep import (ParallelSweepRunner,
-                                                simulate_mean_chunk)
-
         if n_runs < 1:
             raise SimulationError("n_runs must be >= 1")
         telemetry = self.tracer.enabled or self.metrics.enabled
@@ -614,24 +607,20 @@ class StochasticSimulator:
         t_start = kwargs.get("t_start", 0.0)
         seeds = self._spawn_run_seeds(n_runs)
         clone = self._clone()
-        payloads = [
-            (clone, seeds[i:i + ENSEMBLE_CHUNK_RUNS], t_final, n_samples,
-             kwargs)
-            for i in range(0, n_runs, ENSEMBLE_CHUNK_RUNS)
-        ]
-        partials = ParallelSweepRunner(n_workers).map(simulate_mean_chunk,
-                                                      payloads)
-        times, accumulator, events = partials[0]
-        accumulator = accumulator.copy()
-        for index, (chunk_times, states, chunk_events) in \
-                enumerate(partials[1:], start=1):
-            if not np.array_equal(chunk_times, times):
+        chunks = (clone.simulate_ensemble(
+            t_final, seeds[i:i + ENSEMBLE_CHUNK_RUNS], n_samples=n_samples,
+            **kwargs) for i in range(0, n_runs, ENSEMBLE_CHUNK_RUNS))
+        first = next(chunks)
+        times, accumulator = first.times, first.summed_states()
+        events = int(first.events.sum())
+        for index, chunk in enumerate(chunks, start=1):
+            if not np.array_equal(chunk.times, times):
                 raise SimulationError(
                     f"ensemble chunk {index} returned a misaligned "
-                    f"sample grid (size {chunk_times.size} vs "
+                    f"sample grid (size {chunk.times.size} vs "
                     f"{times.size}); refusing to sum mismatched states")
-            accumulator += states
-            events += chunk_events
+            accumulator += chunk.summed_states()
+            events += int(chunk.events.sum())
         if telemetry:
             self._record_batch(self._batch_kind, t_start, t_final, events,
                                perf_counter() - wall_start,

@@ -5,23 +5,15 @@ of payloads, either serially or through a ``ProcessPoolExecutor``.  The
 seeding contract is the caller's: every payload must carry its own
 :class:`numpy.random.SeedSequence` (spawned from one root), so results
 are a pure function of the payload list and do not depend on how the
-payloads were distributed over workers.  Combined with fixed-size
-chunking on the caller side, serial and parallel execution produce
-bitwise-identical reductions.
-
-``simulate_mean_chunk`` is the worker for stochastic ensembles: it runs
-one chunk of seeds as a single ``simulate_ensemble`` call and sums the
-sampled states over the chunk.
+payloads were distributed over workers.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-
-import numpy as np
 
 
 class ParallelSweepRunner:
@@ -52,23 +44,3 @@ class ParallelSweepRunner:
                 return list(pool.map(fn, payloads))
         except (OSError, BrokenProcessPool):
             return [fn(p) for p in payloads]
-
-
-def simulate_mean_chunk(payload: tuple) -> tuple[np.ndarray, np.ndarray,
-                                                 int]:
-    """Ensemble worker: one ``simulate_ensemble`` call over a chunk.
-
-    ``payload`` is ``(simulator, seeds, t_final, n_samples, kwargs)``.
-    Returns the sample times, the chunk's state sum (runs added in seed
-    order) and the total event count.
-    """
-    simulator, seeds, t_final, n_samples, kwargs = payload
-    result = simulator.simulate_ensemble(t_final, seeds,
-                                         n_samples=n_samples, **kwargs)
-    return result.times, result.summed_states(), int(result.events.sum())
-
-
-def run_seeded(fn: Callable, payloads: Sequence,
-               n_workers: int | None = None) -> list:
-    """One-shot convenience wrapper around :class:`ParallelSweepRunner`."""
-    return ParallelSweepRunner(n_workers).map(fn, payloads)

@@ -53,10 +53,6 @@ class ServeError(ReproError):
     (see :mod:`repro.serve`)."""
 
 
-class SchedulingError(SynthesisError):
-    """Raised when phase/colour assignment of a design fails."""
-
-
 class CertifyError(SynthesisError):
     """Raised when a module is uncertifiable (REPRO-C801) or a
     composition violates the small-gain condition (REPRO-C802)."""

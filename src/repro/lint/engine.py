@@ -2,10 +2,10 @@
 
 The lint engine runs *structural* checks on chemical reaction networks
 before any ODE is integrated -- the "validate by construction, then
-simulate" step of the DAC 2011 methodology.  It generalizes the
-circuit-only checks that used to live in :mod:`repro.core.verify` to any
+simulate" step of the DAC 2011 methodology.  It runs on any
 :class:`~repro.crn.network.Network`, including networks parsed from
-``.crn`` files.
+``.crn`` files; :func:`lint_circuit` adds the synthesized circuit's
+design bookkeeping, which the circuit-only rules read.
 
 Concepts
 --------
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
@@ -408,8 +408,3 @@ def lint_circuit(circuit, config: LintConfig | None = None,
     """Lint a synthesized circuit (network + design bookkeeping)."""
     return run_rules(LintContext(circuit.network, circuit=circuit,
                                  config=config, path=path))
-
-
-def with_severity(diagnostic: Diagnostic, severity: Severity) -> Diagnostic:
-    """A copy of the diagnostic at a different severity."""
-    return replace(diagnostic, severity=severity)

@@ -135,13 +135,3 @@ def render_sarif(results: list[tuple[str, LintReport]]) -> str:
         }],
     }
     return json.dumps(document, indent=2)
-
-
-def severity_counts(results: list[tuple[str, LintReport]]
-                    ) -> dict[str, int]:
-    """Aggregate counts keyed by severity label."""
-    counts = {sev.label: 0 for sev in Severity}
-    for _, report in results:
-        for diag in report.diagnostics:
-            counts[diag.severity.label] += 1
-    return counts

@@ -1,9 +1,7 @@
 """Concrete lint rules.
 
 Importing this package registers every rule; the import order below
-fixes the registry (and therefore execution and report) order.  The
-first four modules mirror the legacy ``core.verify`` check order, which
-the compatibility shim depends on.
+fixes the registry (and therefore execution and report) order.
 """
 
 from repro.lint.rules import protocol as protocol  # noqa: F401

@@ -151,13 +151,6 @@ def load_monitor_config(path) -> MonitorConfig:
 # -- pure trajectory statistics ----------------------------------------------
 
 
-def group_mass_series(trajectory: Trajectory,
-                      groups: Mapping[str, Sequence[str]]) -> dict:
-    """Summed time series per named species group."""
-    return {name: trajectory.total(members)
-            for name, members in groups.items()}
-
-
 def drain_series(trajectory: Trajectory,
                  groups: Mapping[str, Sequence[str]]
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -174,17 +167,6 @@ def drain_series(trajectory: Trajectory,
     valid = dt > 0
     rates[:, valid] = -np.diff(masses, axis=1)[:, valid] / dt[valid]
     return np.maximum(rates, 0.0), dt
-
-
-def time_average(trajectory: Trajectory, series: np.ndarray) -> float:
-    """Trapezoidal time average of a per-sample series."""
-    times = trajectory.times
-    if times.size < 2:
-        return float(series[0]) if series.size else 0.0
-    width = times[-1] - times[0]
-    if width <= 0:
-        return float(series[-1])
-    return float(np.trapezoid(series, times) / width)
 
 
 def phase_overlap(trajectory: Trajectory,

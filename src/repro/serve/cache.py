@@ -58,8 +58,6 @@ class MemoryResultStore:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
         self._entries: OrderedDict[str, dict] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -68,9 +66,7 @@ class MemoryResultStore:
         try:
             self._entries.move_to_end(key)
         except KeyError:
-            self.misses += 1
             return None
-        self.hits += 1
         return self._entries[key]
 
     def put(self, key: str, result: dict) -> None:
@@ -90,8 +86,6 @@ class DiskResultStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
 
     def _paths(self, key: str) -> tuple[Path, Path]:
         return self.root / f"{key}.json", self.root / f"{key}.npz"
@@ -112,7 +106,6 @@ class DiskResultStore:
     def get(self, key: str) -> dict | None:
         json_path, npz_path = self._paths(key)
         if not json_path.is_file():
-            self.misses += 1
             return None
         try:
             with open(json_path, encoding="utf-8") as handle:
@@ -128,9 +121,7 @@ class DiskResultStore:
                         result[name] = arrays[name]
         except Exception as exc:  # noqa: BLE001 - any decode failure
             self._evict(key, f"{type(exc).__name__}: {exc}")
-            self.misses += 1
             return None
-        self.hits += 1
         return result
 
     def put(self, key: str, result: dict) -> None:

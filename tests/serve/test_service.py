@@ -1,9 +1,9 @@
 """The async service: submit/result/progress, caching, determinism.
 
 The headline contract: a duplicate job is answered from the store with
-a byte-identical response, and sharded ensemble jobs return the same
-bytes at every worker count (so a result computed on a wide pool is a
-valid cache hit for a narrow one and vice versa).
+a byte-identical response, and every job returns the same bytes at
+every service width (so a result computed on a wide service is a valid
+cache hit for a narrow one and vice versa).
 """
 
 from __future__ import annotations

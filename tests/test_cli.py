@@ -35,13 +35,38 @@ class TestSimulate:
         assert "#=X" in capsys.readouterr().out
 
     def test_missing_file_is_an_error(self, capsys):
-        with pytest.raises(OSError):
-            main(["simulate", "/nonexistent.crn"])
+        assert main(["simulate", "/nonexistent.crn"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot access /nonexistent.crn: No such file or "
+            "directory\n")
 
     def test_bad_species_reports_error(self, demo_crn, capsys):
         code = main(["simulate", demo_crn, "--plot", "NOPE"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dsd", "{missing}.crn"],
+    ["serve", "--jobs", "{missing}.json"],
+    ["conformance", "--replay", "{missing}.crn"],
+    ["conformance", "--budget", "tiny", "--no-shrink",
+     "--json", "{missing}/report.json"],
+    ["robustness", "--circuit", "counter", "--trials", "1",
+     "--no-margin", "--workers", "1", "--json", "{missing}/report.json"],
+    ["waves", "--scenario", "ma", "--input", "8",
+     "--json", "{missing}/report.json"],
+], ids=["dsd", "serve-jobs", "conformance-replay", "conformance-json",
+        "robustness-json", "waves-json"])
+def test_inaccessible_path_is_one_error_line(argv, tmp_path, capsys):
+    """An unreadable input or unwritable output path exits 1 with one
+    ``error:`` line naming it, not a traceback."""
+    missing = str(tmp_path / "missing")
+    argv = [arg.format(missing=missing) for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"error: cannot access {missing}")
+    assert err[-1].endswith(": No such file or directory")
 
 
 class TestClock:
