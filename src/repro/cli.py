@@ -12,6 +12,7 @@ conformance cross-check every engine against invariants and each other
 waves       run a logic-analyzer scenario (waveforms + assertions)
 dsd         compile a ``.crn`` file to strand displacement (+ FASTA)
 lint        static analysis of ``.crn`` files and built-in circuits
+certify     static composition certificates (ISS error bounds)
 report      summarise a recorded JSONL trace
 serve       run job batches through the async simulation service
 
@@ -22,11 +23,17 @@ canonical line format, ``.json`` for a Chrome trace-event file) and
 ``--vcd FILE`` (a GTKWave-loadable waveform dump) and
 ``--assert-file FILE`` (temporal assertions, REPRO-A901..A905 on
 violation); see ``docs/waves.md``.
+
+:func:`main` owns every command's run lifecycle: the option groups a
+command declares are opened before it runs (:func:`_open`) and finished
+after it returns normally (:func:`_finish`).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 
 from repro.crn.parser import load_network
@@ -35,48 +42,53 @@ from repro.crn.simulation import SimulationOptions, simulate
 from repro.errors import ReproError
 
 
+class _UsageError(Exception):
+    """A command-line mistake :func:`main` reports with exit status 2."""
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float (``nan``/``inf`` are usage errors)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _samples(text: str) -> list[float] | None:
+    """argparse type: comma-separated finite floats; ``None`` for an
+    empty argument (the command's default samples)."""
+    if not text:
+        return None
+    return [_finite_float(v) for v in text.split(",") if v.strip()]
+
+
+# argparse words a text the converter rejects "invalid <name> value".
+_finite_float.__name__ = "float"
+_seed.__name__ = "int"
+_samples.__name__ = "float list"
+
+
 def _add_telemetry_options(parser) -> None:
     parser.add_argument("--trace", default="", metavar="FILE",
                         help="record a trace (.jsonl = line records, "
                              ".json = Chrome trace events)")
     parser.add_argument("--metrics", default="", metavar="FILE",
                         help="write a metrics snapshot (JSON)")
+    parser.set_defaults(telemetry=True)
 
 
-def _open_telemetry(args):
-    """(tracer, metrics) for a command, honouring its flags.
-
-    Trace files are opened (or probed) eagerly so an unwritable path
-    fails before the simulation runs, with a clean ``error:`` message.
-    """
-    from repro.obs import (ChromeTraceSink, JsonlSink, MetricsRegistry,
-                           Tracer)
-
-    tracer = None
-    if args.trace:
-        sink = (ChromeTraceSink(args.trace)
-                if args.trace.endswith(".json") else JsonlSink(args.trace))
-        tracer = Tracer(sink)
-    metrics = MetricsRegistry() if (args.metrics or args.trace) else None
-    return tracer, metrics
-
-
-def _close_telemetry(args, tracer, metrics) -> None:
-    if tracer is not None:
-        tracer.emit_metrics(metrics)
-        tracer.close()
-        print(f"wrote trace to {args.trace}")
-    if args.metrics and metrics is not None:
-        metrics.write_json(args.metrics)
-        print(f"wrote metrics to {args.metrics}")
-
-
-def _print_diagnostics(diagnostics) -> None:
-    for diagnostic in diagnostics:
-        print(diagnostic.format(), file=sys.stderr)
-
-
-def _add_waves_options(parser) -> None:
+def _add_waves_options(parser, live: bool) -> None:
+    """``--vcd``/``--assert-file``; a ``live`` command (counter, fsm)
+    samples its run through ``args.probe``."""
     parser.add_argument("--vcd", default="", metavar="FILE",
                         help="dump the digital waveform as a "
                              "GTKWave-loadable VCD file")
@@ -84,6 +96,79 @@ def _add_waves_options(parser) -> None:
                         dest="assert_file",
                         help="JSON temporal-assertion spec evaluated "
                              "online (REPRO-A9xx on violation, exit 1)")
+    parser.set_defaults(live_waves=live)
+
+
+def _open(args) -> None:
+    """Open the option groups the command declared, before it runs.
+
+    ``--trace``/``--metrics`` become ``args.tracer``/``args.registry``
+    (the trace file is opened eagerly, so an unwritable path fails
+    before the simulation runs); a live command's ``--vcd``/
+    ``--assert-file`` become ``args.probe``.
+    """
+    args.tracer = args.registry = args.probe = None
+    if getattr(args, "telemetry", False):
+        from repro.obs import (ChromeTraceSink, JsonlSink,
+                               MetricsRegistry, Tracer)
+
+        if args.trace:
+            args.tracer = Tracer(
+                ChromeTraceSink(args.trace) if args.trace.endswith(".json")
+                else JsonlSink(args.trace))
+        if args.metrics or args.trace:
+            args.registry = MetricsRegistry()
+    if getattr(args, "live_waves", False) and (args.vcd or args.assert_file):
+        from repro.waves import WaveformProbe, load_assertions
+
+        args.probe = WaveformProbe(assertions=load_assertions(
+            args.assert_file) if args.assert_file else None)
+
+
+def _finish(args) -> int:
+    """Finish what :func:`_open` opened; exit-status contribution."""
+    status = 0
+    if args.probe is not None:
+        violations = args.probe.finish()
+        status = _report_waves(args, args.probe.waveform, violations,
+                               args.command)
+    if args.tracer is not None:
+        args.tracer.emit_metrics(args.registry)
+        args.tracer.close()
+        print(f"wrote trace to {args.trace}")
+    if args.registry is not None and args.metrics:
+        args.registry.write_json(args.metrics)
+        print(f"wrote metrics to {args.metrics}")
+    return status
+
+
+def _report_waves(args, waveform, violations, target) -> int:
+    """Write ``--vcd``, print ``--assert-file`` violations; exit status."""
+    from repro.waves import write_vcd
+    from repro.waves.output import render_violations
+
+    if args.vcd:
+        write_vcd(waveform, args.vcd)
+        print(f"wrote VCD waveform to {args.vcd} "
+              f"({waveform.n_signals} signals, "
+              f"{waveform.n_changes} changes)")
+    if args.assert_file:
+        print(render_violations(violations, f"waves:{target}"),
+              file=sys.stderr)
+    return 1 if violations else 0
+
+
+def _write_json(path, document, what, sort_keys=True) -> None:
+    """Write a ``--json`` report and say so."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=sort_keys)
+        handle.write("\n")
+    print(f"wrote {what} to {path}")
+
+
+def _print_diagnostics(diagnostics) -> None:
+    for diagnostic in diagnostics:
+        print(diagnostic.format(), file=sys.stderr)
 
 
 def _add_monitor_config_option(parser) -> None:
@@ -101,42 +186,11 @@ def _load_monitor_config(args):
     return load_monitor_config(args.monitor_config)
 
 
-def _make_probe(args):
-    """A live probe when any waves flag was passed, else ``None``."""
-    if not (args.vcd or args.assert_file):
-        return None
-    from repro.waves import WaveformProbe, load_assertions
-
-    engine = load_assertions(args.assert_file) if args.assert_file \
-        else None
-    return WaveformProbe(assertions=engine)
-
-
-def _finish_probe(args, probe) -> int:
-    """Export the VCD, print violations; exit status contribution."""
-    if probe is None:
-        return 0
-    from repro.waves import write_vcd
-    from repro.waves.output import render_violations
-
-    violations = probe.finish()
-    if args.vcd:
-        write_vcd(probe.waveform, args.vcd)
-        print(f"wrote VCD waveform to {args.vcd} "
-              f"({probe.waveform.n_signals} signals, "
-              f"{probe.waveform.n_changes} changes)")
-    if args.assert_file:
-        target = getattr(args, "command", None) or "run"
-        print(render_violations(violations, f"waves:{target}"),
-              file=sys.stderr)
-    return 1 if violations else 0
-
-
 def _add_simulate(subparsers) -> None:
     parser = subparsers.add_parser(
         "simulate", help="integrate a .crn file")
     parser.add_argument("file", help="path to a .crn network file")
-    parser.add_argument("--t", type=float, default=10.0,
+    parser.add_argument("--t", type=_finite_float, default=10.0,
                         help="final time (default 10)")
     parser.add_argument("--method", default="LSODA",
                         help="ODE method (LSODA/BDF/Radau/RK45/"
@@ -144,19 +198,18 @@ def _add_simulate(subparsers) -> None:
     parser.add_argument("--engine", default="ode",
                         choices=["ode", "ssa", "tau"],
                         help="simulation engine (default ode)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_seed, default=None,
                         help="RNG seed for stochastic engines")
     parser.add_argument("--plot", default="",
                         help="comma-separated species to plot as ASCII")
-    parser.add_argument("--fast", type=float, default=1000.0)
-    parser.add_argument("--slow", type=float, default=1.0)
+    parser.add_argument("--fast", type=_finite_float, default=1000.0)
+    parser.add_argument("--slow", type=_finite_float, default=1.0)
     _add_telemetry_options(parser)
-    _add_waves_options(parser)
+    _add_waves_options(parser, live=False)
     parser.set_defaults(run=_run_simulate)
 
 
 def _run_simulate(args) -> int:
-    tracer, metrics = _open_telemetry(args)
     network = load_network(args.file)
     scheme = RateScheme({"fast": args.fast, "slow": args.slow})
     seed = None
@@ -165,8 +218,8 @@ def _run_simulate(args) -> int:
 
         seed = np.random.default_rng(args.seed)
     options = SimulationOptions(solver=args.method, n_samples=400,
-                                seed=seed, tracer=tracer,
-                                metrics=metrics)
+                                seed=seed, tracer=args.tracer,
+                                metrics=args.registry)
     trajectory = simulate(network, args.t, args.engine, scheme=scheme,
                           options=options)
     print(network.summary())
@@ -179,53 +232,33 @@ def _run_simulate(args) -> int:
     for name, value in trajectory.final_state().items():
         if abs(value) > 1e-9:
             print(f"  {name:20s} {value:12.4f}")
-    status = _check_simulated_waveform(args, trajectory)
-    _close_telemetry(args, tracer, metrics)
-    return status
-
-
-def _check_simulated_waveform(args, trajectory) -> int:
-    """Post-hoc ``--vcd``/``--assert-file`` for a raw .crn simulation.
-
-    A plain network has no cycle boundaries, so assertions are judged
-    per sampled row (``invariant`` is the natural type here; the
-    boundary index is the row index and every species is a name in the
-    expression namespace).
-    """
     if not (args.vcd or args.assert_file):
         return 0
-    from repro.waves import (load_assertions, waveform_from_trajectory,
-                             write_vcd)
-    from repro.waves.output import render_violations
+    from repro.waves import load_assertions, waveform_from_trajectory
     from repro.waves.probe import signal_key
 
-    waveform = waveform_from_trajectory(trajectory)
-    if args.vcd:
-        write_vcd(waveform, args.vcd)
-        print(f"wrote VCD waveform to {args.vcd} "
-              f"({waveform.n_signals} signals, "
-              f"{waveform.n_changes} changes)")
-    if not args.assert_file:
-        return 0
-    engine = load_assertions(args.assert_file)
-    times = trajectory.times
-    for row in range(times.size):
-        values = {signal_key(name): float(value) for name, value
-                  in zip(trajectory.names, trajectory.states[row])}
-        values["t"] = float(times[row])
-        values["cycle"] = row
-        engine.on_boundary(row, float(times[row]), values)
-    violations = engine.finish()
-    print(render_violations(violations, f"waves:{args.file}"),
-          file=sys.stderr)
-    return 1 if violations else 0
+    # A plain network has no cycle boundaries, so assertions are judged
+    # per sampled row (``invariant`` is the natural type here; the
+    # boundary index is the row index and every species is a name in
+    # the expression namespace).
+    violations = []
+    if args.assert_file:
+        engine = load_assertions(args.assert_file)
+        keys = [signal_key(name) for name in trajectory.names]
+        for row, t in enumerate(trajectory.times.tolist()):
+            values = dict(zip(keys, trajectory.states[row].tolist()),
+                          t=t, cycle=row)
+            engine.on_boundary(row, t, values)
+        violations = engine.finish()
+    return _report_waves(args, waveform_from_trajectory(trajectory),
+                         violations, args.file)
 
 
 def _add_clock(subparsers) -> None:
     parser = subparsers.add_parser("clock", help="run a clock "
                                                  "oscillator")
-    parser.add_argument("--mass", type=float, default=20.0)
-    parser.add_argument("--t", type=float, default=40.0)
+    parser.add_argument("--mass", type=_finite_float, default=20.0)
+    parser.add_argument("--t", type=_finite_float, default=40.0)
     parser.add_argument("--oscillator", default="molecular",
                         help="registered clock chemistry "
                              "(molecular, relaxation, ...)")
@@ -238,11 +271,10 @@ def _run_clock(args) -> int:
     from repro.obs import clock_diagnostics
     from repro.reporting import plot_trajectory
 
-    tracer, metrics = _open_telemetry(args)
     network, clock, protocol = build_clock(mass=args.mass,
                                            oscillator=args.oscillator)
     trajectory = simulate(network, args.t, n_samples=2000,
-                          tracer=tracer, metrics=metrics)
+                          tracer=args.tracer, metrics=args.registry)
     print(plot_trajectory(trajectory.window(0.0, min(args.t, 12.0)),
                           clock.species_names(),
                           title=f"{args.oscillator} clock"))
@@ -255,11 +287,10 @@ def _run_clock(args) -> int:
         indicator_names={color: protocol.indicator_name(color)
                          for color in ("red", "green", "blue")})
     _print_diagnostics(diagnostics)
-    if tracer is not None:
-        clock.emit_trace(trajectory, tracer)
+    if args.tracer is not None:
+        clock.emit_trace(trajectory, args.tracer)
         for diagnostic in diagnostics:
-            tracer.emit_diagnostic(diagnostic)
-    _close_telemetry(args, tracer, metrics)
+            args.tracer.emit_diagnostic(diagnostic)
     return 0
 
 
@@ -271,7 +302,7 @@ def _add_filter(subparsers) -> None:
                              "low-pass")
     parser.add_argument("--taps", type=int, default=2,
                         help="taps for the moving average")
-    parser.add_argument("--input", required=True,
+    parser.add_argument("--input", required=True, type=_samples,
                         help="comma-separated samples, e.g. 10,20,40")
     parser.add_argument("--clocking", default="fixed",
                         choices=["fixed", "adaptive"],
@@ -290,11 +321,11 @@ def _run_filter(args) -> int:
     from repro.core.machine import MachineOptions, SynchronousMachine
     from repro.reporting import markdown_table
 
-    tracer, metrics = _open_telemetry(args)
-    samples = [float(v) for v in args.input.split(",") if v.strip()]
+    samples = args.input or []
     design = (moving_average(args.taps) if args.kind == "ma"
               else iir_first_order())
-    machine = SynchronousMachine(design, tracer=tracer, metrics=metrics,
+    machine = SynchronousMachine(design, tracer=args.tracer,
+                                 metrics=args.registry,
                                  monitor=_load_monitor_config(args),
                                  options=MachineOptions(
                                      clocking=args.clocking,
@@ -308,7 +339,6 @@ def _run_filter(args) -> int:
                           "reference y[n]"], rows))
     print(f"max |error| = {run.max_error():.4f}")
     _print_diagnostics(run.diagnostics)
-    _close_telemetry(args, tracer, metrics)
     return 0
 
 
@@ -317,28 +347,24 @@ def _add_counter(subparsers) -> None:
                                    help="run the binary counter")
     parser.add_argument("--bits", type=int, default=3)
     parser.add_argument("--pulses", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     _add_telemetry_options(parser)
-    _add_waves_options(parser)
+    _add_waves_options(parser, live=True)
     parser.set_defaults(run=_run_counter)
 
 
 def _run_counter(args) -> int:
     from repro.digital import BinaryCounter
 
-    tracer, metrics = _open_telemetry(args)
-    probe = _make_probe(args)
     counter = BinaryCounter(args.bits)
-    run = counter.count(args.pulses, seed=args.seed, tracer=tracer,
-                        metrics=metrics, probe=probe)
+    run = counter.count(args.pulses, seed=args.seed, tracer=args.tracer,
+                        metrics=args.registry, probe=args.probe)
     print(counter.network.summary())
     print("sequence:", run.values)
     print("overflow:", run.overflow)
     run.check(2 ** args.bits)
     print("verified against modulo arithmetic")
-    status = _finish_probe(args, probe)
-    _close_telemetry(args, tracer, metrics)
-    return status
+    return 0
 
 
 def _add_fsm(subparsers) -> None:
@@ -353,25 +379,24 @@ def _add_fsm(subparsers) -> None:
                              "(default 101)")
     parser.add_argument("--word", default="110101",
                         help="input symbol word (default 110101)")
-    parser.add_argument("--seed", type=int, default=0)
-    _add_waves_options(parser)
+    parser.add_argument("--seed", type=_seed, default=0)
+    _add_waves_options(parser, live=True)
     parser.set_defaults(run=_run_fsm)
 
 
 def _run_fsm(args) -> int:
     from repro.digital.fsm import parity_machine, sequence_detector
 
-    probe = _make_probe(args)
     fsm = (parity_machine() if args.machine == "parity"
            else sequence_detector(args.pattern))
-    run = fsm.run(list(args.word), seed=args.seed, probe=probe)
+    run = fsm.run(list(args.word), seed=args.seed, probe=args.probe)
     print(fsm.network.summary())
     print("word: ", " ".join(args.word))
     print("trace:", " -> ".join(run.trace))
     for output, counts in run.output_counts.items():
         print(f"output {output!r}: {counts[-1]} emission(s) "
               f"(per step: {run.emissions(output)})")
-    return _finish_probe(args, probe)
+    return 0
 
 
 def _add_robustness(subparsers) -> None:
@@ -385,9 +410,9 @@ def _add_robustness(subparsers) -> None:
                         help="circuit under test (default counter)")
     parser.add_argument("--trials", type=int, default=20,
                         help="trials per fault model (default 20)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_seed, default=0,
                         help="campaign root seed (default 0)")
-    parser.add_argument("--separation", type=float, default=None,
+    parser.add_argument("--separation", type=_finite_float, default=None,
                         help="fast/slow separation to run at "
                              "(default: the circuit's nominal scheme)")
     parser.add_argument("--fault", action="append", default=[],
@@ -411,25 +436,20 @@ def _add_robustness(subparsers) -> None:
 
 
 def _run_robustness(args) -> int:
-    import json
-
     from repro.faults import RobustnessCampaign
     from repro.faults.models import (ClockGlitch, CopyNumberNoise,
                                      Dilution, Leak, RateMismatch,
                                      SpeciesDeletion)
 
-    factories = {"rate_mismatch": RateMismatch, "leak": Leak,
-                 "dilution": Dilution,
-                 "copy_number_noise": CopyNumberNoise,
-                 "species_deletion": SpeciesDeletion,
-                 "clock_glitch": ClockGlitch}
+    factories = {model.kind: model for model in (
+        RateMismatch, Leak, Dilution, CopyNumberNoise, SpeciesDeletion,
+        ClockGlitch)}
     models = None
     if args.fault:
         unknown = [n for n in args.fault if n not in factories]
         if unknown:
-            print(f"error: unknown fault model(s) {unknown}; choose "
-                  f"from {sorted(factories)}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"unknown fault model(s) {unknown}; choose "
+                              f"from {sorted(factories)}")
         models = [factories[name]() for name in args.fault]
     monitor = _load_monitor_config(args)
     campaign = RobustnessCampaign(
@@ -441,10 +461,9 @@ def _run_robustness(args) -> int:
     result = campaign.run()
     print(result.render())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote campaign report to {args.json}")
+        # Unsorted: the campaign report's field order is part of its format.
+        _write_json(args.json, result.to_dict(), "campaign report",
+                    sort_keys=False)
     return 0
 
 
@@ -458,7 +477,7 @@ def _add_waves(subparsers) -> None:
     parser.add_argument("--scenario", default="counter",
                         choices=list(SCENARIOS),
                         help="circuit to probe (default counter)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_seed, default=0,
                         help="root seed (default 0)")
     parser.add_argument("--trials", type=int, default=1,
                         help="pre-seeded trials to fan out (default 1)")
@@ -483,17 +502,15 @@ def _add_waves(subparsers) -> None:
                         help="FSM input word (default 110101)")
     parser.add_argument("--taps", type=int, default=2,
                         help="moving-average taps (default 2)")
-    parser.add_argument("--input", default="",
+    parser.add_argument("--input", default="", type=_samples,
                         help="comma-separated samples for ma/iir "
                              "(default 8,4,6,2)")
-    _add_waves_options(parser)
+    _add_waves_options(parser, live=False)
     _add_monitor_config_option(parser)
     parser.set_defaults(run=_run_waves)
 
 
 def _run_waves(args) -> int:
-    import json
-
     from repro.obs.monitors import RuntimeDiagnostic
     from repro.waves import load_assertion_specs, run_trials
     from repro.waves.output import render_violations
@@ -501,15 +518,13 @@ def _run_waves(args) -> int:
 
     assert_specs = (load_assertion_specs(args.assert_file)
                     if args.assert_file else None)
-    samples = ([float(v) for v in args.input.split(",") if v.strip()]
-               if args.input else None)
     report = run_trials(
         args.scenario, trials=args.trials, seed=args.seed,
         n_workers=args.workers, keep_trial=args.keep_trial,
         assert_specs=assert_specs, monitor=_load_monitor_config(args),
         bits=args.bits, pulses=args.pulses, machine=args.machine,
         pattern=args.pattern, word=args.word, taps=args.taps,
-        input_samples=samples)
+        input_samples=args.input)
     print(f"scenario {args.scenario}: {args.trials} trial(s), "
           f"root seed {args.seed}")
     for row in report["results"]:
@@ -530,10 +545,7 @@ def _run_waves(args) -> int:
               f"{args.vcd} ({kept['n_signals']} signals, "
               f"{kept['n_changes']} changes)")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote waves report to {args.json}")
+        _write_json(args.json, report, "waves report")
     if report["violations_total"]:
         violations = [
             RuntimeDiagnostic(**{key: value for key, value in v.items()
@@ -553,7 +565,7 @@ def _add_conformance(subparsers) -> None:
                         choices=["tiny", "small", "medium", "large"],
                         help="generator budget (default small; the "
                              "nightly CI job runs large)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_seed, default=0,
                         help="root seed; (budget, seed) names one "
                              "exact target list forever (default 0)")
     parser.add_argument("--json", default="", metavar="FILE",
@@ -572,7 +584,6 @@ def _add_conformance(subparsers) -> None:
 
 
 def _run_conformance(args) -> int:
-    import json
     from pathlib import Path
 
     from repro.conformance import replay_network, run_conformance
@@ -604,11 +615,7 @@ def _run_conformance(args) -> int:
         shrink=not args.no_shrink)
     print(report.render())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote conformance report to {args.json}")
+        _write_json(args.json, report.to_dict(), "conformance report")
     return 0 if report.ok else 1
 
 
@@ -616,7 +623,7 @@ def _add_dsd(subparsers) -> None:
     parser = subparsers.add_parser(
         "dsd", help="compile a .crn file to strand displacement")
     parser.add_argument("file")
-    parser.add_argument("--c-max", type=float, default=10_000.0)
+    parser.add_argument("--c-max", type=_finite_float, default=10_000.0)
     parser.add_argument("--fasta", default="",
                         help="write a FASTA order sheet to this path")
     parser.set_defaults(run=_run_dsd)
@@ -637,26 +644,86 @@ def _run_dsd(args) -> int:
     return 0
 
 
-def _add_lint(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "lint", help="statically analyse .crn files / built-in circuits")
+def _add_target_options(parser, verb: str) -> None:
     parser.add_argument("files", nargs="*",
                         help="paths to .crn network files")
     parser.add_argument("--circuit", action="append", default=[],
                         metavar="NAME",
-                        help="lint a built-in target by name "
-                             "('all' for every one); repeatable")
+                        help=f"{verb} a built-in target by name "
+                             f"('all' for every one); repeatable")
+
+
+def _add_report_options(parser) -> None:
     parser.add_argument("--format", choices=["text", "json", "sarif"],
                         default="text", dest="fmt")
     parser.add_argument("--output", default="",
                         help="write the report to this path instead of "
                              "stdout")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit non-zero on warnings, not just errors")
+
+
+def _add_fail_on_option(parser, default: str) -> None:
     parser.add_argument("--fail-on", choices=["error", "warning", "note"],
                         default=None, dest="fail_on",
-                        help="lowest severity that fails the run "
-                             "(default: error; --strict = warning)")
+                        help=f"lowest severity that fails the run "
+                             f"(default: {default})")
+
+
+def _targets(args, nothing: str | None):
+    """``(display, network, circuit or None)`` for every lint/certify
+    target: the files first, then the built-ins (``all`` expanded).
+
+    An empty target list is a usage error worded ``nothing`` (``None``
+    accepts it), raised now; each target is loaded as the command
+    reaches it, an unreadable file being a usage error too.
+    """
+    from repro.crn.network import Network
+    from repro.lint.builtins import BUILTIN_CIRCUITS, build_target
+
+    names = [builtin for name in args.circuit
+             for builtin in (BUILTIN_CIRCUITS if name == "all" else [name])]
+    if nothing and not args.files and not names:
+        raise _UsageError(nothing)
+
+    def load():
+        for path in args.files:
+            try:
+                network = load_network(path)
+            except OSError as exc:
+                raise _UsageError(f"cannot read {path}: "
+                                  f"{exc.strerror or exc}") from None
+            yield path, network, None
+        for name in names:
+            target = build_target(name)
+            if isinstance(target, Network):
+                yield f"circuit:{name}", target, None
+            else:
+                yield f"circuit:{name}", target.network, target
+
+    return load()
+
+
+def _print_report(args, rendered: str):
+    """Write a rendered report to ``--output`` or stdout; returns the
+    ``--fail-on`` threshold (``None`` = the command's default)."""
+    from repro.lint.engine import Severity
+
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(rendered + "\n")
+        print(f"wrote {args.fmt} report to {args.output}")
+    else:
+        print(rendered)
+    return Severity.from_name(args.fail_on) if args.fail_on else None
+
+
+def _add_lint(subparsers) -> None:
+    parser = subparsers.add_parser(
+        "lint", help="statically analyse .crn files / built-in circuits")
+    _add_target_options(parser, "lint")
+    _add_report_options(parser)
+    parser.add_argument("--strict", action="store_true",
+                        help="exit non-zero on warnings, not just errors")
+    _add_fail_on_option(parser, "error; --strict = warning")
     parser.add_argument("--disable", action="append", default=[],
                         metavar="RULE", help="disable a rule by name; "
                                              "repeatable")
@@ -668,10 +735,8 @@ def _add_lint(subparsers) -> None:
 
 
 def _run_lint(args) -> int:
-    from repro.crn.network import Network
     from repro.lint import LintConfig, lint_circuit, lint_network
-    from repro.lint.builtins import BUILTIN_CIRCUITS, build_target
-    from repro.lint.engine import RULE_REGISTRY, Severity
+    from repro.lint.engine import RULE_REGISTRY
     from repro.lint.output import render_json, render_sarif, render_text
 
     if args.list_rules:
@@ -680,45 +745,16 @@ def _run_lint(args) -> int:
             print(f"{registered.name:25s} {codes}")
             print(f"{'':25s} {registered.description}")
         return 0
-    names = []
-    for name in args.circuit:
-        if name == "all":
-            names.extend(BUILTIN_CIRCUITS)
-        else:
-            names.append(name)
-    if not args.files and not names:
-        print("error: nothing to lint; pass .crn files and/or --circuit",
-              file=sys.stderr)
-        return 2
+    targets = _targets(args, "nothing to lint; pass .crn files and/or "
+                             "--circuit")
     config = LintConfig(disable=frozenset(args.disable))
-    results = []
-    for path in args.files:
-        try:
-            network = load_network(path)
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
-        results.append((path, lint_network(network, config, path=path)))
-    for name in names:
-        target = build_target(name)
-        display = f"circuit:{name}"
-        if isinstance(target, Network):
-            report = lint_network(target, config, path=display)
-        else:
-            report = lint_circuit(target, config, path=display)
-        results.append((display, report))
+    results = [(display, lint_network(network, config, path=display)
+                if circuit is None
+                else lint_circuit(circuit, config, path=display))
+               for display, network, circuit in targets]
     renderer = {"text": lambda r: render_text(r, verbose=args.verbose),
                 "json": render_json, "sarif": render_sarif}[args.fmt]
-    rendered = renderer(results)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {args.fmt} report to {args.output}")
-    else:
-        print(rendered)
-    fail_on = (Severity.from_name(args.fail_on)
-               if args.fail_on else None)
+    fail_on = _print_report(args, renderer(results))
     return max(report.exit_code(strict=args.strict, fail_on=fail_on)
                for _, report in results)
 
@@ -728,33 +764,21 @@ def _add_certify(subparsers) -> None:
         "certify",
         help="derive static composition certificates (ISS error "
              "bounds) for .crn files, built-in circuits or cascades")
-    parser.add_argument("files", nargs="*",
-                        help="paths to .crn network files")
-    parser.add_argument("--circuit", action="append", default=[],
-                        metavar="NAME",
-                        help="certify a built-in target by name "
-                             "('all' for every one); repeatable")
+    _add_target_options(parser, "certify")
     parser.add_argument("--cascade", default="", metavar="SPECS",
                         help="certify a composed cascade of named "
                              "designs, e.g. 'ma,iir' or 'amp:4,amp:4' "
                              "(specs: ma[:taps], iir[:feedback], "
                              "biquad, amp[:gain])")
-    parser.add_argument("--format", choices=["text", "json", "sarif"],
-                        default="text", dest="fmt")
-    parser.add_argument("--output", default="",
-                        help="write the report to this path instead of "
-                             "stdout")
-    parser.add_argument("--noise-margin", type=float, default=None,
+    _add_report_options(parser)
+    parser.add_argument("--noise-margin", type=_finite_float, default=None,
                         help="digital noise margin (default 0.5)")
-    parser.add_argument("--signal-scale", type=float, default=None,
+    parser.add_argument("--signal-scale", type=_finite_float, default=None,
                         help="worst-case input amplitude (default 8)")
-    parser.add_argument("--headroom", type=float, default=None,
+    parser.add_argument("--headroom", type=_finite_float, default=None,
                         help="W803 headroom factor over the certified "
                              "minimum separation (default 1.1)")
-    parser.add_argument("--fail-on", choices=["error", "warning", "note"],
-                        default=None, dest="fail_on",
-                        help="lowest severity that fails the run "
-                             "(default: error)")
+    _add_fail_on_option(parser, "error")
     parser.set_defaults(run=_run_certify)
 
 
@@ -765,63 +789,28 @@ def _run_certify(args) -> int:
                                       render_text)
     from repro.certify.targets import build_cascade
     from repro.core.synthesis import synthesize
-    from repro.crn.network import Network
-    from repro.lint.builtins import BUILTIN_CIRCUITS, build_target
-    from repro.lint.engine import Severity
 
     overrides = {key: value for key, value in (
         ("noise_margin", args.noise_margin),
         ("signal_scale", args.signal_scale),
         ("headroom", args.headroom)) if value is not None}
     config = CertifyConfig(**overrides)
-    names = []
-    for name in args.circuit:
-        if name == "all":
-            names.extend(BUILTIN_CIRCUITS)
-        else:
-            names.append(name)
-    if not args.files and not names and not args.cascade:
-        print("error: nothing to certify; pass .crn files, --circuit "
-              "and/or --cascade", file=sys.stderr)
-        return 2
-    results = []
-    for path in args.files:
-        try:
-            network = load_network(path)
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
-        results.append(certify_target(path, network, config=config))
-    for name in names:
-        target = build_target(name)
-        display = f"circuit:{name}"
-        if isinstance(target, Network):
-            results.append(certify_target(display, target,
-                                          config=config))
-        else:
-            results.append(certify_target(display, target.network,
-                                          circuit=target,
-                                          config=config))
+    targets = _targets(args, None if args.cascade else (
+        "nothing to certify; pass .crn files, --circuit and/or "
+        "--cascade"))
+    results = [certify_target(display, network, circuit=circuit,
+                              config=config)
+               for display, network, circuit in targets]
     if args.cascade:
         specs = [s for s in args.cascade.split(",") if s.strip()]
-        composite = build_cascade(specs)
-        circuit = synthesize(composite)
+        circuit = synthesize(build_cascade(specs))
         results.append(certify_target(f"cascade:{args.cascade}",
                                       circuit.network, circuit=circuit,
                                       config=config))
     renderer = {"text": render_text, "json": render_json,
                 "sarif": render_sarif}[args.fmt]
-    rendered = renderer(results)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {args.fmt} report to {args.output}")
-    else:
-        print(rendered)
-    fail_on = (Severity.from_name(args.fail_on)
-               if args.fail_on else None)
-    return exit_code(results, fail_on=fail_on)
+    return exit_code(results, fail_on=_print_report(args,
+                                                    renderer(results)))
 
 
 def _add_report(subparsers) -> None:
@@ -863,7 +852,7 @@ def _add_serve(subparsers) -> None:
     parser.add_argument("--workers", type=int, default=None,
                         help="process-pool size for robustness jobs "
                              "(default: CPU count)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_seed, default=0,
                         help="root seed for the --demo job mix "
                              "(default 0)")
     parser.add_argument("--json", default="", metavar="FILE",
@@ -876,23 +865,25 @@ def _add_serve(subparsers) -> None:
 def _run_serve(args) -> int:
     import asyncio
     import hashlib
-    import json
 
+    from repro.errors import ServeError
     from repro.serve import (DiskResultStore, JobSpec,
                              SimulationService, build_job_mix,
                              canonical_result_bytes)
 
     if bool(args.jobs) == bool(args.demo):
-        print("error: serve takes exactly one of --jobs FILE or "
-              "--demo", file=sys.stderr)
-        return 2
+        raise _UsageError("serve takes exactly one of --jobs FILE or "
+                          "--demo")
     if args.jobs:
         with open(args.jobs, encoding="utf-8") as handle:
-            payload = json.load(handle)
+            try:
+                payload = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ServeError(f"{args.jobs}: not valid JSON "
+                                 f"({exc.msg})") from None
         if not isinstance(payload, list):
-            print(f"error: {args.jobs} must hold a JSON list of job "
-                  f"specs", file=sys.stderr)
-            return 2
+            raise _UsageError(f"{args.jobs} must hold a JSON list of job "
+                              f"specs")
         specs = [JobSpec.from_dict(entry) for entry in payload]
     else:
         # Two distinct specs, each submitted twice: the second pass
@@ -908,43 +899,47 @@ def _run_serve(args) -> int:
                 as service:
             for spec in specs:
                 handle = await service.submit(spec)
-                result = await handle.result()
-                digest = hashlib.sha256(
-                    canonical_result_bytes(result)).hexdigest()
-                rows.append({"kind": spec.kind,
-                             "key": handle.cache_key,
-                             "cached": handle.cached,
-                             "sha256": digest})
+                row = {"kind": spec.kind, "key": handle.cache_key,
+                       "cached": handle.cached}
+                try:
+                    result = await handle.result()
+                except Exception as error:  # counted in stats["failed"]
+                    row["error"] = str(error)
+                else:
+                    row["sha256"] = hashlib.sha256(
+                        canonical_result_bytes(result)).hexdigest()
+                rows.append(row)
             return rows, dict(service.stats)
 
     rows, stats = asyncio.run(drive())
     for row in rows:
+        if "error" in row:
+            print(f"fail {row['kind']:<12s} key={row['key'][:12]} "
+                  f"error={row['error']}")
+            continue
         state = "hit " if row["cached"] else "cold"
         print(f"{state} {row['kind']:<12s} key={row['key'][:12]} "
               f"sha256={row['sha256'][:12]}")
     print(f"jobs={stats['submitted']} hits={stats['cache_hits']} "
           f"failed={stats['failed']}")
     if args.json:
-        document = {"schema": "repro.serve-run/1", "results": rows,
-                    "stats": stats}
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote run summary to {args.json}")
-    if args.demo:
-        digests: dict[str, set[str]] = {}
-        for row in rows:
-            digests.setdefault(row["key"], set()).add(row["sha256"])
-        repeats_hit = all(row["cached"] for row in rows[len(specs) // 2:])
-        identical = all(len(values) == 1 for values in digests.values())
-        if repeats_hit and identical:
-            print("demo: duplicate jobs hit the cache with "
-                  "byte-identical responses")
-            return 0
-        print("demo: FAILED -- duplicate jobs were not served "
-              "byte-identically from the cache", file=sys.stderr)
-        return 1
-    return 0
+        _write_json(args.json, {"schema": "repro.serve-run/1",
+                                "results": rows, "stats": stats},
+                    "run summary")
+    if not args.demo:
+        return 1 if stats["failed"] else 0
+    digests: dict[str, set[str | None]] = {}
+    for row in rows:
+        digests.setdefault(row["key"], set()).add(row.get("sha256"))
+    repeats_hit = all(row["cached"] for row in rows[len(specs) // 2:])
+    identical = all(len(values) == 1 for values in digests.values())
+    if repeats_hit and identical:
+        print("demo: duplicate jobs hit the cache with "
+              "byte-identical responses")
+        return 0
+    print("demo: FAILED -- duplicate jobs were not served "
+          "byte-identically from the cache", file=sys.stderr)
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -953,19 +948,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synchronous sequential computation with molecular "
                     "reactions (DAC 2011 reproduction)")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    _add_simulate(subparsers)
-    _add_clock(subparsers)
-    _add_filter(subparsers)
-    _add_counter(subparsers)
-    _add_fsm(subparsers)
-    _add_robustness(subparsers)
-    _add_waves(subparsers)
-    _add_conformance(subparsers)
-    _add_dsd(subparsers)
-    _add_lint(subparsers)
-    _add_certify(subparsers)
-    _add_report(subparsers)
-    _add_serve(subparsers)
+    for add in (_add_simulate, _add_clock, _add_filter, _add_counter,
+                _add_fsm, _add_robustness, _add_waves, _add_conformance,
+                _add_dsd, _add_lint, _add_certify, _add_report,
+                _add_serve):
+        add(subparsers)
     return parser
 
 
@@ -973,7 +960,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        _open(args)
+        status = args.run(args)
+        return max(status, _finish(args))
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -19,10 +19,9 @@ Layers, bottom to top:
 - :mod:`repro.core.analysis` -- trajectory measurement helpers.
 """
 
-from repro.core.analysis import (color_totals, conservation_drift,
-                                 effective_series, effective_value,
-                                 indicator_exclusivity, rise_time,
-                                 settling_time, transfer_fidelity)
+from repro.core.analysis import (conservation_drift, effective_series,
+                                 effective_value, indicator_exclusivity,
+                                 rise_time, settling_time, transfer_fidelity)
 from repro.core.clock import MolecularClock, build_clock
 from repro.core.compose import cascade, parallel_sum, rename
 from repro.core.dfg import MatrixDesign, SignalFlowGraph
@@ -56,7 +55,6 @@ __all__ = [
     "build_clock",
     "cascade",
     "build_delay_chain",
-    "color_totals",
     "conservation_drift",
     "effective_series",
     "effective_value",

@@ -37,19 +37,6 @@ def effective_value(trajectory: Trajectory, name: str,
     return float(np.interp(t, trajectory.times, series))
 
 
-def color_totals(network: Network, trajectory: Trajectory,
-                 roles: tuple[str, ...] = ("signal", "clock")
-                 ) -> dict[str, np.ndarray]:
-    """Summed quantity per colour category over time."""
-    totals = {}
-    for color in COLORS:
-        names = [s.name for s in network.species_with_color(color)
-                 if s.role in roles]
-        totals[color] = trajectory.total(names) if names else \
-            np.zeros_like(trajectory.times)
-    return totals
-
-
 def transfer_fidelity(trajectory: Trajectory, source: str,
                       target: str) -> float:
     """Ratio of final effective target value to initial source value."""

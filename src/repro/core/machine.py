@@ -886,8 +886,6 @@ class SynchronousMachine(_CycleDriver):
                  signed: bool | None = None,
                  gating: str = "catalytic",
                  boundary_fraction: float = 0.9,
-                 blue_tolerance: float | None = None,
-                 quantization: float | None = None,
                  max_cycle_time: float | None = None,
                  method: str = "LSODA",
                  rtol: float = 1e-7, atol: float = 1e-9,
@@ -915,16 +913,14 @@ class SynchronousMachine(_CycleDriver):
         # by the boundary quantisation below, and the headroom keeps the
         # boundary reachable when per-reaction jitter moves the actual
         # threshold around its nominal value.
-        self.blue_tolerance = blue_tolerance if blue_tolerance is not None \
-            else 3.0 * theta
+        self.blue_tolerance = 3.0 * theta
         # Sub-threshold residues are rounded to zero at each boundary.
         # On the ODE's continuum they accumulate into mixed-residual
         # deadlocks; physically they are fractions of a single molecule
         # (an exact stochastic simulation has literally zero copies there
         # almost always), so flushing them models discreteness rather than
         # idealising the chemistry.
-        self.quantization = quantization if quantization is not None \
-            else 3.0 * theta
+        self.quantization = 3.0 * theta
         # Default cycle timeout: generous multiple of the slow time scale.
         self.max_cycle_time = max_cycle_time or 500.0 / self.scheme.slow
         # Period estimate for sample-density planning (updated per cycle).

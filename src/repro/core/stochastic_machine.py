@@ -61,11 +61,7 @@ class StochasticMachine(_CycleDriver):
                  clock_mass: float = 20.0,
                  signed: bool | None = None,
                  seed: int | None = None,
-                 poll_interval: float = 0.25,
                  boundary_fraction: float = 0.9,
-                 blue_tolerance: int = 0,
-                 patience: float = 20.0,
-                 straggler_tolerance: int = 4,
                  max_cycle_time: float | None = None,
                  tracer=None, metrics=None,
                  faults=None, probe=None,
@@ -89,11 +85,11 @@ class StochasticMachine(_CycleDriver):
                                              rates=rates,
                                              seed=seed, tracer=tracer,
                                              metrics=metrics)
-        self.poll_interval = poll_interval
-        self.blue_tolerance = int(blue_tolerance)
+        self.poll_interval = 0.25
+        self.blue_tolerance = 0
         self.quantization = 0.0
-        self.patience = patience
-        self.straggler_tolerance = int(straggler_tolerance)
+        self.patience = 20.0
+        self.straggler_tolerance = 4
         self.flush_events = 0
         self.max_cycle_time = max_cycle_time or 200.0 / self.scheme.slow
 

@@ -149,7 +149,6 @@ class MassActionKinetics:
         # Reusable buffers (simulators are single-threaded per instance).
         self._xbuf = np.ones(n_s + 1)
         self._cbuf = np.ones(2 * (n_s + 1))
-        self._sparse_layout = None  # built lazily by jacobian_sparse
         self._kernel = None         # compiled-kernel binding, bound lazily
 
     def _compile_scatters(self) -> None:
@@ -269,26 +268,6 @@ class MassActionKinetics:
         return np.bincount(self._jac_target,
                            weights=self._jacobian_weights(x),
                            minlength=n_s * n_s).reshape(n_s, n_s)
-
-    def jacobian_sparse(self, t: float, x: np.ndarray):
-        """Analytic Jacobian as a ``scipy.sparse`` CSC matrix.
-
-        BDF/Radau accept a sparse-returning ``jac`` and switch their
-        Newton linear algebra to sparse LU, which is what makes large
-        composed networks tractable.  The structure is the fixed
-        :meth:`jacobian_sparsity` pattern and every stored value equals
-        the dense :meth:`jacobian` entry bitwise.
-        """
-        from scipy import sparse
-
-        n_s = self.n_species
-        if self._sparse_layout is None:
-            cells, slot = np.unique(self._jac_target, return_inverse=True)
-            self._sparse_layout = (slot, cells // n_s, cells % n_s)
-        slot, rows, cols = self._sparse_layout
-        values = np.bincount(slot, weights=self._jacobian_weights(x),
-                             minlength=len(rows))
-        return sparse.csc_matrix((values, (rows, cols)), shape=(n_s, n_s))
 
     def jacobian_sparsity(self) -> np.ndarray:
         """(S, S) 0/1 nonzero pattern of :meth:`jacobian`.

@@ -140,12 +140,6 @@ class Reaction:
                 and self.products == other.products
                 and self.rate == other.rate)
 
-    def relabeled(self, label: str) -> "Reaction":
-        return Reaction(self.reactants, self.products, self.rate, label)
-
-    def with_rate(self, rate: float | str) -> "Reaction":
-        return Reaction(self.reactants, self.products, rate, self.label)
-
 
 def reversible(reactants, products, forward: float | str,
                backward: float | str, label: str = "") -> list[Reaction]:

@@ -31,7 +31,7 @@ from repro.obs.tracer import ensure_tracer
 METHODS = ("LSODA", "BDF", "Radau", "RK45", "internal-rk45")
 
 #: Jacobian handling modes accepted by :class:`OdeSimulator`.
-JACOBIAN_MODES = ("auto", "dense", "sparse", "sparsity", "none")
+JACOBIAN_MODES = ("auto", "dense", "sparsity", "none")
 
 #: ``auto`` switches BDF/Radau to sparse Jacobian handling at this
 #: species count (below it dense LU is cheaper than sparse bookkeeping).
@@ -130,19 +130,17 @@ class OdeSimulator:
         one of :data:`METHODS`.
     jacobian:
         one of :data:`JACOBIAN_MODES`.  ``dense`` passes the analytic
-        dense Jacobian; ``sparse`` passes a sparse-matrix-returning
-        Jacobian (BDF/Radau then use sparse LU); ``sparsity`` passes only
-        the nonzero pattern via ``jac_sparsity`` (finite-difference
-        entries, sparse solves); ``none`` lets the solver finite-
-        difference a dense Jacobian.  ``auto`` (default) picks
-        ``sparsity`` for BDF/Radau on networks with at least 64 species
-        and ``dense`` otherwise.  RK45 methods ignore the setting.
-        ``auto`` deliberately avoids the analytic sparse callable: with
+        dense Jacobian; ``sparsity`` passes only the nonzero pattern via
+        ``jac_sparsity`` (finite-difference entries, sparse solves);
+        ``none`` lets the solver finite-difference a dense Jacobian.
+        ``auto`` (default) picks ``sparsity`` for BDF/Radau on networks
+        with at least 64 species and ``dense`` otherwise.  RK45 methods
+        ignore the setting.  There is no analytic sparse mode: with
         identical Jacobian values, BDF's step control is sensitive to
         the sparse-LU backend on stiff compiled networks at loose
-        tolerances (see ``tests/crn/test_ode.py``), while the
-        pattern-only path keeps both the sparse solves and the dense
-        path's step sequence robustness.
+        tolerances (see ``docs/performance.md``), while the pattern-only
+        path keeps both the sparse solves and the dense path's step
+        sequence robustness.
     tracer / metrics:
         optional :class:`~repro.obs.tracer.Tracer` /
         :class:`~repro.obs.metrics.MetricsRegistry`; each ``simulate``
@@ -188,12 +186,9 @@ class OdeSimulator:
             mode = ("sparsity" if sparse_capable
                     and self.network.n_species >= _SPARSE_AUTO_THRESHOLD
                     else "dense")
-        if mode == "sparsity":
-            if sparse_capable:
-                return {"jac_sparsity": self.kinetics.jacobian_sparsity()}
-            mode = "dense"  # LSODA has no jac_sparsity support
-        if mode == "sparse" and sparse_capable:
-            return {"jac": self.kinetics.jacobian_sparse}
+        if mode == "sparsity" and sparse_capable:
+            return {"jac_sparsity": self.kinetics.jacobian_sparsity()}
+        # ``dense``, or ``sparsity`` under LSODA (no jac_sparsity support).
         return {"jac": self.kinetics.jacobian}
 
     # -- single integration ----------------------------------------------------
@@ -535,24 +530,6 @@ class OdeSimulator:
                 args["event"] = trajectory.meta["event"]
             self.tracer.emit_span(f"solve:{self.method}", "solver",
                                   t_start, trajectory.t_final, args)
-
-    def steady_state(self, t_final: float = 1e4,
-                     initial: Mapping[str, float] | None = None,
-                     settle_tol: float = 1e-8) -> dict[str, float]:
-        """Integrate long and return the (approximately) settled state.
-
-        Raises :class:`SimulationError` if the state is still moving faster
-        than ``settle_tol`` (relative) at ``t_final``.
-        """
-        trajectory = self.simulate(t_final, initial=initial, n_samples=50)
-        x = trajectory.states[-1]
-        rhs = self.kinetics.rhs(trajectory.t_final, x)
-        scale = np.maximum(np.abs(x), 1.0)
-        if np.max(np.abs(rhs) / scale) > settle_tol:
-            raise SimulationError(
-                f"state not settled at t={t_final:g}: max relative rate "
-                f"{np.max(np.abs(rhs) / scale):.2e}")
-        return trajectory.final_state()
 
     # -- helpers ----------------------------------------------------------------
 

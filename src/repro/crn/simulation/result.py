@@ -231,17 +231,6 @@ class Trajectory:
             states[:, i] = np.interp(times, self.times, self.states[:, i])
         return Trajectory(times, states, self.names, self.meta)
 
-    # -- export ---------------------------------------------------------------
-
-    def to_csv(self, path, species: Sequence[str] | None = None) -> None:
-        names = list(species) if species else self.names
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("time," + ",".join(names) + "\n")
-            columns = [self.column(n) for n in names]
-            for i, t in enumerate(self.times):
-                row = ",".join(f"{col[i]:.8g}" for col in columns)
-                handle.write(f"{t:.8g},{row}\n")
-
     def __repr__(self) -> str:
         return (f"<Trajectory {len(self)} samples, {len(self.names)} species, "
                 f"t in [{self.times[0] if len(self) else 0:g}, "

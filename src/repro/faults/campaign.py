@@ -222,11 +222,17 @@ class RobustnessCampaign:
         if self.trials < 1:
             raise FaultError("need at least one trial per model")
         self.seed = int(seed)
+        if separation is not None and not separation > 0:
+            raise FaultError(f"separation must be positive, got "
+                             f"{separation}")
         self.separation = separation
         self.n_workers = n_workers
         self.circuit_kwargs = dict(circuit_kwargs or {})
         self.measure_margin = measure_margin
         self.margin_trials = int(margin_trials)
+        if measure_margin and self.margin_trials < 1:
+            raise FaultError("need at least one trial per margin probe "
+                             "point")
 
     def run(self) -> CampaignResult:
         model_list: list[FaultModel | None] = [None, *self.models]

@@ -2,11 +2,9 @@
 
 from repro.reporting.ascii_plot import (plot_samples, plot_series,
                                         plot_trajectory)
-from repro.reporting.tables import (csv_table, format_cell, markdown_table,
-                                    write_report)
+from repro.reporting.tables import format_cell, markdown_table, write_report
 
 __all__ = [
-    "csv_table",
     "format_cell",
     "markdown_table",
     "plot_samples",

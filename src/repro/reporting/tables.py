@@ -35,13 +35,6 @@ def markdown_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def csv_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(str(h) for h in headers)]
-    for row in rows:
-        lines.append(",".join(format_cell(c) for c in row))
-    return "\n".join(lines)
-
-
 def write_report(path, title: str, sections: list[tuple[str, str]]) -> None:
     """Write a markdown report file with titled sections."""
     with open(path, "w", encoding="utf-8") as handle:

@@ -322,15 +322,21 @@ class JobSpec:
             raise ServeError(
                 f"unknown job spec field(s) {sorted(extra)}")
         kwargs = dict(payload)
-        if "network" in kwargs:
-            kwargs["network"] = Network.from_canonical_dict(
-                kwargs["network"])
-        if "scheme" in kwargs and kwargs["scheme"] is not None:
-            kwargs["scheme"] = RateScheme(dict(kwargs["scheme"]))
-        if "options" in kwargs:
-            options = dict(kwargs["options"])
-            options.pop("schema", None)
-            kwargs["options"] = SimulationOptions().replace(**options)
-        spec = cls(**kwargs)
-        spec.validate()
+        # A mistyped field (``"t_final": "x"``) surfaces as a TypeError
+        # or ValueError while building, validating or keying the spec.
+        try:
+            if "network" in kwargs:
+                kwargs["network"] = Network.from_canonical_dict(
+                    kwargs["network"])
+            if "scheme" in kwargs and kwargs["scheme"] is not None:
+                kwargs["scheme"] = RateScheme(dict(kwargs["scheme"]))
+            if "options" in kwargs:
+                options = dict(kwargs["options"])
+                options.pop("schema", None)
+                kwargs["options"] = SimulationOptions().replace(**options)
+            spec = cls(**kwargs)
+            spec.validate()
+            spec.cache_key()
+        except (TypeError, ValueError) as exc:
+            raise ServeError(f"malformed job spec: {exc}") from None
         return spec

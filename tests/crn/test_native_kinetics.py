@@ -130,13 +130,6 @@ def test_compiled_matches_numpy_bitwise(kernel, name, network):
     assert kinetics._kernel, "the compiled path never ran"
 
 
-def test_sparse_jacobian_stores_the_dense_values(kernel):
-    kinetics = build_kinetics(_higher_order())
-    x = np.array([1.5, 0.0, 2.0, 3.0])
-    dense = kinetics.jacobian(0.0, x)
-    assert _same_bits(kinetics.jacobian_sparse(0.0, x).toarray(), dense)
-
-
 def test_inputs_the_kernel_cannot_take_use_the_twin(kernel):
     network = synthesize(_ma2()).network
     kinetics = build_kinetics(network)

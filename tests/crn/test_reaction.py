@@ -94,11 +94,6 @@ class TestEqualityAndRendering:
     def test_str_empty_side(self):
         assert str(Reaction(None, "X", 1.5)).startswith("0 -> X")
 
-    def test_relabeled_and_with_rate(self):
-        r = Reaction("A", "B", "slow")
-        assert r.relabeled("tag").label == "tag"
-        assert r.with_rate(2.0).rate == 2.0
-
 
 class TestReversible:
     def test_builds_both_directions(self):

@@ -178,12 +178,3 @@ class TestWindowBoundaries:
         original = _trajectory()
         assert np.array_equal(window.times, original.times[1:4])
         assert np.array_equal(window.states, original.states[1:4])
-
-
-class TestExport:
-    def test_to_csv(self, tmp_path):
-        path = tmp_path / "out.csv"
-        _trajectory().to_csv(path, species=["B"])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time,B"
-        assert len(lines) == 6

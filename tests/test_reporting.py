@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.crn.simulation.result import Trajectory
-from repro.reporting import (csv_table, markdown_table, plot_samples,
-                             plot_series, plot_trajectory, write_report)
+from repro.reporting import (markdown_table, plot_samples, plot_series,
+                             plot_trajectory, write_report)
 
 
 class TestTables:
@@ -17,10 +17,6 @@ class TestTables:
         assert lines[1].startswith("|-")
         assert len(lines) == 4
         assert "1.230e-04" in text
-
-    def test_csv(self):
-        text = csv_table(["a", "b"], [[1, 2], [3, 4]])
-        assert text.splitlines() == ["a,b", "1,2", "3,4"]
 
     def test_write_report(self, tmp_path):
         path = tmp_path / "report.md"
