@@ -43,6 +43,13 @@ numerical agreement:
     sample grid, with the analytic and the finite-difference Jacobian,
     and count the same RHS and Jacobian evaluations.  Skipped when
     scipy lacks the resumable entry point.
+``diff.native-ssa-poll-vs-python``
+    The compiled SSA poll loop (a machine's poll chunks in one call)
+    and its Python twin must end every call alike on a seeded margin
+    table: the closing row, the chunks run, the departure flag and the
+    time, and leave **bitwise** identical sampled rows, counts,
+    propensities and gather buffer, and the generator's next draw.
+    Skipped when the kernel is unavailable.
 
 Every ensemble member's seed is spawned from one root
 :class:`numpy.random.SeedSequence`, and each ensemble row is bitwise the
@@ -313,6 +320,81 @@ def check_native_ssa_vs_python(target, seed: int) -> CheckResult:
     return _guarded("diff.native-ssa-vs-python", target.name, "ssa", body)
 
 
+def check_native_ssa_poll_vs_python(target, seed: int) -> CheckResult:
+    """Compiled SSA poll loop and Python twin must agree bitwise."""
+    def body():
+        if not target.stochastic:
+            raise _Skip("stochastic engines disabled for this target")
+        from repro.crn import native
+        from repro.crn.simulation.margins import MarginTable
+        from repro.crn.simulation.ssa import StochasticSimulator
+
+        if native.load() is None:
+            raise _Skip("compiled SSA kernel unavailable")
+        network = target.network
+        rates = network.rate_vector(target.scheme)
+        counts = np.rint(network.initial_vector()).astype(np.int64)
+        rng = np.random.default_rng(seed)
+
+        def term(sign: int) -> tuple:
+            species = np.sort(rng.choice(
+                counts.size, size=rng.integers(1, counts.size + 1),
+                replace=False))
+            weights = rng.integers(1, 3, species.size).astype(float)
+            return species, weights, float(weights @ counts[species]), sign
+
+        departure = MarginTable([term(1)])
+        closing = MarginTable([term(1), term(-1)])
+        interval = min(target.t_final, 1.0) / 4
+        grid = np.linspace(0.0, interval, 9)
+        runs = []
+        for compiled in (True, False):
+            simulator = StochasticSimulator(network, rates=rates, seed=seed)
+            state = simulator.propensity_state
+            if not compiled:
+                state._native = False  # bound as unavailable: the twin
+            polls, start, departed, t = [], counts, False, 0.0
+            try:
+                # Unless a row closes the cycle, the first call ends on
+                # its budget of two chunks and the second on the limit,
+                # one chunk into its budget of three.
+                for chunks in (2, 3):
+                    poll = simulator.poll(
+                        start, grid, departure, closing, t=t,
+                        departed=departed, chunks=chunks, keep=True,
+                        until=((0.0, 2.5 * interval),),
+                        max_events=MAX_EVENTS)
+                    polls.append(poll)
+                    if poll.row is not None:
+                        break
+                    start, departed, t = poll.counts, poll.departed, poll.t
+            except SimulationError as exc:
+                raise _Skip(f"poll over event budget: {exc}") from exc
+            if compiled and not state._native:
+                return "the poll never reached the compiled loop"
+            runs.append({"calls": [(p.row, p.chunks, p.departed, p.t)
+                                   for p in polls],
+                         "rows": np.concatenate([p.rows for p in polls]),
+                         "counts": np.concatenate([p.counts for p in polls]),
+                         "propensities": state.a,
+                         "gather buffer": state._cb,
+                         "next draw": np.array([simulator.rng.random()])})
+        compiled, twin = runs
+        if compiled["calls"] != twin["calls"]:
+            return (f"compiled poll ended its calls at (row, chunks, "
+                    f"departed, t) {compiled['calls']} vs the Python "
+                    f"loop's {twin['calls']}")
+        for name in ("rows", "counts", "propensities", "gather buffer",
+                     "next draw"):
+            where = _first_difference(compiled[name], twin[name])
+            if where is not None:
+                return (f"{name}: compiled vs Python SSA poll differ at "
+                        f"{where}")
+        return None
+    return _guarded("diff.native-ssa-poll-vs-python", target.name, "ssa",
+                    body)
+
+
 def _never(t, x) -> float:
     """An event that never fires, so a walk covers its whole grid."""
     return 1.0
@@ -359,4 +441,5 @@ DIFFERENTIAL_CHECKS = (
     check_native_vs_numpy,
     check_native_ssa_vs_python,
     check_lsoda_walk_vs_odeint,
+    check_native_ssa_poll_vs_python,
 )

@@ -28,6 +28,7 @@ from repro.conformance.metamorphic import (ENGINE_SPECS,
                                            check_sampling_guard)
 from repro.conformance.oracles import (check_ensemble_vs_trial,
                                        check_lsoda_walk_vs_odeint,
+                                       check_native_ssa_poll_vs_python,
                                        check_native_ssa_vs_python,
                                        check_native_vs_numpy,
                                        check_ode_solvers,
@@ -145,6 +146,7 @@ def _cells_for(target: Target, target_index: int, seed: int,
     add(check_native_vs_numpy)
     add(check_native_ssa_vs_python)
     add(check_lsoda_walk_vs_odeint)
+    add(check_native_ssa_poll_vs_python)
     return cells
 
 
@@ -195,7 +197,7 @@ def replay_network(network, *, name: str = "corpus",
     Used by ``tests/conformance/test_corpus_replay.py`` and the CLI's
     ``--replay`` mode: every metamorphic invariant on every applicable
     engine, plus the cross-solver and bitwise ensemble-vs-trial
-    oracles, the two bitwise compiled-kernel oracles and the bitwise
+    oracles, the three bitwise compiled-kernel oracles and the bitwise
     LSODA walk oracle -- cheap enough to run on every shrunk reproducer
     in tier-1, forever.
     """

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
+from repro.crn.simulation.margins import MarginTable, scan
 from repro.crn.simulation.ode import OdeSimulator
 from repro.crn.simulation.result import Trajectory
 from repro.crn.species import COLORS
@@ -197,14 +198,16 @@ class MachineRun:
         return float(np.mean([span.duration for span in self.cycles]))
 
 
-def _least(first, *rest):
-    """Elementwise minimum: ``np.minimum`` over rows, ``min`` over the
-    scalars of one state."""
-    if not isinstance(first, np.ndarray):
-        return min(first, *rest)
-    for margin in rest:
-        first = np.minimum(first, margin)
-    return first
+def _cycle_deadline(max_cycle_time: float | None, default: float) -> float:
+    """A machine's ``max_cycle_time``: ``None`` means ``default``, and
+    anything else must be finite and positive."""
+    if max_cycle_time is None:
+        return default
+    if not 0.0 < max_cycle_time < math.inf:
+        raise SimulationError(
+            f"max_cycle_time must be finite and > 0, got "
+            f"{max_cycle_time!r}")
+    return float(max_cycle_time)
 
 
 def _terminal_event(margin, direction: float):
@@ -223,7 +226,8 @@ class _CycleDriver:
 
     An engine calls :meth:`_setup`, builds its simulator, sets
     ``blue_tolerance``, ``quantization`` (0: boundaries left alone) and
-    ``max_cycle_time``, and supplies ``_run_cycle(state, t_start, keep)
+    ``max_cycle_time``, calls :meth:`_build_margins`, and supplies
+    ``_run_cycle(state, t_start, keep)
     -> (boundary state, boundary time, segment)``: the segment is the
     cycle's sampled rows as a :class:`Trajectory` when ``keep`` is set,
     else ``None``.  The hooks at the end convert quantities.
@@ -350,101 +354,72 @@ class _CycleDriver:
 
     # -- clock conditions ----------------------------------------------------------
     #
-    # Each condition is a margin over state rows: ``x`` is one state
-    # vector or a 2-D array of rows, and the result has one margin per
-    # row (a scalar for one state, which keeps the ODE event path at
-    # Python-float cost).  The ODE engine turns the margins into
-    # terminal events; the SSA engine and the telemetry scan them over
+    # Each condition is a margin table over state rows (see
+    # :mod:`repro.crn.simulation.margins`): one state gives a scalar,
+    # which keeps the ODE event path at Python-float cost, and 2-D rows
+    # give one margin per row.  The ODE engine turns the tables into
+    # terminal events; the SSA poll loop and the telemetry scan them over
     # sampled rows.
 
-    def _clock_red(self, x: np.ndarray):
-        columns = x.T  # one state's own entries, or the rows' columns
-        red = columns[self._clock_red_index]
+    def _build_margins(self) -> None:
+        """Build the clock's margin tables, once per machine; an engine
+        calls this after it sets ``blue_tolerance``.
+
+        * ``_departure`` is negative once the clock red (both halves of
+          the ``I_C_red`` dimer included) has drained below half the
+          clock mass: phase 1 is underway.  A cycle must depart before
+          it may close, because at a fresh boundary the closing
+          condition holds by construction.
+        * ``_boundary`` (fixed clocking) holds once the clock red is back
+          above ``boundary_fraction`` of the clock mass and every blue
+          species has drained to ``blue_tolerance``.
+        * ``_settle`` (adaptive clocking, see :meth:`_settle_table`)
+          holds once the state has *digitally* settled, instead of
+          waiting out the worst-case schedule: the clock red is back
+          above ``settle_fraction`` of nominal (the fraction exceeds
+          0.5, so the margin is negative right after departure), the
+          green category has drained to ``blue_tolerance`` (every green
+          -> blue transfer has completed, so the signal blues measure a
+          *draining* tail, not one still being fed), and the signal
+          blues are below the cycle's settling residual.  The clock's
+          own blue is deliberately absent: its tail is the slowest drain
+          of all and carries no digital information -- the boundary
+          landing and the quantisation top-up rotate it back to red
+          exactly.
+        """
+        mass = self.circuit.clock.mass
+        red, weights = [self._clock_red_index], [1.0]
         if self._clock_red_dimer_index is not None:
-            red = red + 2.0 * columns[self._clock_red_dimer_index]
-        return red
+            red.append(self._clock_red_dimer_index)
+            weights.append(2.0)
 
-    def _departure_margin(self, x: np.ndarray):
-        """Negative once the clock red has drained below half the clock
-        mass -- phase 1 is underway.
+        def clock(fraction: float) -> tuple:
+            return red, weights, fraction * mass, 1
 
-        A cycle must depart before it may close: at a fresh boundary the
-        closing condition is (by construction) satisfied, so testing it
-        before departure would end a zero-length cycle.
-        """
-        return self._clock_red(x) - 0.5 * self.circuit.clock.mass
+        def drained(indices: np.ndarray) -> tuple:
+            return indices, [1.0] * indices.size, self.blue_tolerance, -1
 
-    def _boundary_margin(self, x: np.ndarray):
-        """Fixed clocking: clock red back above ``boundary_fraction`` of
-        the clock mass and every blue species drained to
-        ``blue_tolerance``."""
-        blues = x.take(self._blue_indices, -1).sum(-1)
-        return _least(
-            self._clock_red(x)
-            - self.boundary_fraction * self.circuit.clock.mass,
-            self.blue_tolerance - blues)
+        self._departure = MarginTable([clock(0.5)])
+        self._boundary = MarginTable([clock(self.boundary_fraction),
+                                      drained(self._blue_indices)])
+        self._settle = MarginTable([clock(self.options.settle_fraction),
+                                    drained(self._green_indices),
+                                    drained(self._signal_blue_indices)])
 
-    def _settle_margin(self, x: np.ndarray, signal_mass: float):
-        """Adaptive clocking: the state has digitally settled, instead of
-        waiting out the worst-case schedule.
+    def _settle_table(self, signal_mass: float) -> MarginTable:
+        """The settling condition for a cycle starting with
+        ``signal_mass``: its signal-blue residual scales with that mass
+        (an R104-style boundary residual, kept under the monitor's warn
+        fraction) and never drops below ``blue_tolerance``."""
+        return self._settle.with_last_threshold(max(
+            self.blue_tolerance, self.options.settle_residual * signal_mass))
 
-        Three conditions, combined as a min so the margin crosses zero
-        upward exactly when the last one is met:
-
-        * clock red back above ``settle_fraction`` of nominal -- phase 3
-          is underway (the fraction exceeds 0.5, so the margin is
-          negative right after departure);
-        * the green category drained to ``blue_tolerance`` -- every
-          green -> blue transfer has completed, so the signal-blue total
-          below measures a *draining* tail, not one still being fed;
-        * the signal blues below the settling residual, which scales
-          with the cycle's ``signal_mass`` (an R104-style boundary
-          residual, kept under the monitor's warn fraction) and never
-          drops below ``blue_tolerance``.
-
-        The clock's own blue is deliberately absent: its tail is the
-        slowest drain of all and carries no digital information -- the
-        boundary landing and the quantisation top-up rotate it back to
-        red exactly.
-        """
-        opts = self.options
-        greens = x.take(self._green_indices, -1).sum(-1)
-        blues = x.take(self._signal_blue_indices, -1).sum(-1)
-        blue_tol = max(self.blue_tolerance,
-                       opts.settle_residual * signal_mass)
-        return _least(
-            self._clock_red(x)
-            - opts.settle_fraction * self.circuit.clock.mass,
-            self.blue_tolerance - greens, blue_tol - blues)
-
-    def _closing_margin(self, signal_mass: float):
-        """The margin (a function of rows) that ends a cycle starting
-        with ``signal_mass`` under this clocking mode."""
+    def _closing_table(self, signal_mass: float) -> MarginTable:
+        """The margin that ends a cycle starting with ``signal_mass``
+        under this clocking mode."""
         if self.options.adaptive:
-            return lambda x: self._settle_margin(x, signal_mass)
-        return self._boundary_margin
-
-    def _scan(self, rows: np.ndarray, closing, departed: bool = False
-              ) -> tuple[bool, int | None]:
-        """Scan sampled state rows, in time order, for a cycle's end.
-
-        The cycle departs at the first row with a negative departure
-        margin (unless it already ``departed``); the first *later* row
-        where ``closing(rows)`` is non-negative ends it.  Returns
-        whether the cycle has departed and the closing row's index, or
-        ``None`` when no row closes it.
-        """
-        start = 0
-        if not departed:
-            left = self._departure_margin(rows) < 0.0
-            start = int(left.argmax()) + 1
-            if not left[start - 1]:
-                return False, None
-        if start == rows.shape[0]:
-            return True, None
-        hits = closing(rows[start:]) >= 0.0
-        first = int(hits.argmax())
-        return True, (start + first if hits[first] else None)
+            return self._settle_table(signal_mass)
+        return self._boundary
 
     # -- adaptive landing -----------------------------------------------------------
 
@@ -646,9 +621,8 @@ class _CycleDriver:
         states = segment.states
         if states.shape[0] == 0:
             return 0.0
-        signal_mass = self._signal_mass(states[0])
-        _, row = self._scan(
-            states, lambda rows: self._settle_margin(rows, signal_mass))
+        _, row = scan(states, self._departure,
+                      self._settle_table(self._signal_mass(states[0])))
         if row is None:
             return 0.0
         times = segment.times
@@ -922,7 +896,9 @@ class SynchronousMachine(_CycleDriver):
         # idealising the chemistry.
         self.quantization = 3.0 * theta
         # Default cycle timeout: generous multiple of the slow time scale.
-        self.max_cycle_time = max_cycle_time or 500.0 / self.scheme.slow
+        self.max_cycle_time = _cycle_deadline(max_cycle_time,
+                                              500.0 / self.scheme.slow)
+        self._build_margins()
         # Period estimate for sample-density planning (updated per cycle).
         self._last_period: float | None = None
         # Previous cycle's segment durations: time-to-event hints for the
@@ -950,7 +926,7 @@ class SynchronousMachine(_CycleDriver):
         departure = self.simulator.simulate(
             t_start + self.max_cycle_time, t_start=t_start, initial=state,
             n_samples=n_samples,
-            events=[_terminal_event(self._departure_margin, -1.0)],
+            events=[_terminal_event(self._departure.evaluate, -1.0)],
             event_hint=estimates.get("departure"))
         if "event" not in departure.meta:
             raise SimulationError(
@@ -966,8 +942,8 @@ class SynchronousMachine(_CycleDriver):
             departure.t_final + self.max_cycle_time,
             t_start=departure.t_final, initial=departure.final(),
             n_samples=n_samples,
-            events=[_terminal_event(self._closing_margin(signal_mass),
-                                    1.0)],
+            events=[_terminal_event(
+                self._closing_table(signal_mass).evaluate, 1.0)],
             event_hint=estimates.get(estimate_key))
         if "event" not in boundary.meta:
             raise SimulationError(

@@ -24,6 +24,18 @@ units without a boundary, modelling the slow degradation real molecules
 undergo; flush events are counted so results report how often recovery
 was needed.
 
+**Polling.**  Boundaries are found by polling: the SSA runs in
+``poll_interval`` chunks, each restarted at chunk time 0 from the last
+chunk's final row with 16 samples, and every sampled row is scanned on
+the clock's margin tables.  One
+:meth:`~repro.crn.simulation.ssa.StochasticSimulator.poll` call runs a
+whole ``patience`` window of chunks -- in the compiled loop when the
+kernel is available -- and returns at the closing row, at the end of
+the window or at the cycle deadline; this module keeps only the
+straggler flush, the deadline error and the assembly of ``record``
+segments between calls.  Every chunk restarts from its own counts, so
+how many chunks a call runs cannot move a realisation.
+
 Everything but how a cycle advances -- stream checks, injection,
 readout, adaptive landing, boundary faults, the stepper, the probe,
 cycle spans, ``machine.*`` metrics and the protocol monitor -- is the
@@ -33,13 +45,16 @@ SSA cycle step and the integer conversions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.crn.rates import RateScheme
 from repro.crn.simulation.result import Trajectory
 from repro.crn.simulation.ssa import StochasticSimulator
 from repro.core.dfg import MatrixDesign, SignalFlowGraph
-from repro.core.machine import MachineOptions, _CycleDriver
+from repro.core.machine import (MachineOptions, _CycleDriver,
+                                _cycle_deadline)
 from repro.core.synthesis import SynthesizedCircuit
 from repro.errors import SimulationError, SynthesisError
 
@@ -91,7 +106,13 @@ class StochasticMachine(_CycleDriver):
         self.patience = 20.0
         self.straggler_tolerance = 4
         self.flush_events = 0
-        self.max_cycle_time = max_cycle_time or 200.0 / self.scheme.slow
+        self.max_cycle_time = _cycle_deadline(max_cycle_time,
+                                              200.0 / self.scheme.slow)
+        self._build_margins()
+        #: A poll chunk's sample times: 16 rows from chunk time 0.
+        self._grid = np.linspace(0.0, self.poll_interval, 16)
+        #: Chunks per poll call: one patience window.
+        self._window = math.ceil(self.patience / self.poll_interval) + 1
 
     def _run_cycle(self, counts: np.ndarray, t_start: float, keep: bool
                    ) -> tuple[np.ndarray, float, Trajectory | None]:
@@ -101,40 +122,43 @@ class StochasticMachine(_CycleDriver):
         gate is still on from the previous cycle and phase 1 restarts
         immediately.
 
-        Every chunk restarts the simulator at ``t=0`` with exactly 16
-        samples: chunk boundaries consume random draws, so this call is
-        part of every seeded realisation (and the engine's own
-        ``ssa.batch`` spans are chunk-relative).  With ``keep``, the
-        polled rows come back as the cycle's segment, shifted to the
-        cycle's time and cut at the boundary row.
+        Chunk boundaries consume random draws, so the chunking (see
+        the module docstring) is part of every seeded realisation, and
+        the engine's own ``ssa.batch`` spans are chunk-relative.  With
+        ``keep``, the polled rows come back as the cycle's segment,
+        shifted to the cycle's time and cut at the boundary row.
         """
-        closing = self._closing_margin(self._signal_mass(counts))
+        closing = self._closing_table(self._signal_mass(counts))
+        grid = self._grid
         times: list[np.ndarray] = []
         rows: list[np.ndarray] = []
         departed = False
         t = start = t_start
         while True:
-            chunk = self.simulator.simulate(
-                self.poll_interval, initial=counts, n_samples=16)
-            states = chunk.states
-            # Row 0 is the chunk's initial state: the cycle's start or
-            # the previous chunk's last row.
-            departed, row = self._scan(states[1:], closing, departed)
+            poll = self.simulator.poll(
+                counts, grid, self._departure, closing, t=t,
+                departed=departed, chunks=self._window, keep=keep,
+                until=((start, self.patience),
+                       (t_start, self.max_cycle_time)))
             if keep:
-                end = states.shape[0] if row is None else row + 2
-                first = 1 if times else 0
-                times.append(t + chunk.times[first:end])
-                rows.append(states[first:end])
-            if row is not None:
+                # Row 0 of a chunk is its initial state: the cycle's start
+                # or the previous chunk's last row.
+                for chunk, states in enumerate(poll.rows):
+                    end = grid.size
+                    if chunk == poll.chunks - 1 and poll.row is not None:
+                        end = poll.row + 1
+                    first = 1 if times else 0
+                    times.append(t + grid[first:end])
+                    rows.append(states[first:end])
+                    t += self.poll_interval
+            departed, counts, t = poll.departed, poll.counts, poll.t
+            if poll.row is not None:
                 # Restart from this recorded state (Markov property:
                 # any sampled state is a valid SSA initial state).
                 segment = Trajectory(
                     np.concatenate(times), np.vstack(rows),
                     self.network.species_names) if keep else None
-                return (np.rint(states[row + 1]).astype(np.int64),
-                        t + float(chunk.times[row + 1]), segment)
-            counts = np.rint(chunk.final()).astype(np.int64)
-            t += self.poll_interval
+                return counts, t + float(grid[poll.row]), segment
             if t - start > self.patience:
                 counts = self._flush_stragglers(counts)
                 start = t - self.patience / 2  # renewed (half) patience

@@ -19,7 +19,9 @@ load and one fallback warning serve both.
   ``next_double``, on the generator's own ``bitgen_t``, so a seeded
   realisation -- and the generator state it leaves behind -- is bitwise
   what the Python loop produces.  ``repro_ssa_ensemble`` runs that loop
-  once per generator of a seeded ensemble in one call.  The module
+  once per generator of a seeded ensemble in one call, and
+  ``repro_ssa_poll`` runs a machine's poll chunks back to back, scanning
+  each chunk's rows on the clock's margin tables.  The module
   takes numpy's headers from ``np.get_include()`` and links its
   ``libnpyrandom.a``.
 
@@ -120,6 +122,31 @@ typedef struct {
     int64_t next_sample;            /* in and out                       */
     int64_t events;                 /* out                              */
 } repro_ssa;
+
+typedef struct {
+    int64_t n_terms;
+    const int64_t *ptr;             /* CSR per term into species/weight */
+    const int64_t *species;
+    const double *weight;
+    const double *threshold;
+    const int64_t *sign;            /* 1: total - threshold; -1: the    */
+} repro_margin;                     /*   threshold minus the total      */
+
+typedef struct {
+    repro_margin departure;         /* < 0: the cycle has departed      */
+    repro_margin closing;           /* >= 0 on a later row: it closes   */
+    int64_t *counts;                /* a chunk's start, in and out      */
+    double *rows;                   /* keep ? chunks x n_times rows     */
+    int64_t keep;                   /*   : n_times rows, reused         */
+    int64_t max_chunks;
+    double t;                       /* the chunk's start, in and out    */
+    double origin[2];               /* stop once t - origin > span      */
+    double span[2];
+    int64_t departed;               /* in and out                       */
+    int64_t row;                    /* out: the closing row, or -1      */
+    int64_t chunks;                 /* out: chunks run                  */
+    int64_t events;                 /* out: over every chunk            */
+} repro_poll;
 """
 
 CDEF = _STRUCT + """
@@ -130,6 +157,7 @@ int repro_ssa_ensemble(repro_ssa *s, const int64_t *initial,
                        void *const *bitgens, int64_t n_trials,
                        double t_start, double *samples, int64_t *events,
                        int64_t *failed);
+int repro_ssa_poll(repro_ssa *s, repro_poll *p);
 """
 
 SOURCE = """
@@ -370,6 +398,73 @@ int repro_ssa_ensemble(repro_ssa *s, const int64_t *initial,
                 out[row * n_s + i] = (double)s->counts[i];
     }
     return REPRO_SSA_DONE;
+}
+
+/* margins.MarginTable on one row: the least term.  On SSA counts every
+   total is an exact integer, so the order of the sums does not matter. */
+static double poll_margin(const repro_margin *m, const double *x)
+{
+    double least = 0.0;
+    for (int64_t k = 0; k < m->n_terms; k++) {
+        double total = 0.0;
+        for (int64_t q = m->ptr[k]; q < m->ptr[k + 1]; q++)
+            total += m->weight[q] * x[m->species[q]];
+        double value = m->sign[k] > 0 ? total - m->threshold[k]
+                                      : m->threshold[k] - total;
+        if (k == 0 || value < least)
+            least = value;
+    }
+    return least;
+}
+
+/* IncrementalPropensities.poll_python: chunks of repro_ssa_run, each
+   from chunk time 0 on the grid, restarted from the previous chunk's
+   last row and scanned as margins.scan scans rows 1 on.  Returns at the
+   closing row, after max_chunks chunks, or after a chunk that moves t
+   more than a span past its origin. */
+int repro_ssa_poll(repro_ssa *s, repro_poll *p)
+{
+    int64_t n_s = s->n_species, n_t = s->n_times;
+    int status = REPRO_SSA_DONE;
+    p->row = -1;
+    p->events = 0;
+    for (p->chunks = 0; p->chunks < p->max_chunks;) {
+        double *rows = p->rows + (p->keep ? p->chunks * n_t * n_s : 0);
+        memcpy(s->counts, p->counts, (size_t)n_s * sizeof(int64_t));
+        ssa_rebuild(s);
+        for (int64_t i = 0; i < n_s; i++)
+            rows[i] = (double)p->counts[i];
+        s->samples = rows;
+        s->t = 0.0;
+        s->next_sample = 1;
+        status = repro_ssa_run(s);
+        p->events += s->events;
+        p->chunks++;
+        if (status != REPRO_SSA_DONE)
+            break;
+        for (int64_t r = s->next_sample; r < n_t; r++)
+            for (int64_t i = 0; i < n_s; i++)
+                rows[r * n_s + i] = (double)s->counts[i];
+        int64_t last = n_t - 1;
+        for (int64_t r = 1; r < n_t; r++) {
+            const double *x = rows + r * n_s;
+            if (!p->departed) {
+                p->departed = poll_margin(&p->departure, x) < 0.0;
+            } else if (poll_margin(&p->closing, x) >= 0.0) {
+                p->row = last = r;
+                break;
+            }
+        }
+        for (int64_t i = 0; i < n_s; i++)
+            p->counts[i] = (int64_t)rows[last * n_s + i];
+        if (p->row >= 0)
+            break;
+        p->t += s->t_final;
+        if (p->t - p->origin[0] > p->span[0]
+                || p->t - p->origin[1] > p->span[1])
+            break;
+    }
+    return status;
 }
 """
 

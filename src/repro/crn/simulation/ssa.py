@@ -20,7 +20,10 @@ a ``Generator`` subclass, whose draws the kernel cannot see.
 
 A seeded ensemble runs through the same loop in one compiled call
 (:meth:`StochasticSimulator.simulate_ensemble`), with
-:meth:`IncrementalPropensities.ensemble_python` as its twin.
+:meth:`IncrementalPropensities.ensemble_python` as its twin, and so do
+a machine's poll chunks, scanned on its clock's margin tables
+(:meth:`StochasticSimulator.poll`, twin
+:meth:`IncrementalPropensities.poll_python`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import math
 from collections.abc import Mapping, Sequence
 from contextlib import ExitStack
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from repro.crn import native
 from repro.crn.kinetics import MassActionKinetics, build_kinetics
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
+from repro.crn.simulation.margins import MarginTable, scan
 from repro.crn.simulation.result import EnsembleResult, Trajectory
 from repro.crn.simulation.sampling import (NO_POSITIVE_PROPENSITY,
                                            select_reaction)
@@ -252,6 +257,44 @@ class IncrementalPropensities:
                 firings[j] += 1
         return t, events, next_sample, False
 
+    def poll_python(self, rng, counts, grid, departure, closing, departed,
+                    t, until, chunks, rows, max_events, firings) -> tuple:
+        """Python twin of the compiled poll loop behind
+        :meth:`StochasticSimulator.poll`: per chunk, :meth:`reset`,
+        :meth:`advance_python` and :func:`margins.scan`.
+
+        ``counts`` holds the first chunk's start and is overwritten with
+        the closing row or the next chunk's start; ``rows`` is ``None``
+        or one ``(grid.size, n_species)`` block per chunk.  Returns the
+        closing row's grid index (or ``None``), the chunks run, whether
+        the cycle has departed, the next chunk's start time (the closing
+        chunk's when a row closed), the events fired, and the chunk time
+        at which the ``max_events`` budget ran out (or ``None``).
+        """
+        interval = float(grid[-1])
+        scratch = None if rows is not None else \
+            np.empty((grid.size, counts.size))
+        events = 0
+        for chunk in range(chunks):
+            samples = scratch if rows is None else rows[chunk]
+            self.reset(counts)
+            samples[0] = counts
+            t_chunk, fired, next_sample, exceeded = self.advance_python(
+                rng, 0.0, interval, grid, samples, max_events, firings)
+            events += fired
+            if exceeded:
+                return None, chunk + 1, departed, t, events, t_chunk
+            samples[next_sample:] = self.counts
+            departed, row = scan(samples[1:], departure, closing, departed)
+            if row is not None:
+                counts[:] = np.rint(samples[row + 1])
+                return row + 1, chunk + 1, departed, t, events, None
+            counts[:] = np.rint(samples[-1])
+            t += interval
+            if any(t - origin > span for origin, span in until):
+                break
+        return None, chunk + 1, departed, t, events, None
+
     def ensemble_python(self, rngs, initial, t_start, t_final,
                         sample_times, max_events, firings
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -289,6 +332,7 @@ class _CompiledLoop:
         self._ffi = ffi
         self._run = lib.repro_ssa_run
         self._ensemble = lib.repro_ssa_ensemble
+        self._poll = lib.repro_ssa_poll
         self._exceeded = lib.REPRO_SSA_MAX_EVENTS
         self._absorbing = lib.REPRO_SSA_ABSORBING
         k = state.kinetics
@@ -346,6 +390,13 @@ class _CompiledLoop:
         ctx.max_events = math.ceil(min(max_events, _INT64_MAX))
         ctx.t_final = t_final
 
+    def _point(self, rng) -> None:
+        """Point the struct at ``rng``'s ``bitgen_t``."""
+        if rng is not self._rng:
+            self.ctx.bitgen = _bitgen(self._ffi, rng)
+            self._lock = rng.bit_generator.lock
+            self._rng = rng  # keeps the bitgen_t alive
+
     def run(self, state, rng, t, t_final, sample_times, samples,
             max_events, firings) -> tuple[float, int, int, bool]:
         """:meth:`IncrementalPropensities.advance` in C."""
@@ -353,11 +404,8 @@ class _CompiledLoop:
                 or samples.dtype != np.float64):
             raise ValueError("sample buffers do not fit the network")
         self._limits(state, sample_times, firings, max_events, t_final)
+        self._point(rng)
         ffi, ctx = self._ffi, self.ctx
-        if rng is not self._rng:
-            ctx.bitgen = _bitgen(ffi, rng)
-            self._lock = rng.bit_generator.lock
-            self._rng = rng  # keeps the bitgen_t alive
         ctx.samples = ffi.from_buffer("double[]", samples)
         ctx.t = t
         ctx.next_sample = 1
@@ -369,6 +417,42 @@ class _CompiledLoop:
         if status == self._absorbing:
             raise SimulationError(NO_POSITIVE_PROPENSITY)
         return ctx.t, ctx.events, ctx.next_sample, status == self._exceeded
+
+    def poll(self, state, rng, counts, grid, departure, closing, departed,
+             t, until, chunks, rows, max_events, firings) -> tuple:
+        """:meth:`IncrementalPropensities.poll_python` in C."""
+        if counts.shape != (self._n_species,) or counts.dtype != np.int64:
+            raise ValueError("initial counts do not fit the network")
+        if rows is not None and (
+                rows.dtype != np.float64 or not rows.flags.c_contiguous
+                or rows.shape[0] < chunks
+                or rows.shape[1:] != (len(grid), self._n_species)):
+            raise ValueError("sample buffers do not fit the network")
+        self._limits(state, grid, firings, max_events, float(grid[-1]))
+        self._point(rng)
+        ffi, ctx = self._ffi, self.ctx
+        p = ffi.new("repro_poll *")
+        buffer = rows if rows is not None else \
+            np.empty((grid.size, self._n_species))
+        live = [_margin(ffi, p.departure, departure),
+                _margin(ffi, p.closing, closing),
+                ffi.from_buffer("int64_t[]", counts),
+                ffi.from_buffer("double[]", buffer)]
+        p.counts, p.rows = live[2:]
+        p.keep = rows is not None
+        p.max_chunks = chunks
+        p.t = t
+        for slot, (origin, span) in enumerate(
+                [*until, *[(0.0, math.inf)] * (2 - len(until))]):
+            p.origin[slot], p.span[slot] = origin, span
+        p.departed = departed
+        with self._lock:
+            status = self._poll(ctx, p)
+        state._events_since_rebuild = ctx.events_since_rebuild
+        if status == self._absorbing:
+            raise SimulationError(NO_POSITIVE_PROPENSITY)
+        return (p.row if p.row >= 0 else None, p.chunks, bool(p.departed),
+                p.t, p.events, ctx.t if status == self._exceeded else None)
 
     def ensemble(self, state, rngs, initial, t_start, t_final,
                  sample_times, max_events, firings
@@ -404,19 +488,43 @@ class _CompiledLoop:
         return states, events
 
 
+def _margin(ffi, dest, table: MarginTable) -> list:
+    """Point a ``repro_margin`` at ``table``'s arrays; returns the
+    buffers that keep them alive."""
+    live = [ffi.from_buffer("int64_t[]", table.ptr),
+            ffi.from_buffer("int64_t[]", table.species),
+            ffi.from_buffer("double[]", table.weights),
+            ffi.from_buffer("double[]", table.thresholds),
+            ffi.from_buffer("int64_t[]", table.signs)]
+    dest.n_terms = len(table.thresholds)
+    dest.ptr, dest.species, dest.weight, dest.threshold, dest.sign = live
+    return live
+
+
 def _bind_loop(state: IncrementalPropensities):
     """A :class:`_CompiledLoop`, or ``False`` when there is no kernel."""
     module = native.load()
     return _CompiledLoop(module, state) if module is not None else False
 
 
+class Poll(NamedTuple):
+    """Where a :meth:`StochasticSimulator.poll` call ended."""
+
+    row: int | None         #: the closing row's grid index, or None
+    chunks: int             #: chunks run
+    departed: bool
+    t: float                #: the closing chunk's start, or the next one's
+    counts: np.ndarray      #: the closing row, or the next chunk's start
+    rows: np.ndarray | None  #: each chunk's sampled rows, with ``keep``
+
+
 class StochasticSimulator:
     """Exact SSA (Gillespie direct method) for one network.
 
     An optional ``tracer``/``metrics`` pair records each ``simulate``,
-    ``simulate_ensemble`` and ``mean_trajectory`` call as an ``ssa.batch``
-    solver span and counts reaction firings, overall and per channel
-    (``ssa.firings[<reaction label>]``).
+    ``poll``, ``simulate_ensemble`` and ``mean_trajectory`` call as an
+    ``ssa.batch`` solver span and counts reaction firings, overall and
+    per channel (``ssa.firings[<reaction label>]``).
     """
 
     _batch_kind = "ssa"
@@ -431,7 +539,6 @@ class StochasticSimulator:
         self.kinetics = build_kinetics(network, self.scheme, rates)
         self.volume = float(volume)
         self.constants = self.kinetics.stochastic_constants(self.volume)
-        self.stoich = network.stoichiometry_matrix().T.astype(np.int64)
         if isinstance(seed, np.random.Generator):
             self.rng = seed
             self._seed_seq: np.random.SeedSequence | None = None
@@ -516,6 +623,68 @@ class StochasticSimulator:
         samples[next_sample:] = state.counts
         return Trajectory(sample_times, samples, self.network.species_names,
                           {"events": events})
+
+    def poll(self, counts: np.ndarray, grid: np.ndarray,
+             departure: MarginTable, closing: MarginTable, *,
+             t: float = 0.0, departed: bool = False,
+             until: Sequence[tuple[float, float]] = (), chunks: int = 1,
+             keep: bool = False, max_events: int = 50_000_000) -> Poll:
+        """Run SSA in chunks from ``counts`` until a row closes a cycle.
+
+        Each chunk is a :meth:`simulate` call from chunk time 0 to
+        ``grid[-1]``, sampled on ``grid`` (``grid[0]`` is 0), that
+        starts from the previous chunk's last row, the first from
+        ``counts``.  Rows 1 on are scanned in order with
+        :func:`~repro.crn.simulation.margins.scan`: the cycle departs
+        at the first row with a negative ``departure`` margin (unless it
+        already ``departed``), and the first later row with a
+        non-negative ``closing`` margin ends the call.  Otherwise the
+        call ends after ``chunks`` chunks, or after a chunk that takes
+        ``t`` (the chunk's start, advanced by ``grid[-1]`` per chunk)
+        more than ``span`` past ``origin`` for an ``(origin, span)``
+        pair of ``until`` (at most two).  With ``keep`` the sampled rows
+        of every chunk run come back as ``Poll.rows``, shape ``(chunks,
+        grid.size, n_species)``.
+
+        Every chunk restarts from its start counts, so where calls
+        begin and end cannot move a realisation: a chunk's draws are
+        the same whatever ``chunks`` is.  With a tracer or metrics the
+        call runs one chunk and records it as ``simulate`` would (one
+        chunk-relative ``ssa.batch`` span).
+        """
+        counts = np.array(counts, dtype=np.int64)
+        if np.any(counts < 0):
+            raise SimulationError("negative initial counts")
+        if max(departure.n_species, closing.n_species) > counts.size:
+            raise ValueError("margin tables name species outside the state")
+        if chunks < 1 or len(until) > 2:
+            raise SimulationError(
+                "poll takes chunks >= 1 and at most two (origin, span) "
+                "limits")
+        telemetry = self.tracer.enabled or self.metrics.enabled
+        if telemetry:
+            chunks = 1
+        rows = np.empty((chunks, grid.size, counts.size)) if keep else None
+        wall_start = perf_counter() if telemetry else 0.0
+        firings = np.zeros(self.network.n_reactions, dtype=np.int64) \
+            if self.metrics.enabled else None
+        # Compiled or the twin, chosen as ``advance`` chooses.
+        state = self.propensity_state
+        loop = state._loop()
+        args = (self.rng, counts, grid, departure, closing, departed, t,
+                until, chunks, rows, max_events, firings)
+        if loop and type(self.rng) is np.random.Generator:
+            outcome = loop.poll(state, *args)
+        else:
+            outcome = state.poll_python(*args)
+        row, ran, departed, t, events, exceeded = outcome
+        if telemetry:
+            self._record_batch("ssa", 0.0, float(grid[-1]), events,
+                               perf_counter() - wall_start, firings)
+        if exceeded is not None:
+            raise SimulationError(_over_budget(max_events, exceeded))
+        return Poll(row, ran, departed, t, counts,
+                    rows[:ran] if keep else None)
 
     def final_counts(self, t_final: float, **kwargs) -> dict[str, int]:
         """Convenience: final integer counts of one realisation."""

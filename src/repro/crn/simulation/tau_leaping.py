@@ -45,6 +45,8 @@ class TauLeapingSimulator(StochasticSimulator):
         super().__init__(network, scheme, **kwargs)
         if not 0 < epsilon < 1:
             raise SimulationError("epsilon must be in (0, 1)")
+        #: Net change per firing, ``(reactions, species)``.
+        self.stoich = self.kinetics.stoich.T.astype(np.int64)
         self.epsilon = epsilon
         self.n_critical = n_critical
 

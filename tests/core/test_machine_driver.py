@@ -13,7 +13,11 @@ the SSA machine:
 * telemetry does not change what a run computes;
 * the SSA machine emits cycle spans, ``machine.*`` metrics, boundary
   events, monitor output and ``record=`` rows;
-* non-finite input samples are rejected on both engines.
+* the SSA machine's straggler flushes, cycle deadline, ``ssa.batch``
+  spans and ``record=`` rows stay bitwise identical on the compiled poll
+  loop and on its Python twin;
+* non-finite input samples and a ``max_cycle_time`` that is not finite
+  and positive are rejected on both engines.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from repro.apps.filters import moving_average
 from repro.core.dfg import SignalFlowGraph
 from repro.core.machine import MachineOptions, SynchronousMachine
 from repro.core.stochastic_machine import StochasticMachine
-from repro.errors import SynthesisError
+from repro.crn import native
+from repro.errors import SimulationError, SynthesisError
 from repro.faults.models import ClockGlitch, FaultPlan
 from repro.obs import EventRecord, MemorySink, MetricsRegistry, SpanRecord
 from repro.obs import Tracer
@@ -99,6 +104,74 @@ class TestSsaPins:
                                         faults=plan)
             runs.append(_ssa_run(machine, [8, 4, 6]))
         assert digest(runs) == "8be176fdf47facd4"
+
+
+@pytest.fixture(params=["kernel", "twin"])
+def ssa_path(request, monkeypatch):
+    """Run the test on the compiled poll loop and, with the kernel
+    reported missing, on its Python twin."""
+    if request.param == "twin":
+        monkeypatch.setattr(native, "_kernel", None)
+    return request.param
+
+
+#: Pool ops the benchmark screens out because they take the driver's
+#: recovery paths: 0, 5, 8, 15 and 45 flush stragglers, and 124, 177 and
+#: 344 also raise at the cycle deadline (344 only under fixed clocking).
+RECOVERY_OPS = (0, 5, 8, 15, 45, 124, 177, 344)
+
+
+class TestSsaRecoveryPins:
+    """Straggler flushes, the cycle deadline and SSA telemetry.  The
+    digests were taken when every poll chunk was its own ``simulate``
+    call; they hold on the compiled poll loop and on its twin."""
+
+    @pytest.mark.parametrize("clocking,expected", [
+        ("fixed", "4058b2fa31a1539a"),
+        ("adaptive", "33fe5d270711067c"),
+    ])
+    def test_flush_and_deadline_ops(self, ssa_path, clocking, expected):
+        h = hashlib.sha256()
+        errors = []
+        for k in RECOVERY_OPS:
+            machine = StochasticMachine(
+                ma2(), seed=k, options=MachineOptions(clocking=clocking))
+            try:
+                run = machine.run({"x": pool_op(k)})
+                outcome = (run.outputs["y"].tobytes().hex(),
+                           _spans(run.cycles))
+            except SimulationError as exc:
+                outcome = str(exc)
+                errors.append(outcome)
+            h.update(repr((k, outcome, machine.flush_events)).encode())
+        assert len(errors) == (3 if clocking == "fixed" else 2)
+        assert all(error.startswith("no stochastic cycle boundary within "
+                                    "200 time units after t=")
+                   for error in errors)
+        assert h.hexdigest()[:16] == expected
+
+    def test_traced_chunks(self, ssa_path):
+        tracer = Tracer(MemorySink())
+        metrics = MetricsRegistry()
+        machine = StochasticMachine(moving_average(2), seed=0,
+                                    tracer=tracer, metrics=metrics)
+        machine.run({"x": [8, 4, 6]})
+        spans = [(r.t0, r.t1, r.args["events"]) for r in tracer.sink.records
+                 if isinstance(r, SpanRecord) and r.name == "ssa.batch"]
+        counters = {name: value for name, value
+                    in metrics.to_dict()["counters"].items()
+                    if name.startswith("ssa.") or name == "machine.cycles"}
+        assert len(spans) == counters["ssa.batches"] == 70
+        assert counters["machine.cycles"] == 4
+        pinned = repr((spans, sorted(counters.items()))).encode()
+        assert hashlib.sha256(pinned).hexdigest()[:16] == "204bdb3368a03876"
+
+    def test_recorded_trajectory(self, ssa_path):
+        machine = StochasticMachine(moving_average(2), seed=0)
+        trajectory = machine.run({"x": [8, 4, 6]}, record=True).trajectory
+        assert trajectory.states.shape == (1012, 16)
+        pinned = trajectory.times.tobytes() + trajectory.states.tobytes()
+        assert hashlib.sha256(pinned).hexdigest()[:16] == "2c1947d3c5eac4b5"
 
 
 def _stepped(machine, stream):
@@ -249,6 +322,25 @@ class TestNonFiniteSamples:
         with pytest.raises(SynthesisError, match=NOT_FINITE):
             stepper.step({"x": value})
         assert stepper.cycles == 0
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+class TestMaxCycleTime:
+    @pytest.mark.parametrize("value", [0, 0.0, -5.0, float("nan"),
+                                       float("inf"), float("-inf")])
+    def test_rejects_at_construction(self, engine, value):
+        with pytest.raises(SimulationError,
+                           match=rf"max_cycle_time .*got {value!r}"):
+            ENGINES[engine](MachineOptions(), max_cycle_time=value)
+
+    def test_none_means_the_default(self, engine):
+        default = {"ode": 500.0, "ssa": 200.0}[engine]
+        machine = ENGINES[engine](MachineOptions(), max_cycle_time=None)
+        assert machine.max_cycle_time == default / machine.scheme.slow
+
+    def test_keeps_a_valid_value(self, engine):
+        machine = ENGINES[engine](MachineOptions(), max_cycle_time=150)
+        assert machine.max_cycle_time == 150.0
 
 
 def test_ssa_step_takes_integer_counts():

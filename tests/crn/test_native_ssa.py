@@ -11,7 +11,9 @@ fallback test checks that a missing compiler costs one
 ``RuntimeWarning`` and nothing else.  ``IncrementalPropensities.ensemble``
 runs a seeded ensemble through the same loop in one call, against
 ``ensemble_python``: the same contract per trial, every generator's next
-draw included.
+draw included.  ``IncrementalPropensities.poll`` runs a machine's poll
+chunks in one call, against ``poll_python``: the same contract, plus
+where each call ended and every kept row.
 """
 
 import json
@@ -35,9 +37,10 @@ from repro.core.synthesis import synthesize
 from repro.crn import native
 from repro.crn.network import Network
 from repro.crn.parser import parse_network
+from repro.crn.simulation.margins import MarginTable
 from repro.crn.simulation.sampling import NO_POSITIVE_PROPENSITY
 from repro.crn.simulation.ssa import (IncrementalPropensities,
-                                      StochasticSimulator)
+                                      StochasticSimulator, _CompiledLoop)
 from repro.errors import SimulationError
 from repro.obs import MetricsRegistry
 from repro.scenarios import get_scenario, scenario_names
@@ -287,7 +290,17 @@ def _pool_op(k: int) -> tuple[list[int], int]:
 @pytest.mark.parametrize("clocking", ["fixed", "adaptive"])
 def test_machine_runs_are_bitwise_equal_on_both_paths(kernel, monkeypatch,
                                                       ma2_sfg, clocking):
+    """Each cycle of a run without a straggler flush is one compiled
+    poll call; with the kernel missing, none is, and the runs agree."""
     options = MachineOptions(clocking=clocking)
+    calls = []
+    compiled_poll = _CompiledLoop.poll
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return compiled_poll(self, *args)
+
+    monkeypatch.setattr(_CompiledLoop, "poll", counting)
 
     def runs():
         out = []
@@ -297,16 +310,215 @@ def test_machine_runs_are_bitwise_equal_on_both_paths(kernel, monkeypatch,
             run = machine.run({"x": stream})
             out.append((run.outputs["y"].tobytes(),
                         [(span.t0, span.t1) for span in run.cycles],
-                        machine.flush_events,
-                        bool(machine.simulator.propensity_state._native)))
+                        machine.flush_events))
         return out
 
     compiled = runs()
-    assert all(row[3] for row in compiled)
+    assert all(flush_events == 0 for _, _, flush_events in compiled)
+    assert len(calls) == sum(len(spans) for _, spans, _ in compiled)
+    calls.clear()
     monkeypatch.setattr(native, "_kernel", None)  # kernel unavailable
-    fallback = runs()
-    assert [row[:3] for row in fallback] == [row[:3] for row in compiled]
-    assert not any(row[3] for row in fallback)
+    assert runs() == compiled
+    assert not calls
+
+
+# -- a machine's poll chunks in one call ---------------------------------------
+
+def _tables(network, seed):
+    """A seeded one-term departure and two-term closing table over
+    ``network``'s species, thresholds from its initial counts (as the
+    conformance cell draws them)."""
+    rng = np.random.default_rng(seed)
+    counts = np.rint(network.initial_vector()).astype(np.int64)
+
+    def term(sign):
+        species = np.sort(rng.choice(counts.size, replace=False,
+                                     size=rng.integers(1, counts.size + 1)))
+        weights = rng.integers(1, 3, species.size).astype(float)
+        return species, weights, float(weights @ counts[species]), sign
+
+    return MarginTable([term(1)]), MarginTable([term(1), term(-1)])
+
+
+def _machine_tables(clocking):
+    """The E14 machine's own tables, closing for a 40-molecule cycle."""
+    machine = StochasticMachine(moving_average(2), seed=0,
+                                options=MachineOptions(clocking=clocking))
+    return machine._departure, machine._closing_table(40.0)
+
+
+POLL_TABLES = {
+    "fixed": (MACHINE, MACHINE_KW, _machine_tables("fixed")),
+    "adaptive": (MACHINE, MACHINE_KW, _machine_tables("adaptive")),
+    "higher_order": (_higher_order(), {}, _tables(_higher_order(), 3)),
+}
+
+GRID = np.linspace(0.0, 0.25, 16)
+
+
+def _realise_poll(case, compiled, *, bit_generator=np.random.PCG64, seed=0,
+                  rebuild_interval=None, metrics=False, calls=1, **kwargs):
+    """``calls`` seeded poll calls, each from where the last ended, and
+    everything they leave behind."""
+    network, setup, (departure, closing) = POLL_TABLES[case]
+    rng = np.random.Generator(bit_generator(seed))
+    registry = MetricsRegistry() if metrics else None
+    simulator = StochasticSimulator(network, rates=setup.get("rates"),
+                                    seed=rng, metrics=registry)
+    state = simulator.propensity_state
+    if rebuild_interval is not None:
+        state.rebuild_interval = rebuild_interval
+    if not compiled:
+        state._native = False
+    kwargs.setdefault("max_events", 20_000)
+    counts = np.rint(setup.get("initial", network.initial_vector()))
+    t, departed, outcome = kwargs.pop("t", 0.0), \
+        kwargs.pop("departed", False), []
+    try:
+        for _ in range(calls):
+            poll = simulator.poll(counts, GRID, departure, closing, t=t,
+                                  departed=departed, **kwargs)
+            outcome.append(poll)
+            counts, t, departed = poll.counts, poll.t, poll.departed
+    except SimulationError as exc:
+        outcome.append(str(exc))
+    assert bool(state._native) == compiled
+    return {"outcome": outcome, "counts": state.counts.copy(),
+            "a": state.a.copy(), "cb": state._cb.copy(),
+            "since": state._events_since_rebuild, "next": rng.random(),
+            "counters": registry.to_dict()["counters"] if metrics else None}
+
+
+def _assert_same_poll(compiled: dict, twin: dict) -> None:
+    assert len(compiled["outcome"]) == len(twin["outcome"])
+    for got, want in zip(compiled["outcome"], twin["outcome"]):
+        if isinstance(got, str):
+            assert got == want
+            continue
+        assert got[:4] == want[:4]
+        assert type(got.t) is float and type(want.t) is float
+        assert _same_bits(got.counts, want.counts)
+        assert (got.rows is None) == (want.rows is None)
+        if got.rows is not None:
+            assert _same_bits(got.rows, want.rows)
+    for key in ("counts", "a", "cb", "next"):
+        assert _same_bits(compiled[key], twin[key]), key
+    assert compiled["since"] == twin["since"]
+    assert compiled["counters"] == twin["counters"]
+
+
+def _both_polls(case, **kwargs):
+    return (_realise_poll(case, True, **kwargs),
+            _realise_poll(case, False, **kwargs))
+
+
+POLL_CONDITIONS = {
+    "one_chunk": {"chunks": 1, "calls": 6},
+    "window": {"chunks": 81, "calls": 3},
+    "kept_rows": {"chunks": 5, "calls": 4, "keep": True},
+    "limits": {"chunks": 81, "calls": 3, "t": 13.75,
+               "until": ((13.75, 0.6), (0.0, 20.0))},
+    "departed": {"chunks": 81, "departed": True},
+    "rebuild_every_7": {"chunks": 4, "calls": 3, "rebuild_interval": 7},
+    "max_events": {"chunks": 81, "max_events": 37},
+    "firing_metrics": {"chunks": 81, "calls": 4, "metrics": True},
+}
+
+
+@pytest.mark.parametrize("condition", list(POLL_CONDITIONS))
+@pytest.mark.parametrize("case", list(POLL_TABLES))
+def test_poll_matches_the_twin_bitwise(kernel, case, condition):
+    compiled, twin = _both_polls(case, seed=5, **POLL_CONDITIONS[condition])
+    _assert_same_poll(compiled, twin)
+    first = compiled["outcome"][0]
+    if condition == "max_events":
+        assert first.startswith("SSA exceeded 37 events at t=")
+    elif condition == "limits":
+        # 0.6 past 13.75 is three chunks, and the first call runs them.
+        assert first.row is not None or first.chunks == 3
+    elif condition == "firing_metrics":
+        assert all(poll.chunks == 1 for poll in compiled["outcome"])
+        assert compiled["counters"]["ssa.batches"] == 4
+
+
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_poll_on_every_bit_generator(kernel, bit_generator):
+    _assert_same_poll(*_both_polls("fixed", bit_generator=bit_generator,
+                                   seed=9, chunks=81, calls=2, keep=True))
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "twin"])
+def test_the_chunk_budget_cannot_move_a_realisation(kernel, compiled):
+    """One chunk per call, or the machine's window per call: the same
+    closing row after the same chunks, and the same generator state."""
+    single = _realise_poll("fixed", compiled, seed=2, chunks=1, calls=200)
+    window = _realise_poll("fixed", compiled, seed=2, chunks=81)
+    closing = next(i for i, poll in enumerate(single["outcome"])
+                   if poll.row is not None)
+    ended = single["outcome"][closing]
+    whole = window["outcome"][0]
+    assert whole.row == ended.row and whole.chunks == closing + 1 > 1
+    assert whole.departed and whole.t == ended.t
+    assert _same_bits(whole.counts, ended.counts)
+    rerun = _realise_poll("fixed", compiled, seed=2, chunks=1,
+                          calls=closing + 1)
+    for key in ("counts", "a", "cb", "next"):
+        assert _same_bits(rerun[key], window[key]), key
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "twin"])
+def test_poll_refuses_what_does_not_fit(kernel, compiled):
+    """A table index past the state, or negative counts, never reach
+    either executor."""
+    departure, closing = POLL_TABLES["fixed"][2]
+    simulator = _machine_simulator(0)
+    if not compiled:
+        simulator.propensity_state._native = False
+    counts = np.rint(MACHINE_KW["initial"])
+    outside = MarginTable([([MACHINE.n_species], [1.0], 0.0, 1)])
+    with pytest.raises(ValueError, match="outside the state"):
+        simulator.poll(counts, GRID, departure, outside)
+    counts[0] = -1
+    with pytest.raises(SimulationError, match="negative initial counts"):
+        simulator.poll(counts, GRID, departure, closing)
+
+
+def test_generator_subclass_polls_on_the_twin(kernel, monkeypatch):
+    class Subclass(np.random.Generator):
+        pass
+
+    calls = []
+    twin = IncrementalPropensities.poll_python
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return twin(self, *args)
+
+    monkeypatch.setattr(IncrementalPropensities, "poll_python", counting)
+    departure, closing = POLL_TABLES["fixed"][2]
+    polls = [StochasticSimulator(MACHINE, rates=MACHINE_KW["rates"],
+                                 seed=cls(np.random.PCG64(4))).poll(
+        np.rint(MACHINE_KW["initial"]), GRID, departure, closing,
+        chunks=81, keep=True) for cls in (Subclass, np.random.Generator)]
+    assert len(calls) == 1 and type(calls[0]) is Subclass
+    assert polls[0][:4] == polls[1][:4]
+    assert _same_bits(polls[0].rows, polls[1].rows)
+
+
+def test_poll_draws_from_its_own_generator_after_an_ensemble(kernel):
+    """An ensemble leaves the compiled loop pointing at a trial's
+    generator; the next poll must draw from the simulator's own."""
+    departure, closing = POLL_TABLES["fixed"][2]
+    simulator = _machine_simulator(3)
+    fresh = _machine_simulator(3)
+    counts = np.rint(MACHINE_KW["initial"])
+    simulator.simulate_ensemble(1.0, [np.random.default_rng(8)],
+                                initial=counts)
+    polls = [s.poll(counts, GRID, departure, closing, chunks=81)
+             for s in (simulator, fresh)]
+    assert polls[0][:4] == polls[1][:4]
+    assert simulator.rng.random() == fresh.rng.random()
 
 
 # -- fallback without a compiler, in a fresh process --------------------------
