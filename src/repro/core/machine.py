@@ -24,10 +24,13 @@ observable at boundary ``n + 1`` (one cycle of latency).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
+from types import MappingProxyType
+from typing import Any
 
 import numpy as np
 
@@ -57,6 +60,14 @@ CLOCKING_MODES = ("fixed", "adaptive")
 #: Rows an ODE cycle segment is planned to hold when telemetry or
 #: ``record`` needs them.
 _SAMPLES_PER_CYCLE = 60
+
+#: Machine templates kept per process (:func:`machine_templates`).  An
+#: entry retains 73-93 KiB for the two-tap moving average or the IIR
+#: filter (16-19 species) and 470-520 KiB for an eight-tap moving
+#: average (94 species), so 32 entries stay under ~17 MiB even of large
+#: designs, while a campaign, a seed sweep or a test module reuses a
+#: handful.
+TEMPLATE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -221,17 +232,281 @@ def _terminal_event(margin, direction: float):
     return event
 
 
+# -- machine templates ------------------------------------------------------
+#
+# Every machine built on one design runs the same synthesized network
+# with the same kinetics and clock tables; only its seed, telemetry and
+# faults differ.  Those seed-independent parts are built once per
+# content key into a read-only MachineTemplate and shared.
+
+
+@dataclass(frozen=True)
+class MachineTemplate:
+    """Everything a machine derives from its design, rate scheme and
+    options, and never from a seed: built once, shared read-only.
+
+    A cached template's circuit holds a read-only copy of the design
+    (tuples and mapping proxies).  ``network`` is the simulated network
+    (``circuit.network``, frozen, unless a fault plan made a private
+    copy).  ``simulator`` is a
+    telemetry-free prototype that never runs: every machine runs its own
+    ``_fork()`` of it, with its own generator, propensity state, kinetics
+    scratch, kernel bindings and telemetry.  Every array is read-only.
+    """
+
+    circuit: SynthesizedCircuit
+    network: Network
+    blue_indices: np.ndarray
+    clock_red_index: int
+    clock_indices: tuple[int, ...]
+    clock_red_dimer_index: int | None
+    signal_indices: tuple[int, ...]
+    signal_groups: Mapping[str, tuple[str, ...]]
+    green_indices: np.ndarray
+    signal_blue_indices: np.ndarray
+    landing: tuple | None
+    departure: MarginTable
+    boundary: MarginTable
+    settle: MarginTable
+    simulator: Any
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
+def _build_template(engine: type, circuit: SynthesizedCircuit,
+                    network: Network, scheme: RateScheme,
+                    rates: np.ndarray | None, boundary_fraction: float,
+                    options: MachineOptions) -> MachineTemplate:
+    """The template of ``circuit`` simulating ``network`` on ``engine``
+    (a machine class): index sets, landing plan, margin tables and the
+    frozen prototype simulator.  A cache miss, a caller's
+    :class:`SynthesizedCircuit` and a fault plan's copy all build here.
+    """
+    index = network.species_index
+    species = network.species
+
+    def indices(color: str) -> np.ndarray:
+        return np.array([index(s) for s in species if s.color == color],
+                        dtype=np.intp)
+
+    blue = indices("blue")
+    red_index = index(circuit.clock.red.name)
+    clock_indices = tuple(index(name)
+                          for name in circuit.clock.species_names())
+    # The positive-feedback accelerator parks part of the clock mass in
+    # the red dimer I_C_red; the clock tests must count it, or the raw
+    # C_red quantity never reaches the threshold.
+    red_dimer = f"I_{circuit.clock.red.name}"
+    dimer = index(red_dimer) if red_dimer in network else None
+    # Adaptive-clocking bookkeeping (also feeds the fixed-mode
+    # recoverable-dead-time attribution in telemetry): the green
+    # category, the blue species outside the clock, and -- in adaptive
+    # mode -- where each blue's boundary residual lands.
+    green = indices("green")
+    signal_blue = blue[~np.isin(blue, clock_indices)]
+    landing = None
+    if options.adaptive:
+        if not options.settle_fraction < boundary_fraction:
+            raise SimulationError(
+                f"adaptive clocking needs settle_fraction "
+                f"({options.settle_fraction}) below boundary_fraction "
+                f"({boundary_fraction}): otherwise it waits on the "
+                f"worst-case schedule it is meant to replace")
+        landing = _landing_plan(network, circuit.protocol, blue)
+    departure, boundary, settle = _margin_tables(
+        circuit.clock.mass, red_index, dimer,
+        engine._blue_tolerance(scheme), boundary_fraction,
+        options.settle_fraction, blue, green, signal_blue)
+    simulator = engine._simulator._prototype(network, scheme, rates)
+    _read_only(blue, green, signal_blue)
+    for table in (departure, boundary, settle):
+        _read_only(table.ptr, table.species, table.weights,
+                   table.thresholds, table.signs)
+    # Coloured signal species (every coloured species outside the clock:
+    # dimers are uncoloured), in network order and per colour category
+    # for the phase monitor and the transfer spans.
+    signal = [i for i, s in enumerate(species)
+              if s.role == "signal" and s.color is not None]
+    return MachineTemplate(
+        circuit=circuit, network=network, blue_indices=blue,
+        clock_red_index=red_index, clock_indices=clock_indices,
+        clock_red_dimer_index=dimer, signal_indices=tuple(signal),
+        signal_groups=MappingProxyType({
+            color: tuple(species[i].name for i in signal
+                         if species[i].color == color)
+            for color in COLORS}),
+        green_indices=green, signal_blue_indices=signal_blue,
+        landing=landing, departure=departure, boundary=boundary,
+        settle=settle, simulator=simulator)
+
+
+def _synthesized_template(engine: type, design: MatrixDesign,
+                          scheme: RateScheme, rates: np.ndarray | None,
+                          clock_mass: float, signed: bool, gating: str,
+                          boundary_fraction: float,
+                          options: MachineOptions) -> MachineTemplate:
+    """A cache miss: synthesize a read-only copy of ``design`` (every
+    machine on the key shares it as ``machine.design``) and freeze its
+    network before building the template on it."""
+    private = MatrixDesign(
+        design.name, tuple(design.inputs), tuple(design.outputs),
+        tuple(design.delays), MappingProxyType(dict(design.coefficients)),
+        MappingProxyType(dict(design.initial_state)))
+    circuit = synthesize(private, clock_mass=clock_mass, signed=signed,
+                         gating=gating, oscillator=options.oscillator)
+    circuit.network.freeze()
+    return _build_template(engine, circuit, circuit.network, scheme, rates,
+                           boundary_fraction, options)
+
+
+class _TemplateKey:
+    """A template's cache key: hashed and compared on ``content`` alone,
+    and carrying the call that builds the template on a miss."""
+
+    __slots__ = ("content", "build")
+
+    def __init__(self, content: tuple, build):
+        self.content = content
+        self.build = build
+
+    def __hash__(self) -> int:
+        return hash(self.content)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, _TemplateKey)
+                and self.content == other.content)
+
+
+def _template_key(engine: type, design: MatrixDesign | SignalFlowGraph,
+                  scheme: RateScheme, rates: np.ndarray | None, *,
+                  clock_mass: float, signed: bool | None, gating: str,
+                  boundary_fraction: float,
+                  options: MachineOptions) -> _TemplateKey:
+    """The content key of a machine on ``design``: its matrix form, the
+    scheme's values, explicit rates by value, the synthesis and clocking
+    arguments, the options (oscillator included) and the engine class.
+    A graph is reduced to matrix form on every call, so a graph edited
+    after a build misses."""
+    if isinstance(design, SignalFlowGraph):
+        design = design.to_matrix()
+    # Synthesis validates too: a malformed design must raise its
+    # SynthesisError before the key sorts its coefficients.
+    design.validate()
+    signed = design.signed if signed is None else signed
+    content = (
+        engine, design.name, tuple(design.inputs), tuple(design.outputs),
+        tuple(design.delays),
+        # The type keeps a float coefficient (which synthesis refuses)
+        # apart from the equal Fraction.
+        tuple((edge, type(coefficient), coefficient) for edge, coefficient
+              in sorted(design.coefficients.items())),
+        tuple(sorted(design.initial_state.items())),
+        tuple(sorted(scheme.values.items())),
+        None if rates is None else (rates.shape, rates.tobytes()),
+        clock_mass, signed, gating, boundary_fraction, options)
+    return _TemplateKey(content, functools.partial(
+        _synthesized_template, engine, design, scheme, rates, clock_mass,
+        signed, gating, boundary_fraction, options))
+
+
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def machine_templates(key: _TemplateKey) -> MachineTemplate:
+    """The process-wide template cache: a bounded LRU keyed on content,
+    never on object identity.  ``machine_templates.cache_info()`` reports
+    hits and misses; exceptions are not cached."""
+    return key.build()
+
+
+def _landing_plan(network: Network, protocol, blue: np.ndarray) -> tuple:
+    """Index-resolved blue seed transfers for the adaptive boundary.
+
+    Adaptive clocking ends the cycle while each blue species still
+    carries a sub-threshold residual; the residual is completed
+    algebraically by moving it along the species' unique gated seed
+    transfer -- the very reaction fixed clocking sits through.  A blue
+    species with no (or an ambiguous) seed transfer leaves nowhere sound
+    to land that residual, so adaptive mode refuses such circuits up
+    front rather than corrupting their state.
+    """
+    transfers = landing_map(network, protocol, color="blue")
+    plan = []
+    for index in blue:
+        name = network.species[index].name
+        targets = transfers.get(name)
+        if not targets:
+            raise SynthesisError(
+                f"adaptive clocking needs a gated seed transfer for every "
+                f"blue species, but {name!r} has none: its boundary "
+                f"residual cannot be landed")
+        plan.append((int(index), tuple(
+            (network.species_index(target), ratio)
+            for target, ratio in targets)))
+    return tuple(plan)
+
+
+def _margin_tables(mass: float, red_index: int, dimer: int | None,
+                   blue_tolerance: float, boundary_fraction: float,
+                   settle_fraction: float, blue: np.ndarray,
+                   green: np.ndarray, signal_blue: np.ndarray
+                   ) -> tuple[MarginTable, MarginTable, MarginTable]:
+    """The clock's margin tables ``(departure, boundary, settle)``.
+
+    * ``departure`` is negative once the clock red (both halves of the
+      ``I_C_red`` dimer included) has drained below half the clock mass:
+      phase 1 is underway.  A cycle must depart before it may close,
+      because at a fresh boundary the closing condition holds by
+      construction.
+    * ``boundary`` (fixed clocking) holds once the clock red is back
+      above ``boundary_fraction`` of the clock mass and every blue
+      species has drained to ``blue_tolerance``.
+    * ``settle`` (adaptive clocking, see
+      :meth:`_CycleDriver._settle_table`) holds once the state has
+      *digitally* settled, instead of waiting out the worst-case
+      schedule: the clock red is back above ``settle_fraction`` of
+      nominal (the fraction exceeds 0.5, so the margin is negative right
+      after departure), the green category has drained to
+      ``blue_tolerance`` (every green -> blue transfer has completed, so
+      the signal blues measure a *draining* tail, not one still being
+      fed), and the signal blues are below the cycle's settling
+      residual.  The clock's own blue is deliberately absent: its tail
+      is the slowest drain of all and carries no digital information --
+      the boundary landing and the quantisation top-up rotate it back to
+      red exactly.
+    """
+    red, weights = [red_index], [1.0]
+    if dimer is not None:
+        red.append(dimer)
+        weights.append(2.0)
+
+    def clock(fraction: float) -> tuple:
+        return red, weights, fraction * mass, 1
+
+    def drained(indices: np.ndarray) -> tuple:
+        return indices, [1.0] * indices.size, blue_tolerance, -1
+
+    return (MarginTable([clock(0.5)]),
+            MarginTable([clock(boundary_fraction), drained(blue)]),
+            MarginTable([clock(settle_fraction), drained(green),
+                         drained(signal_blue)]))
+
+
 class _CycleDriver:
     """Everything a machine does except advance a cycle.
 
-    An engine calls :meth:`_setup`, builds its simulator, sets
-    ``blue_tolerance``, ``quantization`` (0: boundaries left alone) and
-    ``max_cycle_time``, calls :meth:`_build_margins`, and supplies
-    ``_run_cycle(state, t_start, keep)
+    An engine names its simulator class (``_simulator``) and its
+    ``_blue_tolerance(scheme)``, calls :meth:`_setup`, sets
+    ``quantization`` (0: boundaries left alone) and ``max_cycle_time``,
+    and supplies ``_run_cycle(state, t_start, keep)
     -> (boundary state, boundary time, segment)``: the segment is the
     cycle's sampled rows as a :class:`Trajectory` when ``keep`` is set,
     else ``None``.  The hooks at the end convert quantities.
+    ``template`` is the :class:`MachineTemplate` the machine runs on.
     """
+
+    _simulator: type
 
     def _setup(self, design: MatrixDesign | SignalFlowGraph |
                SynthesizedCircuit, scheme: RateScheme,
@@ -239,30 +514,53 @@ class _CycleDriver:
                signed: bool | None, gating: str,
                boundary_fraction: float, tracer, metrics,
                monitor: MonitorConfig | None, faults, probe,
-               options: MachineOptions | None) -> np.ndarray | None:
-        """Everything but the simulator; returns the per-reaction rates
-        the engine's simulator takes (``None``: resolve the scheme)."""
-        self.options = options or MachineOptions()
+               options: MachineOptions | None, **fork) -> None:
+        """Adopt this design's template and fork its simulator; ``fork``
+        holds the fork's own arguments (seed, solver settings)."""
+        self.options = options = options or MachineOptions()
+        self.boundary_fraction = boundary_fraction
+        engine = type(self)
+        if rates is not None:
+            # A private copy: the template freezes it.
+            rates = np.array(rates, dtype=float)
         if isinstance(design, SynthesizedCircuit):
-            self.circuit = design
+            template = _build_template(engine, design, design.network,
+                                       scheme, rates, boundary_fraction,
+                                       options)
         else:
-            self.circuit = synthesize(design, clock_mass=clock_mass,
-                                      signed=signed, gating=gating,
-                                      oscillator=self.options.oscillator)
+            template = machine_templates(_template_key(
+                engine, design, scheme, rates, clock_mass=clock_mass,
+                signed=signed, gating=gating,
+                boundary_fraction=boundary_fraction, options=options))
         self.scheme = scheme
-        # Fault injection: materialise the perturbed system up front so
-        # every derived quantity below (tolerances, indices, simulator)
-        # is computed against the *faulted* network and scheme.  Fault
-        # models never add or remove species, so the index bookkeeping
-        # is identical either way.
+        # Fault injection: materialise the perturbed system up front, on
+        # a copy of the template's network, so every derived quantity
+        # below (tolerances, indices, simulator) is computed against the
+        # *faulted* network and scheme.  Fault models never add or remove
+        # species, so the index bookkeeping is identical either way.
         self.faults = faults
         if faults is not None and faults.active:
-            setup = faults.materialize(self.circuit.network, scheme, rates)
-            self._network = setup.network
+            setup = faults.materialize(template.network, scheme, rates)
             self.scheme = setup.scheme
-            rates = setup.rates
-        else:
-            self._network = self.circuit.network
+            template = _build_template(engine, template.circuit,
+                                       setup.network, setup.scheme,
+                                       setup.rates, boundary_fraction,
+                                       options)
+        self.template = template
+        self.circuit, self._network = template.circuit, template.network
+        self._blue_indices = template.blue_indices
+        self._clock_red_index = template.clock_red_index
+        self._clock_indices = template.clock_indices
+        self._clock_red_dimer_index = template.clock_red_dimer_index
+        self._signal_indices = template.signal_indices
+        self._signal_groups = template.signal_groups
+        self._green_indices = template.green_indices
+        self._signal_blue_indices = template.signal_blue_indices
+        self._landing = template.landing
+        self._departure = template.departure
+        self._boundary = template.boundary
+        self._settle = template.settle
+        self.blue_tolerance = engine._blue_tolerance(self.scheme)
         self.tracer = ensure_tracer(tracer)
         self.metrics = ensure_metrics(metrics)
         self.probe = ensure_probe(probe)
@@ -272,50 +570,8 @@ class _CycleDriver:
         # hook below is a single attribute check.
         self._telemetry = (self.tracer.enabled or self.metrics.enabled
                            or self.probe.enabled or monitor is not None)
-        self.boundary_fraction = boundary_fraction
-        network = self.network
-        index = network.species_index
-
-        def indices(species) -> np.ndarray:
-            return np.array([index(s) for s in species], dtype=np.intp)
-
-        self._blue_indices = indices(network.species_with_color("blue"))
-        self._clock_red_index = index(self.circuit.clock.red.name)
-        self._clock_indices = [index(name) for name in
-                               self.circuit.clock.species_names()]
-        # The positive-feedback accelerator parks part of the clock mass in
-        # the red dimer I_C_red; the clock tests must count it, or the
-        # raw C_red quantity never reaches the threshold.
-        red_dimer = f"I_{self.circuit.clock.red.name}"
-        self._clock_red_dimer_index = (index(red_dimer)
-                                       if red_dimer in network else None)
-        # Coloured signal species (every coloured species outside the
-        # clock: dimers are uncoloured), in network order and per colour
-        # category for the phase monitor and the transfer spans.
-        self._signal_indices = [
-            i for i, s in enumerate(network.species)
-            if s.role == "signal" and s.color is not None]
-        self._signal_groups = {
-            color: [s.name for s in network.species
-                    if s.role == "signal" and s.color == color]
-            for color in COLORS}
-        # Adaptive-clocking bookkeeping (also feeds the fixed-mode
-        # recoverable-dead-time attribution in telemetry): the green
-        # category, the blue species outside the clock, and -- in
-        # adaptive mode -- where each blue's boundary residual lands.
-        self._green_indices = indices(network.species_with_color("green"))
-        self._signal_blue_indices = self._blue_indices[
-            ~np.isin(self._blue_indices, self._clock_indices)]
-        if self.options.adaptive:
-            if not self.options.settle_fraction < self.boundary_fraction:
-                raise SimulationError(
-                    f"adaptive clocking needs settle_fraction "
-                    f"({self.options.settle_fraction}) below "
-                    f"boundary_fraction ({self.boundary_fraction}): "
-                    f"otherwise it waits on the worst-case schedule it "
-                    f"is meant to replace")
-            self._landing = self._landing_plan()
-        return rates
+        self.simulator = template.simulator._fork(
+            tracer=tracer, metrics=metrics, **fork)
 
     def make_monitor(self) -> ProtocolMonitor | None:
         """A fresh protocol-health monitor for one run (or ``None``
@@ -355,56 +611,11 @@ class _CycleDriver:
     # -- clock conditions ----------------------------------------------------------
     #
     # Each condition is a margin table over state rows (see
-    # :mod:`repro.crn.simulation.margins`): one state gives a scalar,
-    # which keeps the ODE event path at Python-float cost, and 2-D rows
-    # give one margin per row.  The ODE engine turns the tables into
-    # terminal events; the SSA poll loop and the telemetry scan them over
-    # sampled rows.
-
-    def _build_margins(self) -> None:
-        """Build the clock's margin tables, once per machine; an engine
-        calls this after it sets ``blue_tolerance``.
-
-        * ``_departure`` is negative once the clock red (both halves of
-          the ``I_C_red`` dimer included) has drained below half the
-          clock mass: phase 1 is underway.  A cycle must depart before
-          it may close, because at a fresh boundary the closing
-          condition holds by construction.
-        * ``_boundary`` (fixed clocking) holds once the clock red is back
-          above ``boundary_fraction`` of the clock mass and every blue
-          species has drained to ``blue_tolerance``.
-        * ``_settle`` (adaptive clocking, see :meth:`_settle_table`)
-          holds once the state has *digitally* settled, instead of
-          waiting out the worst-case schedule: the clock red is back
-          above ``settle_fraction`` of nominal (the fraction exceeds
-          0.5, so the margin is negative right after departure), the
-          green category has drained to ``blue_tolerance`` (every green
-          -> blue transfer has completed, so the signal blues measure a
-          *draining* tail, not one still being fed), and the signal
-          blues are below the cycle's settling residual.  The clock's
-          own blue is deliberately absent: its tail is the slowest drain
-          of all and carries no digital information -- the boundary
-          landing and the quantisation top-up rotate it back to red
-          exactly.
-        """
-        mass = self.circuit.clock.mass
-        red, weights = [self._clock_red_index], [1.0]
-        if self._clock_red_dimer_index is not None:
-            red.append(self._clock_red_dimer_index)
-            weights.append(2.0)
-
-        def clock(fraction: float) -> tuple:
-            return red, weights, fraction * mass, 1
-
-        def drained(indices: np.ndarray) -> tuple:
-            return indices, [1.0] * indices.size, self.blue_tolerance, -1
-
-        self._departure = MarginTable([clock(0.5)])
-        self._boundary = MarginTable([clock(self.boundary_fraction),
-                                      drained(self._blue_indices)])
-        self._settle = MarginTable([clock(self.options.settle_fraction),
-                                    drained(self._green_indices),
-                                    drained(self._signal_blue_indices)])
+    # :mod:`repro.crn.simulation.margins` and :func:`_margin_tables`):
+    # one state gives a scalar, which keeps the ODE event path at
+    # Python-float cost, and 2-D rows give one margin per row.  The ODE
+    # engine turns the tables into terminal events; the SSA poll loop and
+    # the telemetry scan them over sampled rows.
 
     def _settle_table(self, signal_mass: float) -> MarginTable:
         """The settling condition for a cycle starting with
@@ -422,33 +633,6 @@ class _CycleDriver:
         return self._boundary
 
     # -- adaptive landing -----------------------------------------------------------
-
-    def _landing_plan(self) -> list[tuple[int, list[tuple[int, float]]]]:
-        """Index-resolved blue seed transfers for the adaptive boundary.
-
-        Adaptive clocking ends the cycle while each blue species still
-        carries a sub-threshold residual; the residual is completed
-        algebraically by moving it along the species' unique gated seed
-        transfer -- the very reaction fixed clocking sits through.  A
-        blue species with no (or an ambiguous) seed transfer leaves
-        nowhere sound to land that residual, so adaptive mode refuses
-        such circuits up front rather than corrupting their state.
-        """
-        transfers = landing_map(self.network, self.circuit.protocol,
-                                color="blue")
-        plan: list[tuple[int, list[tuple[int, float]]]] = []
-        for index in self._blue_indices:
-            name = self.network.species[index].name
-            targets = transfers.get(name)
-            if not targets:
-                raise SynthesisError(
-                    f"adaptive clocking needs a gated seed transfer for "
-                    f"every blue species, but {name!r} has none: its "
-                    f"boundary residual cannot be landed")
-            plan.append((int(index),
-                         [(self.network.species_index(target), ratio)
-                          for target, ratio in targets]))
-        return plan
 
     def _land_residuals(self, state: np.ndarray) -> np.ndarray:
         """Complete the sub-threshold blue tail algebraically.
@@ -852,6 +1036,8 @@ class _CycleDriver:
 class SynchronousMachine(_CycleDriver):
     """Drives one synthesized circuit under mass-action ODEs."""
 
+    _simulator = OdeSimulator
+
     def __init__(self, design: MatrixDesign | SignalFlowGraph |
                  SynthesizedCircuit,
                  scheme: RateScheme | None = None,
@@ -867,44 +1053,40 @@ class SynchronousMachine(_CycleDriver):
                  monitor: MonitorConfig | None = None,
                  faults=None, probe=None,
                  options: MachineOptions | None = None):
-        rates = self._setup(
+        self._setup(
             design, scheme or RateScheme(), rates, clock_mass=clock_mass,
             signed=signed, gating=gating,
             boundary_fraction=boundary_fraction, tracer=tracer,
             metrics=metrics, monitor=monitor, faults=faults, probe=probe,
-            options=options)
-        self.simulator = OdeSimulator(self.network, self.scheme,
-                                      rates=rates, method=method,
-                                      rtol=rtol, atol=atol,
-                                      tracer=tracer, metrics=metrics)
-        # Absence threshold of the sharpened indicators: a colour with
-        # more than this total quantity pins its indicator off.
-        theta = (self.scheme.values.get("amp", 30.0 * self.scheme.slow)
-                 / self.scheme.fast)
-        # The boundary requires the blue category to drain to the
-        # residual scale before a cycle ends.  The tolerance is a small
-        # multiple of the absence threshold: anything under it is flushed
-        # by the boundary quantisation below, and the headroom keeps the
-        # boundary reachable when per-reaction jitter moves the actual
-        # threshold around its nominal value.
-        self.blue_tolerance = 3.0 * theta
+            options=options, method=method, rtol=rtol, atol=atol)
         # Sub-threshold residues are rounded to zero at each boundary.
         # On the ODE's continuum they accumulate into mixed-residual
         # deadlocks; physically they are fractions of a single molecule
         # (an exact stochastic simulation has literally zero copies there
         # almost always), so flushing them models discreteness rather than
         # idealising the chemistry.
-        self.quantization = 3.0 * theta
+        self.quantization = self.blue_tolerance
         # Default cycle timeout: generous multiple of the slow time scale.
         self.max_cycle_time = _cycle_deadline(max_cycle_time,
                                               500.0 / self.scheme.slow)
-        self._build_margins()
         # Period estimate for sample-density planning (updated per cycle).
         self._last_period: float | None = None
         # Previous cycle's segment durations: time-to-event hints for the
         # solver's chunked event search (cycle jitter is a few percent, so
         # the previous duration is an excellent estimate).
         self._segment_estimates: dict[str, float] = {}
+
+    @staticmethod
+    def _blue_tolerance(scheme: RateScheme) -> float:
+        """The boundary requires the blue category to drain to the
+        residual scale before a cycle ends.  The tolerance is a small
+        multiple of the absence threshold (a colour with more than
+        ``amp / fast`` total quantity pins its indicator off): anything
+        under it is flushed by the boundary quantisation, and the
+        headroom keeps the boundary reachable when per-reaction jitter
+        moves the actual threshold around its nominal value."""
+        theta = scheme.values.get("amp", 30.0 * scheme.slow) / scheme.fast
+        return 3.0 * theta
 
     def _run_cycle(self, state: np.ndarray, t_start: float, keep: bool
                    ) -> tuple[np.ndarray, float, Trajectory]:

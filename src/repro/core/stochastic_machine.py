@@ -70,6 +70,8 @@ class StochasticMachine(_CycleDriver):
     and never tops the clock up.
     """
 
+    _simulator = StochasticSimulator
+
     def __init__(self, design: MatrixDesign | SignalFlowGraph |
                  SynthesizedCircuit,
                  scheme: RateScheme | None = None,
@@ -91,28 +93,27 @@ class StochasticMachine(_CycleDriver):
             values = dict(RateScheme().values)
             values["gen"] = values["slow"]
             scheme = RateScheme(values)
-        rates = self._setup(
+        self._setup(
             design, scheme, None, clock_mass=clock_mass, signed=signed,
             gating="catalytic", boundary_fraction=boundary_fraction,
             tracer=tracer, metrics=metrics, monitor=None, faults=faults,
-            probe=probe, options=options)
-        self.simulator = StochasticSimulator(self.network, self.scheme,
-                                             rates=rates,
-                                             seed=seed, tracer=tracer,
-                                             metrics=metrics)
+            probe=probe, options=options, seed=seed)
         self.poll_interval = 0.25
-        self.blue_tolerance = 0
         self.quantization = 0.0
         self.patience = 20.0
         self.straggler_tolerance = 4
         self.flush_events = 0
         self.max_cycle_time = _cycle_deadline(max_cycle_time,
                                               200.0 / self.scheme.slow)
-        self._build_margins()
         #: A poll chunk's sample times: 16 rows from chunk time 0.
         self._grid = np.linspace(0.0, self.poll_interval, 16)
         #: Chunks per poll call: one patience window.
         self._window = math.ceil(self.patience / self.poll_interval) + 1
+
+    @staticmethod
+    def _blue_tolerance(scheme: RateScheme) -> int:
+        """Counts are discrete: a boundary needs every blue at zero."""
+        return 0
 
     def _run_cycle(self, counts: np.ndarray, t_start: float, keep: bool
                    ) -> tuple[np.ndarray, float, Trajectory | None]:

@@ -9,12 +9,18 @@ stoichiometry -- no simulation involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.crn.network import Network
 from repro.crn.species import as_species
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+# networkx is imported by the graph analyses themselves, at first use:
+# it takes a third of a second, and simulating needs none of them.
 
 
 def species_reaction_graph(network: Network) -> nx.DiGraph:
@@ -23,6 +29,8 @@ def species_reaction_graph(network: Network) -> nx.DiGraph:
     Species nodes carry ``kind="species"`` (plus colour/role metadata);
     reaction nodes carry ``kind="reaction"`` and the reaction index.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for species in network.species:
         graph.add_node(f"S:{species.name}", kind="species",
@@ -97,6 +105,8 @@ def complexes(network: Network) -> list[frozenset[tuple[str, int]]]:
 
 def complex_graph(network: Network) -> nx.DiGraph:
     """Digraph on complexes with one edge per reaction."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     index = {key: i for i, key in enumerate(complexes(network))}
     for key in index:
@@ -112,6 +122,8 @@ def complex_graph(network: Network) -> nx.DiGraph:
 
 def linkage_classes(network: Network) -> int:
     """Number of connected components of the complex graph."""
+    import networkx as nx
+
     graph = complex_graph(network).to_undirected()
     return nx.number_connected_components(graph)
 
@@ -125,6 +137,8 @@ def deficiency(network: Network) -> int:
 
 def is_weakly_reversible(network: Network) -> bool:
     """True if every reaction lies on a directed cycle of complexes."""
+    import networkx as nx
+
     graph = complex_graph(network)
     components = list(nx.strongly_connected_components(graph))
     component_of = {}

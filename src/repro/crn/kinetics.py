@@ -82,6 +82,26 @@ class MassActionKinetics:
         state["_kernel"] = None  # cffi handles do not pickle; rebind lazily
         return state
 
+    def view(self) -> "MassActionKinetics":
+        """This kinetics with its own scratch buffers and an unbound
+        kernel, sharing every compiled array (and the cached CSR tables)
+        with it: one per simulator, so no two simulators -- or threads
+        -- write the same scratch."""
+        view = shallow_copy(self)
+        view._xbuf = np.ones(self.n_species + 1)
+        view._cbuf = np.ones(2 * (self.n_species + 1))
+        view._kernel = None
+        return view
+
+    def freeze(self) -> None:
+        """Make every array read-only, the scratch buffers and any CSR
+        tables computed so far included: a frozen kinetics is only ever
+        evaluated through a :meth:`view`."""
+        for value in vars(self).values():
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
+
     # -- compilation ---------------------------------------------------------
 
     def _compile(self) -> None:
@@ -146,10 +166,13 @@ class MassActionKinetics:
         stoch_b = factor_b.copy()
         stoch_b[pair_same] = n_s + 1 + factor_a[pair_same]
         self._stoch_factor_b = stoch_b
-        # Reusable buffers (simulators are single-threaded per instance).
+        # Reusable buffers (simulators are single-threaded per instance,
+        # and each simulator evaluates its own view()).
         self._xbuf = np.ones(n_s + 1)
         self._cbuf = np.ones(2 * (n_s + 1))
         self._kernel = None         # compiled-kernel binding, bound lazily
+        self._fire = None           # fire_csr(), computed on first use
+        self._dependency = None     # dependency_csr(), likewise
 
     def _compile_scatters(self) -> None:
         """Fixed-order scatters for ``dx/dt`` and the Jacobian.
@@ -350,14 +373,31 @@ class MassActionKinetics:
     def dependency_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`reaction_dependencies` as CSR arrays ``(ptr, rows)``:
         the dependents of reaction ``j`` are ``rows[ptr[j]:ptr[j + 1]]``,
-        ascending.
+        ascending.  Computed once per kinetics and shared by its views.
 
         One boolean product: entry ``[j, i]`` of (net change of ``j``) x
         (reactants of ``i``) holds when the two share a species.
         """
-        affected = (self.stoich != 0).T @ (self.exponents != 0).T
-        firing, rows = np.nonzero(affected)
-        return np.searchsorted(firing, np.arange(self.n_reactions + 1)), rows
+        if self._dependency is None:
+            affected = (self.stoich != 0).T @ (self.exponents != 0).T
+            firing, rows = np.nonzero(affected)
+            self._dependency = (
+                np.searchsorted(firing, np.arange(self.n_reactions + 1)),
+                rows)
+        return self._dependency
+
+    def fire_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each reaction's net change as CSR arrays ``(ptr, species,
+        delta)``: firing reaction ``j`` adds the int64 ``delta[k]`` to
+        ``species[k]`` for ``k`` in ``ptr[j]:ptr[j + 1]``.  Computed once
+        per kinetics and shared by its views."""
+        if self._fire is None:
+            firing, species = np.nonzero(self.stoich.T)
+            self._fire = (
+                np.searchsorted(firing, np.arange(self.n_reactions + 1)),
+                species,
+                self.stoich.T[firing, species].astype(np.int64))
+        return self._fire
 
 
 class DenseKineticsReference:
@@ -442,6 +482,15 @@ class DenseKineticsReference:
                 combos /= math.factorial(e)
                 a[j] *= combos
         return a
+
+
+def shallow_copy(obj):
+    """A new instance of ``obj``'s class sharing every attribute value:
+    what :func:`copy.copy` gives a plain object, without its reduce
+    protocol (a few microseconds per copy, paid on every machine)."""
+    clone = object.__new__(type(obj))
+    clone.__dict__.update(obj.__dict__)
+    return clone
 
 
 def _row_nonzero(matrix: np.ndarray, row: int):

@@ -37,6 +37,7 @@ class Network:
         #: Optional source spans for diagnostics, populated by the parser:
         #: ``("reaction", index) -> line`` and ``("species", name) -> line``.
         self.provenance: dict[tuple[str, object], int] = {}
+        self._frozen = False
 
     # -- species registry ---------------------------------------------------
 
@@ -68,6 +69,8 @@ class Network:
         agree (or when one declaration is the bare default); conflicting
         metadata raises :class:`NetworkError`.
         """
+        if self._frozen:
+            self._refuse()
         if isinstance(species, str) and metadata:
             species = Species(species, **metadata)
         else:
@@ -122,6 +125,8 @@ class Network:
         each in declaration order) so that state-vector layouts are
         reproducible across processes.
         """
+        if self._frozen:
+            self._refuse()
         for species in reaction.reactants:
             self.add_species(species)
         for species in reaction.products:
@@ -135,12 +140,16 @@ class Network:
         return self.add_reaction(Reaction(reactants, products, rate, label))
 
     def extend(self, reactions: Iterable[Reaction]) -> None:
+        if self._frozen:
+            self._refuse()
         for reaction in reactions:
             self.add_reaction(reaction)
 
     # -- initial conditions --------------------------------------------------
 
     def set_initial(self, species: SpeciesLike, value: float) -> None:
+        if self._frozen:
+            self._refuse()
         value = float(value)
         if value < 0:
             raise NetworkError("initial quantity must be non-negative")
@@ -176,6 +185,8 @@ class Network:
         summed -- quantities are signals, and merging two sub-designs that
         both inject into a shared species should accumulate.
         """
+        if self._frozen:
+            self._refuse()
         for species in other.species:
             self.add_species(species)
         seen = set(self.reactions)
@@ -188,15 +199,32 @@ class Network:
         return self
 
     def copy(self, name: str | None = None) -> "Network":
-        """An independent copy: every species, every reaction in order
-        (exact duplicates included, unlike :meth:`merge`) and the initial
-        quantities.  Provenance is not carried over."""
+        """An independent, editable copy: every species, every reaction
+        in order (exact duplicates included, unlike :meth:`merge`) and
+        the initial quantities.  Provenance is not carried over."""
         clone = Network(name or self.name)
         clone._species = dict(self._species)
         clone._order = list(self._order)
         clone.reactions = list(self.reactions)
         clone._initial = dict(self._initial)
         return clone
+
+    def freeze(self) -> None:
+        """Make this network read-only, in place.
+
+        Machines built on one design share one frozen network (see
+        :mod:`repro.core.machine`): every mutator then raises
+        :class:`NetworkError` and ``reactions`` becomes a tuple, so no
+        holder can change what the others simulate.  :meth:`copy`
+        returns an editable network.
+        """
+        self.reactions = tuple(self.reactions)
+        self._frozen = True
+
+    def _refuse(self) -> None:
+        raise NetworkError(
+            f"network {self.name!r} is read-only: machines of one design "
+            f"share it; edit network.copy() instead")
 
     # -- matrices ------------------------------------------------------------
 

@@ -16,9 +16,9 @@ from collections.abc import Mapping, Sequence
 from time import perf_counter
 
 import numpy as np
-from scipy.integrate import odeint, solve_ivp
 
-from repro.crn.kinetics import MassActionKinetics, build_kinetics
+from repro.crn.kinetics import (MassActionKinetics, build_kinetics,
+                                shallow_copy)
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
 from repro.crn.simulation.result import Trajectory
@@ -42,6 +42,25 @@ _SPARSE_AUTO_THRESHOLD = 64
 _MXSTEP = 5_000_000
 _MXORDN = 12
 _MXORDS = 5
+
+# scipy.integrate takes about half a second to import, and SSA runs never
+# need it: these wrappers import it at the first solve.  The module calls
+# through them, so patching ``ode.odeint`` still reaches every call.
+
+
+def odeint(*args, **kwargs):
+    """:func:`scipy.integrate.odeint`, imported on first use."""
+    from scipy.integrate import odeint as scipy_odeint
+
+    return scipy_odeint(*args, **kwargs)
+
+
+def solve_ivp(*args, **kwargs):
+    """:func:`scipy.integrate.solve_ivp`, imported on first use."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
 
 _UNRESOLVED = object()
 _lsoda_entry = _UNRESOLVED  # (lsoda, sizes, messages), or None: the twin
@@ -154,9 +173,7 @@ class OdeSimulator:
                  rates: np.ndarray | None = None, method: str = "LSODA",
                  rtol: float = 1e-7, atol: float = 1e-9,
                  jacobian: str = "auto", tracer=None, metrics=None):
-        if method not in METHODS:
-            raise SimulationError(f"unknown method {method!r}; "
-                                  f"expected one of {METHODS}")
+        self._solver(method, rtol, atol)
         if jacobian not in JACOBIAN_MODES:
             raise SimulationError(f"unknown jacobian mode {jacobian!r}; "
                                   f"expected one of {JACOBIAN_MODES}")
@@ -165,12 +182,38 @@ class OdeSimulator:
         self.scheme = scheme or RateScheme()
         self.kinetics: MassActionKinetics = build_kinetics(
             network, self.scheme, rates)
-        self.method = method
-        self.rtol = rtol
-        self.atol = atol
         self.jacobian_mode = jacobian
         self.tracer = ensure_tracer(tracer)
         self.metrics = ensure_metrics(metrics)
+
+    def _solver(self, method: str, rtol: float, atol: float) -> None:
+        if method not in METHODS:
+            raise SimulationError(f"unknown method {method!r}; "
+                                  f"expected one of {METHODS}")
+        self.method = method
+        self.rtol = rtol
+        self.atol = atol
+
+    @classmethod
+    def _prototype(cls, network: Network, scheme: RateScheme,
+                   rates: np.ndarray | None) -> "OdeSimulator":
+        """A telemetry-free simulator on a frozen kinetics that never
+        runs itself: :meth:`_fork` gives a runnable one."""
+        prototype = cls(network, scheme, rates=rates)
+        prototype.kinetics.freeze()
+        return prototype
+
+    def _fork(self, *, method: str, rtol: float, atol: float,
+              tracer=None, metrics=None) -> "OdeSimulator":
+        """A simulator sharing this one's network and kinetics arrays,
+        with its own kinetics scratch (:meth:`MassActionKinetics.view`),
+        solver settings and telemetry."""
+        fork = shallow_copy(self)
+        fork._solver(method, rtol, atol)
+        fork.kinetics = self.kinetics.view()
+        fork.tracer = ensure_tracer(tracer)
+        fork.metrics = ensure_metrics(metrics)
+        return fork
 
     def _jacobian_options(self) -> dict:
         """`solve_ivp` keyword arguments implementing ``jacobian_mode``.

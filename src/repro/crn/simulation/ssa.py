@@ -38,7 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.crn import native
-from repro.crn.kinetics import MassActionKinetics, build_kinetics
+from repro.crn.kinetics import (MassActionKinetics, build_kinetics,
+                                shallow_copy)
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
 from repro.crn.simulation.margins import MarginTable, scan
@@ -63,6 +64,10 @@ PROPENSITY_REBUILD_INTERVAL = 4096
 
 #: The compiled loop counts events in an int64.
 _INT64_MAX = np.iinfo(np.int64).max
+
+#: Initial amounts are float64: from 2**53 on, consecutive integers
+#: share one value, so no count there is exact.
+_EXACT_COUNTS = 2.0 ** 53
 
 
 def _bitgen(ffi, rng: np.random.Generator):
@@ -110,11 +115,10 @@ class IncrementalPropensities:
         n_s, n_r = kinetics.n_species, kinetics.n_reactions
         # Per-reaction structure in CSR form, read by the compiled loop
         # and by the twin's fire plan: the net change (species and
-        # integer deltas) and the dependent reactions.
-        firing, species = np.nonzero(kinetics.stoich.T)
-        self._fire_ptr = np.searchsorted(firing, np.arange(n_r + 1))
-        self._fire_species = species
-        self._fire_delta = kinetics.stoich.T[firing, species].astype(np.int64)
+        # integer deltas) and the dependent reactions.  The kinetics
+        # computes both once, so every state on it shares them.
+        self._fire_ptr, self._fire_species, self._fire_delta = \
+            kinetics.fire_csr()
         self._dep_ptr, self._dep_rows = kinetics.dependency_csr()
         self._fire_plan = None  # built by the twin's first fire()
         self._native = None     # compiled-loop binding, bound lazily
@@ -533,12 +537,20 @@ class StochasticSimulator:
                  rates: np.ndarray | None = None, volume: float = 1.0,
                  seed: int | np.random.Generator | None = None,
                  tracer=None, metrics=None):
+        self._compile(network, scheme, rates, volume)
+        self._start(seed, tracer, metrics)
+
+    def _compile(self, network, scheme, rates, volume) -> None:
+        """The per-network part: kinetics and stochastic constants."""
         network.validate()
         self.network = network
         self.scheme = scheme or RateScheme()
         self.kinetics = build_kinetics(network, self.scheme, rates)
         self.volume = float(volume)
         self.constants = self.kinetics.stochastic_constants(self.volume)
+
+    def _start(self, seed, tracer, metrics) -> None:
+        """The per-run part: generator, propensity state, telemetry."""
         if isinstance(seed, np.random.Generator):
             self.rng = seed
             self._seed_seq: np.random.SeedSequence | None = None
@@ -549,6 +561,33 @@ class StochasticSimulator:
                                                         self.constants)
         self.tracer = ensure_tracer(tracer)
         self.metrics = ensure_metrics(metrics)
+
+    @classmethod
+    def _prototype(cls, network: Network, scheme: RateScheme,
+                   rates: np.ndarray | None) -> "StochasticSimulator":
+        """A read-only simulator that never runs itself: the network,
+        the frozen kinetics with its CSR tables, and the constants, but
+        no generator, propensity state or telemetry.  :meth:`_fork`
+        gives a runnable one."""
+        prototype = cls.__new__(cls)
+        prototype._compile(network, scheme, rates, 1.0)
+        prototype.kinetics.fire_csr()
+        prototype.kinetics.dependency_csr()
+        prototype.kinetics.freeze()
+        prototype.constants.setflags(write=False)
+        return prototype
+
+    def _fork(self, *, seed=None, tracer=None,
+              metrics=None) -> "StochasticSimulator":
+        """A simulator sharing this one's network, kinetics arrays,
+        constants and CSR tables, with its own kinetics scratch
+        (:meth:`MassActionKinetics.view`), generator, propensity state
+        and telemetry: bitwise what the constructor would build with
+        ``seed``."""
+        fork = shallow_copy(self)
+        fork.kinetics = self.kinetics.view()
+        fork._start(seed, tracer, metrics)
+        return fork
 
     def _channel_label(self, j: int) -> str:
         reaction = self.network.reactions[j]
@@ -578,16 +617,30 @@ class StochasticSimulator:
                                   t_final, args)
 
     def _initial_counts(self, initial) -> np.ndarray:
+        """Initial amounts as int64 counts.  An amount float64 cannot
+        hold as an exact count -- non-finite, or at or above 2**53,
+        which ``2**53 + 1`` already parses to -- raises naming the
+        species, before any cast could wrap it."""
         if initial is None:
             x0 = self.network.initial_vector()
         elif isinstance(initial, Mapping):
             x0 = self.network.initial_vector(initial)
         else:
             x0 = np.asarray(initial, dtype=float)
-        counts = np.rint(x0).astype(np.int64)
-        if np.any(counts < 0):
+        rounded = np.rint(x0)
+        inexact = np.flatnonzero(~np.isfinite(rounded)
+                                 | (rounded >= _EXACT_COUNTS))
+        if inexact.size:
+            index = int(inexact[0])
+            names = self.network.species_names
+            name = names[index] if index < len(names) else f"#{index}"
+            raise SimulationError(
+                f"initial count of {name!r} is {float(x0.flat[index])!r}: "
+                f"SSA counts must be finite and below 2**53, where "
+                f"float64 stops telling consecutive counts apart")
+        if np.any(rounded < 0):
             raise SimulationError("negative initial counts")
-        return counts
+        return rounded.astype(np.int64)
 
     def simulate(self, t_final: float, *, t_start: float = 0.0,
                  initial: Mapping[str, float] | np.ndarray | None = None,

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
-
 from repro.crn.rates import AMP, DAMP, FAST, GEN, SLOW
 from repro.lint.engine import LintContext, rule
 
@@ -99,6 +97,8 @@ def _complex_cycles(network):
             if key not in index:
                 index[key] = len(index)
         edges.append((index[source], index[target], reaction_index))
+    import networkx as nx  # at first use: simulating needs no graphs
+
     graph = nx.DiGraph()
     graph.add_nodes_from(range(len(index)))
     graph.add_edges_from((u, v) for u, v, _ in edges)

@@ -45,14 +45,15 @@ def _ma_network(taps: int = 2):
     from repro.apps.filters import moving_average
     from repro.core.machine import SynchronousMachine
 
-    return SynchronousMachine(moving_average(int(taps))).network
+    # A copy: machines of one design share their read-only network.
+    return SynchronousMachine(moving_average(int(taps))).network.copy()
 
 
 def _iir_network():
     from repro.apps.filters import iir_first_order
     from repro.core.machine import SynchronousMachine
 
-    return SynchronousMachine(iir_first_order()).network
+    return SynchronousMachine(iir_first_order()).network.copy()
 
 
 def _random_network(seed: int = 0, max_species: int = 5,

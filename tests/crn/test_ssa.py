@@ -1,5 +1,7 @@
 """Integration tests for the stochastic simulators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,62 @@ class TestIncrementalPropensityHardening:
             IncrementalPropensities(simulator.kinetics,
                                     simulator.constants,
                                     rebuild_interval=0)
+
+
+class TestInexactInitialCounts:
+    """Initial amounts are float64: from 2**53 on, consecutive integer
+    counts share one value, so a count there cannot be exact.  Every
+    stochastic entry point refuses one -- and non-finite ones -- with
+    one error naming the species and the value, and no numpy warning."""
+
+    ENTRY_POINTS = {
+        "simulate": lambda sim: sim.simulate(1.0),
+        "ensemble": lambda sim: sim.simulate_ensemble(1.0, [0, 1]),
+        "mean": lambda sim: sim.mean_trajectory(1.0, 2),
+        "tau": lambda sim: TauLeapingSimulator(
+            sim.network, seed=0).simulate(1.0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("text,value", [
+        ("9007199254740993", "9007199254740992.0"),  # 2**53 + 1
+        ("9007199254740992", "9007199254740992.0"),  # 2**53
+        ("9223372036854775808", "9.223372036854776e+18"),  # 2**63
+        ("1e19", "1e+19"),
+    ])
+    def test_parsed_counts_from_two_to_the_53(self, entry, text, value):
+        from repro.crn.parser import parse_network
+
+        network = parse_network(f"init A = {text}\nA -> B @ slow\n")
+        simulator = StochasticSimulator(network, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError) as caught:
+                self.ENTRY_POINTS[entry](simulator)
+        message = str(caught.value)
+        assert f"'A' is {value}" in message
+        assert "2**53" in message
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts(self, value):
+        simulator = StochasticSimulator(_decay(), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError,
+                               match=f"'A' is {value!r}"):
+                simulator.simulate(1.0, initial={"A": value})
+
+    def test_the_largest_exact_count_runs(self):
+        network = Network()
+        network.add("A", "B", 1e-20)
+        network.set_initial("A", 2.0 ** 53 - 1)
+        final = StochasticSimulator(network, seed=0).final_counts(1.0)
+        assert final["A"] + final["B"] == 2 ** 53 - 1
+
+    def test_negative_counts_keep_their_error(self):
+        simulator = StochasticSimulator(_decay(), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError,
+                               match="negative initial counts"):
+                simulator.simulate(1.0, initial=np.array([-1e19, 0.0]))
