@@ -165,6 +165,17 @@ class SignalFlowGraph:
     def delay_names(self) -> list[str]:
         return [n.name for n in self._nodes if n.kind == "delay"]
 
+    def content_key(self) -> tuple:
+        """Everything :meth:`to_matrix` reads, as a hashable tuple: the
+        name, every node, the delay inputs and the initial state.  Equal
+        keys reduce to equal matrix forms, and computing one costs a
+        fraction of the reduction."""
+        return (self.name,
+                tuple((node.kind, node.name, node.gain, tuple(node.preds))
+                      for node in self._nodes),
+                tuple(sorted(self._delay_inputs.items())),
+                tuple(sorted(self._initial_state.items())))
+
     # -- matrix reduction -------------------------------------------------------------
 
     def to_matrix(self) -> "MatrixDesign":

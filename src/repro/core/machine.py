@@ -343,14 +343,20 @@ def _build_template(engine: type, circuit: SynthesizedCircuit,
         settle=settle, simulator=simulator)
 
 
-def _synthesized_template(engine: type, design: MatrixDesign,
+def _synthesized_template(engine: type,
+                          design: MatrixDesign | SignalFlowGraph,
                           scheme: RateScheme, rates: np.ndarray | None,
-                          clock_mass: float, signed: bool, gating: str,
-                          boundary_fraction: float,
+                          clock_mass: float, signed: bool | None,
+                          gating: str, boundary_fraction: float,
                           options: MachineOptions) -> MachineTemplate:
-    """A cache miss: synthesize a read-only copy of ``design`` (every
-    machine on the key shares it as ``machine.design``) and freeze its
-    network before building the template on it."""
+    """A cache miss: reduce a graph to matrix form, synthesize a
+    read-only copy of the design (every machine on the key shares it as
+    ``machine.design``) and freeze its network before building the
+    template on it."""
+    if isinstance(design, SignalFlowGraph):
+        design = design.to_matrix()
+        design.validate()
+        signed = design.signed if signed is None else signed
     private = MatrixDesign(
         design.name, tuple(design.inputs), tuple(design.outputs),
         tuple(design.delays), MappingProxyType(dict(design.coefficients)),
@@ -385,26 +391,31 @@ def _template_key(engine: type, design: MatrixDesign | SignalFlowGraph,
                   clock_mass: float, signed: bool | None, gating: str,
                   boundary_fraction: float,
                   options: MachineOptions) -> _TemplateKey:
-    """The content key of a machine on ``design``: its matrix form, the
-    scheme's values, explicit rates by value, the synthesis and clocking
-    arguments, the options (oscillator included) and the engine class.
-    A graph is reduced to matrix form on every call, so a graph edited
-    after a build misses."""
+    """The content key of a machine on ``design``: a graph's
+    :meth:`~SignalFlowGraph.content_key` or a matrix design's matrix
+    form, the scheme's values, explicit rates by value, the synthesis
+    and clocking arguments, the options (oscillator included) and the
+    engine class.  A graph is keyed on every call without being reduced,
+    so a graph edited after a build misses; a miss reduces and validates
+    it, and a malformed graph raises there."""
     if isinstance(design, SignalFlowGraph):
-        design = design.to_matrix()
-    # Synthesis validates too: a malformed design must raise its
-    # SynthesisError before the key sorts its coefficients.
-    design.validate()
-    signed = design.signed if signed is None else signed
+        shape: tuple = (SignalFlowGraph, design.content_key())
+    else:
+        # Synthesis validates too: a malformed design must raise its
+        # SynthesisError before the key sorts its coefficients.
+        design.validate()
+        signed = design.signed if signed is None else signed
+        shape = (
+            MatrixDesign, design.name, tuple(design.inputs),
+            tuple(design.outputs), tuple(design.delays),
+            # The type keeps a float coefficient (which synthesis
+            # refuses) apart from the equal Fraction.
+            tuple((edge, type(coefficient), coefficient)
+                  for edge, coefficient
+                  in sorted(design.coefficients.items())),
+            tuple(sorted(design.initial_state.items())))
     content = (
-        engine, design.name, tuple(design.inputs), tuple(design.outputs),
-        tuple(design.delays),
-        # The type keeps a float coefficient (which synthesis refuses)
-        # apart from the equal Fraction.
-        tuple((edge, type(coefficient), coefficient) for edge, coefficient
-              in sorted(design.coefficients.items())),
-        tuple(sorted(design.initial_state.items())),
-        tuple(sorted(scheme.values.items())),
+        engine, shape, tuple(sorted(scheme.values.items())),
         None if rates is None else (rates.shape, rates.tobytes()),
         clock_mass, signed, gating, boundary_fraction, options)
     return _TemplateKey(content, functools.partial(

@@ -59,6 +59,17 @@ from repro.core.synthesis import SynthesizedCircuit
 from repro.errors import SimulationError, SynthesisError
 
 
+#: The rate values of a machine built without a scheme: the paper's,
+#: with indicator generation at the slow rate.  The ODE driver keeps
+#: generation tiny because the continuum integrates its floor into
+#: cross-gate leaks.  In the discrete semantics generation is a *seed
+#: event*: with gen = 0.01 the amplifier waits ~100 time units for its
+#: first molecule.  Discrete states cannot accumulate sub-molecule
+#: leaks, so a brisk seed rate is safe here.
+_DEFAULT_RATES = dict(RateScheme().values)
+_DEFAULT_RATES["gen"] = _DEFAULT_RATES["slow"]
+
+
 class StochasticMachine(_CycleDriver):
     """SSA counterpart of :class:`~repro.core.machine.SynchronousMachine`.
 
@@ -84,15 +95,7 @@ class StochasticMachine(_CycleDriver):
                  faults=None, probe=None,
                  options: MachineOptions | None = None):
         if scheme is None:
-            # The ODE driver keeps indicator generation tiny because the
-            # continuum integrates its floor into cross-gate leaks.  In
-            # the discrete semantics generation is a *seed event*: with
-            # gen = 0.01 the amplifier waits ~100 time units for its
-            # first molecule.  Discrete states cannot accumulate
-            # sub-molecule leaks, so a brisk seed rate is safe here.
-            values = dict(RateScheme().values)
-            values["gen"] = values["slow"]
-            scheme = RateScheme(values)
+            scheme = RateScheme(dict(_DEFAULT_RATES))
         self._setup(
             design, scheme, None, clock_mass=clock_mass, signed=signed,
             gating="catalytic", boundary_fraction=boundary_fraction,

@@ -79,7 +79,8 @@ class MassActionKinetics:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_kernel"] = None  # cffi handles do not pickle; rebind lazily
+        # cffi handles do not pickle; rebind lazily
+        state["_kernel"] = state["_kernel_call"] = None
         return state
 
     def view(self) -> "MassActionKinetics":
@@ -90,7 +91,7 @@ class MassActionKinetics:
         view = shallow_copy(self)
         view._xbuf = np.ones(self.n_species + 1)
         view._cbuf = np.ones(2 * (self.n_species + 1))
-        view._kernel = None
+        view._kernel = view._kernel_call = None
         return view
 
     def freeze(self) -> None:
@@ -171,6 +172,7 @@ class MassActionKinetics:
         self._xbuf = np.ones(n_s + 1)
         self._cbuf = np.ones(2 * (n_s + 1))
         self._kernel = None         # compiled-kernel binding, bound lazily
+        self._kernel_call = None    # its _KernelBinding.call, or ()
         self._fire = None           # fire_csr(), computed on first use
         self._dependency = None     # dependency_csr(), likewise
 
@@ -215,21 +217,41 @@ class MassActionKinetics:
         m *= self.rates
         return m
 
-    def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
+    def _bind(self) -> tuple:
+        """Bind the compiled kernel: its :attr:`_KernelBinding.call`, or
+        ``()`` when there is none (``_kernel`` is then ``False``)."""
+        kernel = self._kernel = _bind_kernel(self)
+        self._kernel_call = kernel.call if kernel else ()
+        return self._kernel_call
+
+    def rhs(self, t: float, x: np.ndarray,
+            borrow: bool = False) -> np.ndarray:
         """ODE right-hand side ``dx/dt``.
 
         Runs the compiled kernel (:mod:`repro.crn.native`) when it is
         available and ``x`` is a contiguous float64 state vector, and the
         NumPy twin :meth:`rhs_numpy` otherwise; the two agree bitwise.
+
+        With ``borrow=True`` the compiled path returns the kernel's own
+        output buffer, which the next :meth:`rhs` call on this kinetics
+        overwrites; only a caller that copies the values out before it
+        calls again (scipy's LSODA copies every callback result into its
+        own array) may pass it.  The twin always returns a fresh array.
         """
-        kernel = self._kernel
-        if kernel is None:
-            kernel = self._kernel = _bind_kernel(self)
-        if kernel:
-            state = kernel.state(x)
-            if state is not None:
-                kernel.rhs(kernel.ctx, state)
-                return kernel.rhs_out.copy()
+        call = self._kernel_call
+        if call is None:
+            call = self._bind()
+        if call:
+            shape, from_buffer, doubles, ctx, kernel, out, _, _ = call
+            if (x.__class__ is np.ndarray and x.dtype is _FLOAT64
+                    and x.shape == shape):
+                try:
+                    state = from_buffer(doubles, x)
+                except ValueError:  # not C-contiguous
+                    pass
+                else:
+                    kernel(ctx, state)
+                    return out if borrow else out.copy()
         return self.rhs_numpy(t, x)
 
     def rhs_numpy(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -269,20 +291,27 @@ class MassActionKinetics:
     def _jacobian_weights(self, x: np.ndarray) -> np.ndarray:
         return self._jac_coef * self._drate_values(x)[self._jac_entry]
 
-    def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
+    def jacobian(self, t: float, x: np.ndarray,
+                 borrow: bool = False) -> np.ndarray:
         """Analytic Jacobian ``d(dx/dt)/dx`` (dense array).
 
         Compiled when available, like :meth:`rhs`; bitwise equal to
-        :meth:`jacobian_numpy`.
+        :meth:`jacobian_numpy`.  ``borrow`` is :meth:`rhs`'s.
         """
-        kernel = self._kernel
-        if kernel is None:
-            kernel = self._kernel = _bind_kernel(self)
-        if kernel:
-            state = kernel.state(x)
-            if state is not None:
-                kernel.jacobian(kernel.ctx, state)
-                return kernel.jac_out.copy()
+        call = self._kernel_call
+        if call is None:
+            call = self._bind()
+        if call:
+            shape, from_buffer, doubles, ctx, _, _, kernel, out = call
+            if (x.__class__ is np.ndarray and x.dtype is _FLOAT64
+                    and x.shape == shape):
+                try:
+                    state = from_buffer(doubles, x)
+                except ValueError:  # not C-contiguous
+                    pass
+                else:
+                    kernel(ctx, state)
+                    return out if borrow else out.copy()
         return self.jacobian_numpy(t, x)
 
     def jacobian_numpy(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -506,18 +535,16 @@ class _KernelBinding:
 
     Every array the struct points to lives in one int64 and one float64
     buffer owned by the binding, including the scratch space and the
-    ``rhs_out``/``jac_out`` outputs the kernel writes.
+    ``rhs_out``/``jac_out`` outputs the kernel writes.  ``call`` holds
+    what :meth:`MassActionKinetics.rhs` and ``jacobian`` need, in one
+    tuple they unpack: the state shape, the ``double[]`` cast of a state
+    vector, the struct, and each kernel function with its output.
     """
 
     def __init__(self, module, kinetics: MassActionKinetics):
         ffi, lib = module.ffi, module.lib
-        self.rhs = lib.repro_rhs
-        self.jacobian = lib.repro_jacobian
-        self._from_buffer = ffi.from_buffer
-        self._doubles = ffi.typeof("double[]")
         k = kinetics
         n_s = k.n_species
-        self._shape = (n_s,)
         generic = [reactants for _, reactants in k._generic_lists]
         ints = {
             "factor_a": k._factor_a,
@@ -554,19 +581,9 @@ class _KernelBinding:
         ctx.n_stoich = len(k._stoich_rows)
         ctx.n_drate = len(k._drate_gather)
         ctx.n_jac = len(k._jac_target)
-        self.ctx = ctx
-
-    def state(self, x):
-        """``x`` as a kernel pointer, or None unless it is a C-contiguous
-        float64 vector of the network's length (the NumPy twin handles
-        everything else, including raising on bad shapes)."""
-        if (x.__class__ is np.ndarray and x.dtype is _FLOAT64
-                and x.shape == self._shape):
-            try:
-                return self._from_buffer(self._doubles, x)
-            except ValueError:  # not C-contiguous
-                return None
-        return None
+        self.call = ((n_s,), ffi.from_buffer, ffi.typeof("double[]"), ctx,
+                     lib.repro_rhs, self.rhs_out,
+                     lib.repro_jacobian, self.jac_out)
 
 
 def _bind_kernel(kinetics: MassActionKinetics):

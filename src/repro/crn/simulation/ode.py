@@ -21,7 +21,7 @@ from repro.crn.kinetics import (MassActionKinetics, build_kinetics,
                                 shallow_copy)
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
-from repro.crn.simulation.result import Trajectory
+from repro.crn.simulation.result import Trajectory, check_time_span
 from repro.crn.simulation.rk import integrate_rk45
 from repro.errors import SimulationError
 from repro.obs.metrics import ensure_metrics
@@ -42,6 +42,12 @@ _SPARSE_AUTO_THRESHOLD = 64
 _MXSTEP = 5_000_000
 _MXORDN = 12
 _MXORDS = 5
+
+#: Extra arguments of every LSODA callback: ``borrow=True``.  scipy
+#: copies each ``rhs``/``jacobian`` result into its own work array before
+#: it calls back again, so the kernel's output buffer is never copied
+#: twice (see :meth:`MassActionKinetics.rhs`).
+_BORROW = (True,)
 
 # scipy.integrate takes about half a second to import, and SSA runs never
 # need it: these wrappers import it at the first solve.  The module calls
@@ -255,8 +261,7 @@ class OdeSimulator:
         keeps the search short; the result does not depend on it beyond
         the solver tolerances.
         """
-        if t_final <= t_start:
-            raise SimulationError("t_final must exceed t_start")
+        check_time_span(t_start, t_final)
         if event_hint is not None and not (
                 math.isfinite(event_hint) and event_hint > 0):
             raise SimulationError(
@@ -381,9 +386,9 @@ class OdeSimulator:
         the initial time) integrating from ``x0``; accumulates solver
         effort into ``stats``."""
         states, info = odeint(
-            self.kinetics.rhs, x0, t_points, Dfun=self._jacobian_callable(),
-            tfirst=True, rtol=self.rtol, atol=self.atol, full_output=True,
-            mxstep=_MXSTEP)
+            self.kinetics.rhs, x0, t_points, args=_BORROW,
+            Dfun=self._jacobian_callable(), tfirst=True, rtol=self.rtol,
+            atol=self.atol, full_output=True, mxstep=_MXSTEP)
         if info["message"] != "Integration successful.":
             raise SimulationError(
                 f"ODE solver failed: {info['message']}")
@@ -427,7 +432,7 @@ class OdeSimulator:
             # lsoda overwrites and returns ``y``; every row is a copy.
             y, t, istate = lsoda(rhs, y, t, float(pts[i]), self.rtol,
                                  self.atol, 1, istate, rwork, iwork, jac,
-                                 jt, (), 1, (), doubles, ints)
+                                 jt, _BORROW, 1, _BORROW, doubles, ints)
             if istate < 0:
                 break
             states[i] = y
@@ -577,16 +582,26 @@ class OdeSimulator:
     # -- helpers ----------------------------------------------------------------
 
     def _initial_state(self, initial) -> np.ndarray:
+        """Initial amounts as a fresh float64 vector; a non-finite amount
+        raises naming the species, as SSA's initial counts do."""
         if initial is None:
-            return self.network.initial_vector()
-        if isinstance(initial, Mapping):
-            return self.network.initial_vector(initial)
-        x0 = np.asarray(initial, dtype=float)
-        if x0.shape != (self.network.n_species,):
+            x0 = self.network.initial_vector()
+        elif isinstance(initial, Mapping):
+            x0 = self.network.initial_vector(initial)
+        else:
+            x0 = np.array(initial, dtype=float)
+            if x0.shape != (self.network.n_species,):
+                raise SimulationError(
+                    f"initial state has shape {x0.shape}, expected "
+                    f"({self.network.n_species},)")
+        bad = np.flatnonzero(~np.isfinite(x0))
+        if bad.size:
+            index = int(bad[0])
             raise SimulationError(
-                f"initial state has shape {x0.shape}, expected "
-                f"({self.network.n_species},)")
-        return x0.copy()
+                f"initial amount of "
+                f"{self.network.species_names[index]!r} is "
+                f"{float(x0[index])!r}: ODE amounts must be finite")
+        return x0
 
 
 #: Keyword arguments accepted by the legacy :func:`simulate` helper:

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.errors import SimulationError
+
+
+def check_time_span(t_start: float, t_final: float) -> None:
+    """Refuse a span no engine can simulate: both ends must be finite
+    and ``t_final`` must exceed ``t_start``."""
+    for name, value in (("t_start", t_start), ("t_final", t_final)):
+        if not math.isfinite(value):
+            raise SimulationError(f"{name} must be finite, got {value!r}")
+    if t_final <= t_start:
+        raise SimulationError("t_final must exceed t_start")
 
 
 @runtime_checkable

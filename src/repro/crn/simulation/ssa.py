@@ -43,7 +43,8 @@ from repro.crn.kinetics import (MassActionKinetics, build_kinetics,
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
 from repro.crn.simulation.margins import MarginTable, scan
-from repro.crn.simulation.result import EnsembleResult, Trajectory
+from repro.crn.simulation.result import (EnsembleResult, Trajectory,
+                                        check_time_span)
 from repro.crn.simulation.sampling import (NO_POSITIVE_PROPENSITY,
                                            select_reaction)
 from repro.errors import SimulationError
@@ -652,8 +653,7 @@ class StochasticSimulator:
         spans ``[t_start, t_final]``.  The dynamics are time-homogeneous,
         so a shifted origin only relabels the grid.
         """
-        if t_final <= t_start:
-            raise SimulationError("t_final must exceed t_start")
+        check_time_span(t_start, t_final)
         state = self.propensity_state
         state.reset(self._initial_counts(initial))
         sample_times = np.linspace(t_start, t_final,
@@ -762,8 +762,7 @@ class StochasticSimulator:
         on an absorbing state, raises what ``simulate`` would, naming
         the trial.  Telemetry records the call as one ``ssa.batch`` span.
         """
-        if t_final <= t_start:
-            raise SimulationError("t_final must exceed t_start")
+        check_time_span(t_start, t_final)
         rngs = [np.random.default_rng(seed) for seed in seeds]
         if not rngs:
             raise SimulationError("seeds must be non-empty")

@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
-from repro.crn.simulation.result import EnsembleResult, Trajectory
+from repro.crn.simulation.result import (EnsembleResult, Trajectory,
+                                        check_time_span)
 from repro.crn.simulation.sampling import select_reaction
 from repro.crn.simulation.ssa import IncrementalPropensities, \
     StochasticSimulator
@@ -84,8 +85,7 @@ class TauLeapingSimulator(StochasticSimulator):
         exact-SSA fallback bursts), mirroring the SSA engine's event
         budget.
         """
-        if t_final <= t_start:
-            raise SimulationError("t_final must exceed t_start")
+        check_time_span(t_start, t_final)
         state: IncrementalPropensities = self.propensity_state
         state.reset(self._initial_counts(initial))
         sample_times = np.linspace(t_start, t_final,

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -124,6 +125,9 @@ class JobSpec:
                 raise ServeError(
                     f"{self.kind} jobs take exactly one of network= "
                     f"or scenario=")
+            if not math.isfinite(self.t_final):
+                raise ServeError(
+                    f"t_final must be finite, got {self.t_final!r}")
             if self.t_final <= 0:
                 raise ServeError("t_final must be positive")
             if self.method not in ENGINES:

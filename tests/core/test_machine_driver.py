@@ -16,6 +16,10 @@ the SSA machine:
 * the SSA machine's straggler flushes, cycle deadline, ``ssa.batch``
   spans and ``record=`` rows stay bitwise identical on the compiled poll
   loop and on its Python twin;
+* ODE machine runs, a recorded trajectory, traced solver effort and
+  plain and evented ``OdeSimulator.simulate`` calls stay bitwise
+  identical on the compiled kinetics, the NumPy twins and the
+  ``odeint`` twin of the event walk (the ODE digests below);
 * non-finite input samples and a ``max_cycle_time`` that is not finite
   and positive are rejected on both engines.
 """
@@ -28,11 +32,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.apps.filters import moving_average
+from repro.apps.filters import iir_first_order, moving_average
 from repro.core.dfg import SignalFlowGraph
 from repro.core.machine import MachineOptions, SynchronousMachine
 from repro.core.stochastic_machine import StochasticMachine
 from repro.crn import native
+from repro.crn.simulation import ode
+from repro.crn.simulation.events import species_below
+from repro.crn.simulation.ode import OdeSimulator
 from repro.errors import SimulationError, SynthesisError
 from repro.faults.models import ClockGlitch, FaultPlan
 from repro.obs import EventRecord, MemorySink, MetricsRegistry, SpanRecord
@@ -172,6 +179,99 @@ class TestSsaRecoveryPins:
         assert trajectory.states.shape == (1012, 16)
         pinned = trajectory.times.tobytes() + trajectory.states.tobytes()
         assert hashlib.sha256(pinned).hexdigest()[:16] == "2c1947d3c5eac4b5"
+
+
+@pytest.fixture(params=["kernel", "numpy", "odeint"])
+def ode_path(request, monkeypatch):
+    """Run the test on the compiled kinetics and the resumable LSODA
+    walk, with the kernel reported missing (the NumPy kinetics twins),
+    and with events located by the walk's ``odeint`` twin."""
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "_kernel", None)
+    elif request.param == "odeint":
+        monkeypatch.setattr(ode, "_lsoda_entry", None)
+    return request.param
+
+
+#: The ``ode-machine`` benchmark's input stream.
+ODE_STREAM = [8.0, 4.0, 6.0, 2.0]
+ODE_DESIGNS = {"ma2": lambda: moving_average(2), "iir": iir_first_order}
+
+
+def trajectory_digest(trajectory) -> str:
+    """First 16 hex digits of a sha256 over a trajectory's times, states
+    and metadata."""
+    h = hashlib.sha256(trajectory.times.tobytes())
+    h.update(trajectory.states.tobytes())
+    h.update(repr(sorted(trajectory.meta.items())).encode())
+    return h.hexdigest()[:16]
+
+
+#: ``(ode.nfev, ode.njev)`` of the traced run, by event search.
+TRACED_EFFORT = {"walk": (10_514, 792), "odeint": (15_602, 1_202)}
+
+
+def _machine_network():
+    network = SynchronousMachine(moving_average(2)).network
+    return network, network.initial_vector() + 8.0 * np.eye(
+        network.n_species)[network.species_index("s_x_p")]
+
+
+class TestOdePins:
+    """ODE realisations pinned to constants, so that a change which
+    moves both sides of a kernel-versus-twin or walk-versus-``odeint``
+    comparison still fails.  Each pin holds on the compiled kinetics,
+    on the NumPy twins and on the ``odeint`` twin of the walk, and with
+    ``CC=false`` (CI's no-compiler step runs this file).  The solver's
+    arithmetic is scipy's (1.17.1 when they were taken), so a scipy
+    upgrade may move them: regenerate them then, on purpose."""
+
+    @pytest.mark.parametrize("design,clocking,expected", [
+        ("ma2", "fixed", "550556006901176a"),
+        ("ma2", "adaptive", "7cd3e135d75090ad"),
+        ("iir", "fixed", "6703883f900d12e1"),
+        ("iir", "adaptive", "9964d2ea235d578f"),
+    ])
+    def test_machine_runs(self, ode_path, design, clocking, expected):
+        machine = SynchronousMachine(ODE_DESIGNS[design](),
+                                     options=MachineOptions(clocking=clocking))
+        run = machine.run({"x": ODE_STREAM})
+        assert digest([(run, None)]) == expected
+
+    def test_recorded_trajectory(self, ode_path):
+        machine = SynchronousMachine(moving_average(2))
+        trajectory = machine.run({"x": ODE_STREAM[:2]},
+                                 record=True).trajectory
+        assert trajectory.states.shape == (134, 16)
+        assert trajectory_digest(trajectory) == "614b9e6100ed05dc"
+
+    def test_traced_solver_effort(self, ode_path):
+        tracer, metrics = Tracer(MemorySink()), MetricsRegistry()
+        machine = SynchronousMachine(moving_average(2), tracer=tracer,
+                                     metrics=metrics)
+        run = machine.run({"x": ODE_STREAM})
+        counters = metrics.to_dict()["counters"]
+        # The twin integrates every chunk to its end before it scans, so
+        # it evaluates more; every state it returns is the walk's.
+        expected = TRACED_EFFORT["odeint" if ode_path == "odeint"
+                                 else "walk"]
+        assert (counters["ode.nfev"], counters["ode.njev"]) == expected
+        assert digest([(run, None)]) == "0550bc33b45a6d3c"
+
+    def test_plain_simulate(self, ode_path):
+        network, x0 = _machine_network()
+        trajectory = OdeSimulator(network).simulate(6.0, initial=x0,
+                                                    n_samples=61)
+        assert trajectory_digest(trajectory) == "dbf2871f8a8721ba"
+
+    def test_evented_simulate(self, ode_path):
+        network, x0 = _machine_network()
+        event = species_below(network, "C_red", 10.0)
+        trajectory = OdeSimulator(network).simulate(
+            50.0, initial=x0, n_samples=101, events=[event])
+        assert trajectory.meta == {"event": 0,
+                                   "event_time": 0.3802533493502737}
+        assert trajectory_digest(trajectory) == "b2ac9c4a28197afa"
 
 
 def _stepped(machine, stream):

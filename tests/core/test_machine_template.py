@@ -6,8 +6,9 @@ and clock tables; only its seed, telemetry and faults differ.
 content key into a :class:`MachineTemplate` and shares it.  These tests
 pin what the sharing must keep:
 
-* the key is content -- an equal graph hits, an edited graph misses,
-  every key field moves it, and the per-machine arguments do not;
+* the key is content -- an equal graph hits, a graph edited by any
+  mutator misses (a malformed one raises on every build), every key
+  field moves it, and the per-machine arguments do not;
 * the template is read-only: its arrays raise on a write, its network
   refuses every mutator, and copies (scenario builders included) stay
   editable;
@@ -39,7 +40,7 @@ from repro.crn import native
 from repro.crn.rates import RateScheme
 from repro.crn.reaction import Reaction
 from repro.crn.simulation.ssa import _CompiledLoop
-from repro.errors import NetworkError
+from repro.errors import NetworkError, SynthesisError
 from repro.faults.models import ClockGlitch, FaultPlan, Leak, RateMismatch
 from repro.obs import MemorySink, MetricsRegistry, Tracer
 from repro.scenarios import get_scenario
@@ -102,6 +103,60 @@ class TestKey:
         assert second.template is not first.template
         assert second.design.outputs == ("y", "z")
         assert first.design.outputs == ("y",)
+
+    # A graph is keyed on its content, not reduced: each mutator must
+    # move the key, even an edit the matrix form would not show (a gain
+    # or an add that feeds no sink).
+    GRAPH_EDITS = {
+        "input": lambda sfg, x, d: sfg.input("u"),
+        "output": lambda sfg, x, d: sfg.output("z", x),
+        "delay": lambda sfg, x, d: sfg.delay("d2", source=x),
+        "gain": lambda sfg, x, d: sfg.gain(Fraction(1, 4), x),
+        "add": lambda sfg, x, d: sfg.add(x, d),
+        "set_initial": lambda sfg, x, d: sfg.set_initial("d1", 4.0),
+        "rename": lambda sfg, x, d: setattr(sfg, "name", "ma2b"),
+    }
+
+    @staticmethod
+    def unwired():
+        """``ma2`` with its delay's input not yet connected."""
+        sfg = SignalFlowGraph("ma2")
+        x = sfg.input("x")
+        d = sfg.delay("d1")
+        y = sfg.add(sfg.gain(Fraction(1, 2), x), sfg.gain(Fraction(1, 2), d))
+        sfg.output("y", y)
+        return sfg, x, d, y
+
+    @pytest.mark.parametrize("edit", sorted(GRAPH_EDITS))
+    def test_each_graph_mutator_misses(self, edit):
+        sfg, x, d, _ = self.unwired()
+        sfg.connect(x, d)
+        first = SynchronousMachine(sfg)
+        assert SynchronousMachine(sfg).template is first.template
+        self.GRAPH_EDITS[edit](sfg, x, d)
+        second = SynchronousMachine(sfg)
+        assert misses() == 2
+        assert second.template is not first.template
+        assert SynchronousMachine(sfg).template is second.template
+
+    def test_connect_moves_the_key(self):
+        # Two graphs with equal nodes whose delay stores another signal:
+        # ``connect`` writes only the delay inputs, which the key holds.
+        fed_forward, x, d, _ = self.unwired()
+        fed_forward.connect(x, d)
+        fed_back, _, d, y = self.unwired()
+        fed_back.connect(y, d)
+        first = SynchronousMachine(fed_forward)
+        second = SynchronousMachine(fed_back)
+        assert misses() == 2
+        assert second.design.coefficients != first.design.coefficients
+
+    def test_a_malformed_graph_raises_on_every_build(self):
+        sfg, *_ = self.unwired()
+        for _ in range(2):
+            with pytest.raises(SynthesisError, match="has no input"):
+                SynchronousMachine(sfg)
+        assert machine_templates.cache_info().currsize == 0
 
     BASE = dict(clock_mass=20.0, signed=None, gating="catalytic",
                 boundary_fraction=0.9)

@@ -81,6 +81,42 @@ class TestSimulatorApi:
         with pytest.raises(SimulationError):
             simulator.simulate(0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_span(self, value):
+        # scipy used to raise its own "values in t must be monotonically
+        # increasing" error for these.
+        simulator = OdeSimulator(_decay_network())
+        with pytest.raises(SimulationError,
+                           match=f"t_final must be finite, got {value!r}"):
+            simulator.simulate(value)
+        with pytest.raises(SimulationError,
+                           match=f"t_start must be finite, got {value!r}"):
+            simulator.simulate(1.0, t_start=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_amounts(self, value):
+        # A NaN amount used to run to an all-NaN trajectory.
+        simulator = OdeSimulator(_decay_network())
+        message = f"initial amount of 'B' is {value!r}"
+        with pytest.raises(SimulationError, match=message):
+            simulator.simulate(1.0, initial={"B": value})
+        with pytest.raises(SimulationError, match=message):
+            simulator.simulate(1.0, initial=np.array([1.0, value]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_declared_initial_amount(self, value):
+        # set_initial refuses only a negative amount.
+        network = _decay_network()
+        network.set_initial("B", value)
+        with pytest.raises(SimulationError,
+                           match=f"initial amount of 'B' is {value!r}"):
+            OdeSimulator(network).simulate(1.0)
+
+    def test_initial_vector_is_not_aliased(self):
+        x0 = np.array([5.0, 1.0])
+        OdeSimulator(_decay_network()).simulate(1.0, initial=x0)
+        assert x0.tolist() == [5.0, 1.0]
+
     def test_unknown_method(self):
         with pytest.raises(SimulationError):
             OdeSimulator(_decay_network(), method="Euler")

@@ -327,3 +327,41 @@ class TestInexactInitialCounts:
             with pytest.raises(SimulationError,
                                match="negative initial counts"):
                 simulator.simulate(1.0, initial=np.array([-1e19, 0.0]))
+
+
+class TestNonFiniteTimes:
+    """A NaN or infinite end of the time span used to come back as a
+    sample grid of NaN or inf; every stochastic entry point refuses it
+    with one error naming the value."""
+
+    ENTRY_POINTS = {
+        "simulate": lambda sim, t0, t1: sim.simulate(t1, t_start=t0),
+        "ensemble": lambda sim, t0, t1: sim.simulate_ensemble(
+            t1, [0, 1], t_start=t0),
+        "mean": lambda sim, t0, t1: sim.mean_trajectory(t1, 2, t_start=t0),
+        "tau": lambda sim, t0, t1: TauLeapingSimulator(
+            sim.network, seed=0).simulate(t1, t_start=t0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_t_final(self, entry, value):
+        simulator = StochasticSimulator(_decay(), seed=0)
+        with pytest.raises(SimulationError,
+                           match=f"t_final must be finite, got {value!r}"):
+            self.ENTRY_POINTS[entry](simulator, 0.0, value)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_t_start(self, entry, value):
+        simulator = StochasticSimulator(_decay(), seed=0)
+        with pytest.raises(SimulationError,
+                           match=f"t_start must be finite, got {value!r}"):
+            self.ENTRY_POINTS[entry](simulator, value, 1.0)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_empty_span_keeps_its_error(self, entry):
+        simulator = StochasticSimulator(_decay(), seed=0)
+        with pytest.raises(SimulationError,
+                           match="t_final must exceed t_start"):
+            self.ENTRY_POINTS[entry](simulator, 1.0, 1.0)

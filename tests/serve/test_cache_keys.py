@@ -152,6 +152,19 @@ class TestValidation:
         with pytest.raises(ServeError, match="options.seed"):
             spec.validate()
 
+    @pytest.mark.parametrize("kind,method", [("simulate", "ssa"),
+                                             ("simulate", "ode"),
+                                             ("sweep", "tau")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_t_final(self, kind, method, value):
+        # ``nan <= 0`` is false, so a NaN horizon used to pass and its
+        # NaN result was cached.
+        spec = JobSpec(kind=kind, network=_network(), method=method,
+                       t_final=value)
+        with pytest.raises(ServeError,
+                           match=f"t_final must be finite, got {value!r}"):
+            spec.validate()
+
     def test_ode_sweep_rejected(self):
         with pytest.raises(ServeError, match="ssa.*tau"):
             JobSpec(kind="sweep", network=_network(),
