@@ -194,7 +194,7 @@ def _add_simulate(subparsers) -> None:
                         help="final time (default 10)")
     parser.add_argument("--method", default="LSODA",
                         help="ODE method (LSODA/BDF/Radau/RK45/"
-                             "internal-rk45)")
+                             "internal-rk45/native-bdf)")
     parser.add_argument("--engine", default="ode",
                         choices=["ode", "ssa", "tau"],
                         help="simulation engine (default ode)")

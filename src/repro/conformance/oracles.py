@@ -50,6 +50,11 @@ numerical agreement:
     time, and leave **bitwise** identical sampled rows, counts,
     propensities and gather buffer, and the generator's next draw.
     Skipped when the kernel is unavailable.
+``diff.native-ode-vs-lsoda``
+    The compiled BDF (``native-bdf``, the machines' integrator) and
+    LSODA, at the ``diff.ode-solvers`` tolerances, must agree on the
+    same 33-point sampled trajectory within that oracle's acceptance.
+    Skipped when the kernel is unavailable.
 
 Every ensemble member's seed is spawned from one root
 :class:`numpy.random.SeedSequence`, and each ensemble row is bitwise the
@@ -136,33 +141,47 @@ def check_ensemble_vs_trial(target, seed: int,
     return _guarded("diff.ensemble-vs-trial", target.name, "ssa", body)
 
 
+def _against_lsoda(target, solvers: list[str]) -> str | None:
+    """Run LSODA and ``solvers`` at the tight tolerances on the same
+    33-point grid; the last solver whose trajectory strays from LSODA's
+    by more than the cross-solver acceptance, described, or ``None``."""
+    def run(solver):
+        options = SimulationOptions(solver=solver, n_samples=33,
+                                    rtol=TIGHT_RTOL, atol=TIGHT_ATOL)
+        return simulate(target.network, target.t_final, "ode",
+                        scheme=target.scheme, options=options)
+
+    reference = run("LSODA")
+    scale = max(1.0, float(np.max(np.abs(reference.states))))
+    tolerance = SOLVER_ATOL + SOLVER_RTOL * scale
+    worst = None
+    for name in solvers:
+        deviation = float(np.max(np.abs(reference.states
+                                        - run(name).states)))
+        if deviation > tolerance:
+            worst = (f"LSODA vs {name}: max deviation "
+                     f"{deviation:.3e} exceeds {tolerance:.3e}")
+    return worst
+
+
 def check_ode_solvers(target, seed: int) -> CheckResult:
     def body():
-        network = target.network
-        t_final = target.t_final
-
-        def run(solver):
-            options = SimulationOptions(solver=solver, n_samples=33,
-                                        rtol=TIGHT_RTOL, atol=TIGHT_ATOL)
-            return simulate(network, t_final, "ode",
-                            scheme=target.scheme, options=options)
-
-        solvers = ["LSODA", "BDF"]
+        solvers = ["BDF"]
         if not target.stiff:
             solvers.append("internal-rk45")
-        trajectories = {name: run(name) for name in solvers}
-        reference = trajectories["LSODA"]
-        scale = max(1.0, float(np.max(np.abs(reference.states))))
-        tolerance = SOLVER_ATOL + SOLVER_RTOL * scale
-        worst = None
-        for name in solvers[1:]:
-            deviation = float(np.max(np.abs(
-                reference.states - trajectories[name].states)))
-            if deviation > tolerance:
-                worst = (f"LSODA vs {name}: max deviation "
-                         f"{deviation:.3e} exceeds {tolerance:.3e}")
-        return worst
+        return _against_lsoda(target, solvers)
     return _guarded("diff.ode-solvers", target.name, "ode", body)
+
+
+def check_native_ode_vs_lsoda(target, seed: int) -> CheckResult:
+    """The compiled BDF must agree with LSODA on the sampled grid."""
+    def body():
+        from repro.crn import native
+
+        if native.load() is None:
+            raise _Skip("compiled kernel unavailable")
+        return _against_lsoda(target, ["native-bdf"])
+    return _guarded("diff.native-ode-vs-lsoda", target.name, "ode", body)
 
 
 def check_ssa_vs_ode(target, seed: int, n_runs: int = 16) -> CheckResult:
@@ -442,4 +461,5 @@ DIFFERENTIAL_CHECKS = (
     check_native_ssa_vs_python,
     check_lsoda_walk_vs_odeint,
     check_native_ssa_poll_vs_python,
+    check_native_ode_vs_lsoda,
 )

@@ -28,6 +28,7 @@ from repro.conformance.metamorphic import (ENGINE_SPECS,
                                            check_sampling_guard)
 from repro.conformance.oracles import (check_ensemble_vs_trial,
                                        check_lsoda_walk_vs_odeint,
+                                       check_native_ode_vs_lsoda,
                                        check_native_ssa_poll_vs_python,
                                        check_native_ssa_vs_python,
                                        check_native_vs_numpy,
@@ -147,6 +148,7 @@ def _cells_for(target: Target, target_index: int, seed: int,
     add(check_native_ssa_vs_python)
     add(check_lsoda_walk_vs_odeint)
     add(check_native_ssa_poll_vs_python)
+    add(check_native_ode_vs_lsoda)
     return cells
 
 
@@ -197,9 +199,9 @@ def replay_network(network, *, name: str = "corpus",
     Used by ``tests/conformance/test_corpus_replay.py`` and the CLI's
     ``--replay`` mode: every metamorphic invariant on every applicable
     engine, plus the cross-solver and bitwise ensemble-vs-trial
-    oracles, the three bitwise compiled-kernel oracles and the bitwise
-    LSODA walk oracle -- cheap enough to run on every shrunk reproducer
-    in tier-1, forever.
+    oracles, the three bitwise compiled-kernel oracles, the bitwise
+    LSODA walk oracle and the compiled-BDF-vs-LSODA oracle -- cheap
+    enough to run on every shrunk reproducer in tier-1, forever.
     """
     target = Target(name, network, CONFORMANCE_SCHEME,
                     t_final=t_final, stochastic=stochastic)

@@ -221,14 +221,18 @@ def _cycle_deadline(max_cycle_time: float | None, default: float) -> float:
     return float(max_cycle_time)
 
 
-def _terminal_event(margin, direction: float):
-    """A terminal, directional ODE event on one clock margin."""
+def _terminal_event(margin: MarginTable, direction: float):
+    """A terminal, directional ODE event on one clock margin; it carries
+    the table as ``event.margin``, which ``native-bdf`` evaluates in
+    C."""
+    evaluate = margin.evaluate
 
     def event(t: float, x: np.ndarray) -> float:
-        return float(margin(x))
+        return float(evaluate(x))
 
     event.terminal = True
     event.direction = direction
+    event.margin = margin
     return event
 
 
@@ -1058,7 +1062,7 @@ class SynchronousMachine(_CycleDriver):
                  gating: str = "catalytic",
                  boundary_fraction: float = 0.9,
                  max_cycle_time: float | None = None,
-                 method: str = "LSODA",
+                 method: str = "native-bdf",
                  rtol: float = 1e-7, atol: float = 1e-9,
                  tracer=None, metrics=None,
                  monitor: MonitorConfig | None = None,
@@ -1119,7 +1123,7 @@ class SynchronousMachine(_CycleDriver):
         departure = self.simulator.simulate(
             t_start + self.max_cycle_time, t_start=t_start, initial=state,
             n_samples=n_samples,
-            events=[_terminal_event(self._departure.evaluate, -1.0)],
+            events=[_terminal_event(self._departure, -1.0)],
             event_hint=estimates.get("departure"))
         if "event" not in departure.meta:
             raise SimulationError(
@@ -1135,8 +1139,8 @@ class SynchronousMachine(_CycleDriver):
             departure.t_final + self.max_cycle_time,
             t_start=departure.t_final, initial=departure.final(),
             n_samples=n_samples,
-            events=[_terminal_event(
-                self._closing_table(signal_mass).evaluate, 1.0)],
+            events=[_terminal_event(self._closing_table(signal_mass),
+                                    1.0)],
             event_hint=estimates.get(estimate_key))
         if "event" not in boundary.meta:
             raise SimulationError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Iterable, Mapping
 
 import numpy as np
@@ -151,6 +152,10 @@ class Network:
         if self._frozen:
             self._refuse()
         value = float(value)
+        if not math.isfinite(value):
+            raise NetworkError(
+                f"initial quantity of {as_species(species).name!r} must be "
+                f"finite, got {value!r}")
         if value < 0:
             raise NetworkError("initial quantity must be non-negative")
         name = self.add_species(species).name

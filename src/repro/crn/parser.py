@@ -21,6 +21,7 @@ The parser round-trips with :meth:`repro.crn.network.Network.to_text`.
 
 from __future__ import annotations
 
+import math
 import re
 
 from repro.crn.network import Network
@@ -120,6 +121,9 @@ def _parse_init_line(network: Network, line: str, line_no: int,
     except ValueError:
         raise ParseError(f"bad init value {value_text.strip()!r}",
                          line_no, raw) from None
+    if not math.isfinite(value):
+        raise ParseError(f"init value of {name.strip()!r} must be finite, "
+                         f"got {value!r}", line_no, raw)
     if value < 0:
         raise ParseError("init value must be non-negative", line_no, raw)
     network.set_initial(name.strip(), value)

@@ -5,6 +5,12 @@ ODE simulations of the mass-action chemical kinetics."  The default solver
 is scipy's LSODA (the networks are stiff by construction: every design mixes
 fast and slow rates separated by three orders of magnitude); an internal
 Dormand-Prince integrator is available as an independent cross-check.
+
+``native-bdf`` is scipy's variable-order BDF compiled into the kernel of
+:mod:`repro.crn.native`: one call integrates a whole segment, evaluating
+the compiled kinetics and locating a clock margin's crossing without
+returning to Python.  The synchronous machines run on it; LSODA stays
+the reference every other caller, and every pin, uses.
 """
 
 from __future__ import annotations
@@ -17,10 +23,12 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.crn import native
 from repro.crn.kinetics import (MassActionKinetics, build_kinetics,
                                 shallow_copy)
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
+from repro.crn.simulation.margins import MarginTable
 from repro.crn.simulation.result import Trajectory, check_time_span
 from repro.crn.simulation.rk import integrate_rk45
 from repro.errors import SimulationError
@@ -28,7 +36,7 @@ from repro.obs.metrics import ensure_metrics
 from repro.obs.tracer import ensure_tracer
 
 #: Solver methods accepted by :class:`OdeSimulator`.
-METHODS = ("LSODA", "BDF", "Radau", "RK45", "internal-rk45")
+METHODS = ("LSODA", "BDF", "Radau", "RK45", "internal-rk45", "native-bdf")
 
 #: Jacobian handling modes accepted by :class:`OdeSimulator`.
 JACOBIAN_MODES = ("auto", "dense", "sparsity", "none")
@@ -138,6 +146,77 @@ def _work_arrays(n: int, n_doubles: int, n_ints: int) -> tuple:
     return work
 
 
+#: ``repro_bdf`` statuses (see :mod:`repro.crn.native`).
+_BDF_ROWS, _BDF_SMALL_STEP = 1, 2
+
+#: Sample rows a :class:`_NativeBdf` holds before it first grows; a
+#: machine's telemetry plans ~30 rows per cycle segment.
+_BDF_ROWS_START = 64
+
+
+class _NativeBdf:
+    """One simulator's ``repro_bdf``: the struct, its work arrays and a
+    row buffer that doubles whenever a segment fills it, bound to the
+    simulator's own kinetics struct (``ctx``)."""
+
+    def __init__(self, module, ctx, n: int):
+        ffi = self.ffi = module.ffi
+        self.run = module.lib.repro_bdf_solve
+        bdf = self.ctx = ffi.new("repro_bdf *")
+        self.event = ffi.new("repro_margin *")
+        self.work = np.empty(2 * n * n + 15 * n)
+        self.iwork = np.empty(n * n + 4 * n + 1, np.int64)
+        self.y = np.empty(n)
+        self.rows = np.empty((_BDF_ROWS_START, n))
+        bdf.k = ctx
+        bdf.work = ffi.from_buffer("double[]", self.work)
+        bdf.iwork = ffi.from_buffer("int64_t[]", self.iwork)
+        bdf.y = ffi.from_buffer("double[]", self.y)
+
+    def solve(self, x0, t_start, t_final, samples, table, direction,
+              rtol, atol):
+        """Integrate ``x0`` from ``t_start`` to ``t_final`` or the
+        event; returns ``(times, states, fired, stats)``, the states
+        unclamped, with a row at each of ``samples`` (ascending, after
+        ``t_start``) before the end."""
+        ffi, bdf = self.ffi, self.ctx
+        self.y[:] = x0
+        bdf.t, bdf.t_bound, bdf.rtol, bdf.atol = t_start, t_final, rtol, atol
+        bdf.resume = bdf.next_eval = bdf.n_rows = 0
+        bdf.steps = bdf.rejected = bdf.nfev = bdf.njev = bdf.nlu = 0
+        live = [ffi.from_buffer("double[]", samples)]
+        bdf.t_eval, bdf.n_eval = live[0], samples.size
+        if table is None:
+            bdf.event = ffi.NULL
+        else:
+            live.append(native.margin(ffi, self.event, table))
+            bdf.event, bdf.direction = self.event, direction
+        rows = self.rows
+        while True:
+            bdf.rows, bdf.capacity = ffi.from_buffer("double[]", rows), \
+                rows.shape[0]
+            status = self.run(bdf)
+            if status != _BDF_ROWS:
+                break
+            grown = np.empty((2 * rows.shape[0], rows.shape[1]))
+            grown[:bdf.n_rows] = rows[:bdf.n_rows]
+            rows = self.rows = grown
+        if status:
+            what = ("the step size underflowed" if status == _BDF_SMALL_STEP
+                    else "the state went non-finite")
+            raise SimulationError(
+                f"ODE solver failed: native BDF stopped at t={bdf.t!r}: "
+                f"{what}")
+        m = bdf.n_rows
+        times = np.empty(m + 2)
+        times[0], times[1:m + 1], times[-1] = t_start, samples[:m], bdf.t
+        states = np.empty((m + 2, x0.size))
+        states[0], states[1:m + 1], states[-1] = x0, rows[:m], self.y
+        stats = {"nfev": bdf.nfev, "njev": bdf.njev, "nlu": bdf.nlu,
+                 "accepted": bdf.steps, "rejected": bdf.rejected}
+        return times, states, bool(bdf.fired), stats
+
+
 class OdeSimulator:
     """Deterministic simulator for one network under one rate resolution.
 
@@ -152,7 +231,12 @@ class OdeSimulator:
         explicit per-reaction rate vector overriding ``scheme`` (used by the
         jittered-rate robustness experiments).
     method:
-        one of :data:`METHODS`.
+        one of :data:`METHODS`.  ``native-bdf`` runs scipy's BDF compiled
+        into the kernel, on the analytic dense Jacobian whatever
+        ``jacobian`` says, with no event or one terminal directional
+        event that carries its :class:`MarginTable` as ``event.margin``
+        (the machines' clock events).  Without a kernel it runs the
+        LSODA path instead, after the kernel's one ``RuntimeWarning``.
     jacobian:
         one of :data:`JACOBIAN_MODES`.  ``dense`` passes the analytic
         dense Jacobian; ``sparsity`` passes only the nonzero pattern via
@@ -191,6 +275,12 @@ class OdeSimulator:
         self.jacobian_mode = jacobian
         self.tracer = ensure_tracer(tracer)
         self.metrics = ensure_metrics(metrics)
+        self._bdf = None  # the _NativeBdf, bound at the first native solve
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_bdf"] = None  # cffi handles do not pickle; rebind lazily
+        return state
 
     def _solver(self, method: str, rtol: float, atol: float) -> None:
         if method not in METHODS:
@@ -217,6 +307,7 @@ class OdeSimulator:
         fork = shallow_copy(self)
         fork._solver(method, rtol, atol)
         fork.kinetics = self.kinetics.view()
+        fork._bdf = None
         fork.tracer = ensure_tracer(tracer)
         fork.metrics = ensure_metrics(metrics)
         return fork
@@ -259,7 +350,8 @@ class OdeSimulator:
         :meth:`_simulate_lsoda`) searches in chunks sized from the hint,
         so a good estimate (e.g. the previous cycle's segment duration)
         keeps the search short; the result does not depend on it beyond
-        the solver tolerances.
+        the solver tolerances.  ``native-bdf`` checks the event after
+        every step and ignores it.
         """
         check_time_span(t_start, t_final)
         if event_hint is not None and not (
@@ -271,12 +363,28 @@ class OdeSimulator:
         t_eval = np.linspace(t_start, t_final, max(int(n_samples), 2))
         telemetry = self.tracer.enabled or self.metrics.enabled
         wall_start = perf_counter() if telemetry else 0.0
+        one_event = not events or (
+            len(events) == 1 and getattr(events[0], "terminal", False)
+            and getattr(events[0], "direction", 0.0) != 0.0)
 
-        if self.method == "LSODA" and (
-                not events
-                or (len(events) == 1
-                    and getattr(events[0], "terminal", False)
-                    and getattr(events[0], "direction", 0.0) != 0.0)):
+        if self.method == "native-bdf":
+            event = events[0] if events else None
+            if not one_event or (event is not None and not isinstance(
+                    getattr(event, "margin", None), MarginTable)):
+                raise SimulationError(
+                    "native-bdf supports no event, or one terminal "
+                    "directional event carrying its MarginTable")
+            if event is not None and \
+                    event.margin.n_species > self.network.n_species:
+                raise SimulationError(
+                    "native-bdf's event margin names species outside the "
+                    "network")
+            bdf = self._native_bdf()
+            if bdf:
+                return self._simulate_native(bdf, t_start, t_final, x0,
+                                             t_eval, event, telemetry,
+                                             wall_start)
+        if self.method in ("LSODA", "native-bdf") and one_event:
             return self._simulate_lsoda(
                 t_start, t_final, x0, t_eval,
                 events[0] if events else None, event_hint,
@@ -338,6 +446,42 @@ class OdeSimulator:
                  "nlu": int(solution.nlu or 0)})
         return trajectory
 
+    # -- compiled BDF --------------------------------------------------------------
+
+    def _native_bdf(self):
+        """This simulator's :class:`_NativeBdf`, or ``False`` when there
+        is no kernel (the kinetics binding loads it)."""
+        bdf = self._bdf
+        if bdf is None:
+            call = self.kinetics._kernel_call
+            if call is None:
+                call = self.kinetics._bind()
+            bdf = self._bdf = (_NativeBdf(native.load(), call[3],
+                                          self.network.n_species)
+                               if call else False)
+        return bdf
+
+    def _simulate_native(self, bdf: _NativeBdf, t_start: float,
+                         t_final: float, x0: np.ndarray,
+                         t_eval: np.ndarray, event, telemetry: bool,
+                         wall_start: float) -> Trajectory:
+        """One ``repro_bdf`` call over the segment: the event's margin is
+        evaluated after every accepted step and its first crossing
+        located on the step's interpolant, which also gives the rows at
+        ``t_eval``."""
+        table, direction = (None, 0.0) if event is None else (
+            event.margin, float(event.direction))
+        times, states, fired, stats = bdf.solve(
+            x0, t_start, t_final, t_eval[1:], table, direction,
+            self.rtol, self.atol)
+        meta = {"event": 0, "event_time": float(times[-1])} if fired else {}
+        trajectory = Trajectory(times, np.maximum(states, 0.0, out=states),
+                                self.network.species_names, meta)
+        if telemetry:
+            self._record_call(trajectory, perf_counter() - wall_start,
+                              t_start, stats)
+        return trajectory
+
     # -- LSODA fast path ---------------------------------------------------------
 
     def _simulate_lsoda(self, t_start: float, t_final: float,
@@ -372,7 +516,7 @@ class OdeSimulator:
                                 self.network.species_names, meta)
         if telemetry:
             self._record_call(trajectory, perf_counter() - wall_start,
-                              t_start, stats)
+                              t_start, stats, "LSODA")
         return trajectory
 
     def _jacobian_callable(self):
@@ -542,8 +686,12 @@ class OdeSimulator:
         return np.array(kept_t), np.vstack(kept_x), meta
 
     def _record_call(self, trajectory: Trajectory, wall: float,
-                     t_start: float, stats: dict) -> None:
-        """Solver-effort bookkeeping for one completed ``simulate``."""
+                     t_start: float, stats: dict,
+                     method: str | None = None) -> None:
+        """Solver-effort bookkeeping for one completed ``simulate``;
+        ``method`` names the solver that ran (``native-bdf`` without a
+        kernel runs LSODA), by default ``self.method``."""
+        method = method or self.method
         nfev = int(stats.get("nfev", 0))
         njev = int(stats.get("njev", 0))
         event_fired = "event" in trajectory.meta
@@ -562,7 +710,7 @@ class OdeSimulator:
             # LSODA switches to its stiff (BDF) mode before it ever asks
             # for a Jacobian, so njev > 0 is the observable proxy for a
             # stiff-fallback activation.
-            if self.method == "LSODA" and njev:
+            if method == "LSODA" and njev:
                 metrics.inc("ode.stiff_activations")
             metrics.observe("ode.wall_seconds", wall)
         if self.tracer.enabled:
@@ -576,7 +724,7 @@ class OdeSimulator:
                 args["rejected"] = int(stats.get("rejected", 0))
             if event_fired:
                 args["event"] = trajectory.meta["event"]
-            self.tracer.emit_span(f"solve:{self.method}", "solver",
+            self.tracer.emit_span(f"solve:{method}", "solver",
                                   t_start, trajectory.t_final, args)
 
     # -- helpers ----------------------------------------------------------------

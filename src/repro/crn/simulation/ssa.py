@@ -439,8 +439,8 @@ class _CompiledLoop:
         p = ffi.new("repro_poll *")
         buffer = rows if rows is not None else \
             np.empty((grid.size, self._n_species))
-        live = [_margin(ffi, p.departure, departure),
-                _margin(ffi, p.closing, closing),
+        live = [native.margin(ffi, p.departure, departure),
+                native.margin(ffi, p.closing, closing),
                 ffi.from_buffer("int64_t[]", counts),
                 ffi.from_buffer("double[]", buffer)]
         p.counts, p.rows = live[2:]
@@ -491,19 +491,6 @@ class _CompiledLoop:
         if status == self._exceeded:
             raise _trial_error(_over_budget(max_events, ctx.t), failed[0])
         return states, events
-
-
-def _margin(ffi, dest, table: MarginTable) -> list:
-    """Point a ``repro_margin`` at ``table``'s arrays; returns the
-    buffers that keep them alive."""
-    live = [ffi.from_buffer("int64_t[]", table.ptr),
-            ffi.from_buffer("int64_t[]", table.species),
-            ffi.from_buffer("double[]", table.weights),
-            ffi.from_buffer("double[]", table.thresholds),
-            ffi.from_buffer("int64_t[]", table.signs)]
-    dest.n_terms = len(table.thresholds)
-    dest.ptr, dest.species, dest.weight, dest.threshold, dest.sign = live
-    return live
 
 
 def _bind_loop(state: IncrementalPropensities):

@@ -16,10 +16,12 @@ the SSA machine:
 * the SSA machine's straggler flushes, cycle deadline, ``ssa.batch``
   spans and ``record=`` rows stay bitwise identical on the compiled poll
   loop and on its Python twin;
-* ODE machine runs, a recorded trajectory, traced solver effort and
-  plain and evented ``OdeSimulator.simulate`` calls stay bitwise
-  identical on the compiled kinetics, the NumPy twins and the
+* ODE machine runs on LSODA, a recorded trajectory, traced solver
+  effort and plain and evented ``OdeSimulator.simulate`` calls stay
+  bitwise identical on the compiled kinetics, the NumPy twins and the
   ``odeint`` twin of the event walk (the ODE digests below);
+* the machines' default integrator, the compiled BDF, keeps its own
+  pins, and without a kernel every machine equals its LSODA run;
 * non-finite input samples and a ``max_cycle_time`` that is not finite
   and positive are rejected on both engines.
 """
@@ -220,7 +222,9 @@ def _machine_network():
 class TestOdePins:
     """ODE realisations pinned to constants, so that a change which
     moves both sides of a kernel-versus-twin or walk-versus-``odeint``
-    comparison still fails.  Each pin holds on the compiled kinetics,
+    comparison still fails.  The machines run on ``method="LSODA"``,
+    the reference (:class:`TestNativeOdePins` pins the ``native-bdf``
+    default).  Each pin holds on the compiled kinetics,
     on the NumPy twins and on the ``odeint`` twin of the walk, and with
     ``CC=false`` (CI's no-compiler step runs this file).  The solver's
     arithmetic is scipy's (1.17.1 when they were taken), so a scipy
@@ -234,12 +238,13 @@ class TestOdePins:
     ])
     def test_machine_runs(self, ode_path, design, clocking, expected):
         machine = SynchronousMachine(ODE_DESIGNS[design](),
-                                     options=MachineOptions(clocking=clocking))
+                                     options=MachineOptions(clocking=clocking),
+                                     method="LSODA")
         run = machine.run({"x": ODE_STREAM})
         assert digest([(run, None)]) == expected
 
     def test_recorded_trajectory(self, ode_path):
-        machine = SynchronousMachine(moving_average(2))
+        machine = SynchronousMachine(moving_average(2), method="LSODA")
         trajectory = machine.run({"x": ODE_STREAM[:2]},
                                  record=True).trajectory
         assert trajectory.states.shape == (134, 16)
@@ -248,7 +253,7 @@ class TestOdePins:
     def test_traced_solver_effort(self, ode_path):
         tracer, metrics = Tracer(MemorySink()), MetricsRegistry()
         machine = SynchronousMachine(moving_average(2), tracer=tracer,
-                                     metrics=metrics)
+                                     metrics=metrics, method="LSODA")
         run = machine.run({"x": ODE_STREAM})
         counters = metrics.to_dict()["counters"]
         # The twin integrates every chunk to its end before it scans, so
@@ -272,6 +277,66 @@ class TestOdePins:
         assert trajectory.meta == {"event": 0,
                                    "event_time": 0.3802533493502737}
         assert trajectory_digest(trajectory) == "b2ac9c4a28197afa"
+
+
+@pytest.fixture(params=["kernel", "no-kernel"])
+def native_path(request, monkeypatch):
+    """Run the test on the compiled BDF, and with the kernel reported
+    missing, where ``native-bdf`` runs the LSODA path on the NumPy
+    twins."""
+    if request.param == "no-kernel":
+        monkeypatch.setattr(native, "_kernel", None)
+    elif native.load() is None:
+        pytest.skip("compiled kernel unavailable")
+    return request.param
+
+
+class TestNativeOdePins:
+    """The machine default, ``native-bdf``, pinned on the kernel.  Its
+    arithmetic is the kernel's own (scipy's BDF in C), so only a kernel
+    change moves these.  Without a kernel every machine must equal its
+    ``method="LSODA"`` run bitwise: :class:`TestOdePins`' digests."""
+
+    @pytest.mark.parametrize("design,clocking,expected,lsoda", [
+        ("ma2", "fixed", "e8bfe3d319b696cf", "550556006901176a"),
+        ("ma2", "adaptive", "a50b54f351bce23f", "7cd3e135d75090ad"),
+        ("iir", "fixed", "b0e019a587d25c92", "6703883f900d12e1"),
+        ("iir", "adaptive", "23fc5a953230cff2", "9964d2ea235d578f"),
+    ])
+    def test_machine_runs(self, native_path, design, clocking, expected,
+                          lsoda):
+        machine = SynchronousMachine(ODE_DESIGNS[design](),
+                                     options=MachineOptions(clocking=clocking))
+        run = machine.run({"x": ODE_STREAM})
+        assert digest([(run, None)]) == \
+            (expected if native_path == "kernel" else lsoda)
+
+    def test_recorded_trajectory(self, native_path):
+        machine = SynchronousMachine(moving_average(2))
+        trajectory = machine.run({"x": ODE_STREAM[:2]},
+                                 record=True).trajectory
+        assert trajectory.states.shape == (134, 16)
+        assert trajectory_digest(trajectory) == (
+            "03a0c1e2ee01dd1d" if native_path == "kernel"
+            else "614b9e6100ed05dc")
+
+    def test_traced_solver_effort(self, native_path):
+        tracer, metrics = Tracer(MemorySink()), MetricsRegistry()
+        machine = SynchronousMachine(moving_average(2), tracer=tracer,
+                                     metrics=metrics)
+        run = machine.run({"x": ODE_STREAM})
+        counters = metrics.to_dict()["counters"]
+        effort = (counters["ode.nfev"], counters["ode.njev"])
+        if native_path == "no-kernel":
+            assert effort == TRACED_EFFORT["walk"]
+            assert digest([(run, None)]) == "0550bc33b45a6d3c"
+            return
+        assert effort == (12_165, 214)
+        assert (counters["ode.nlu"], counters["ode.steps_accepted"],
+                counters["ode.steps_rejected"]) == (969, 4_563, 109)
+        # Telemetry samples each segment densely; the rows come from the
+        # interpolant, so the traced run is the bare run bitwise.
+        assert digest([(run, None)]) == "e8bfe3d319b696cf"
 
 
 def _stepped(machine, stream):

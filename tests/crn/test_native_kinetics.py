@@ -153,7 +153,8 @@ def test_results_are_fresh_arrays(kernel):
 
 
 def _run_machine(sfg):
-    machine = SynchronousMachine(sfg, options=MachineOptions())
+    machine = SynchronousMachine(sfg, options=MachineOptions(),
+                                 method="LSODA")
     return machine.run({"x": [8.0, 4.0, 6.0, 2.0]})
 
 

@@ -86,6 +86,29 @@ class TestInitialConditions:
         with pytest.raises(NetworkError):
             Network().set_initial("X", -1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_rejected_naming_the_species(self, value):
+        network = Network()
+        network.add("A", "B")
+        with pytest.raises(NetworkError,
+                           match=f"initial quantity of 'A' must be finite, "
+                                 f"got {value!r}"):
+            network.set_initial("A", value)
+        with pytest.raises(NetworkError, match="'C' must be finite"):
+            network.add_species("C", initial=value)
+        assert network.initial == {}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_canonical_initial_rejected(self, value):
+        network = Network()
+        network.add("A", "B")
+        network.set_initial("A", 2.0)
+        payload = network.to_canonical_dict()
+        payload["initial"] = {"A": value}
+        with pytest.raises(NetworkError, match="'A' must be finite"):
+            Network.from_canonical_dict(payload)
+
     def test_initial_vector_with_overrides(self):
         network = Network()
         network.add("A", "B")

@@ -46,6 +46,12 @@ def kernel():
     return module
 
 
+def lsoda_machine() -> SynchronousMachine:
+    """A machine on LSODA, whose callbacks borrow (``native-bdf``, the
+    machine default, never calls back into Python)."""
+    return SynchronousMachine(moving_average(2), method="LSODA")
+
+
 def outputs(run) -> bytes:
     spans = [(span.index, span.t0, span.t1) for span in run.cycles]
     return run.outputs["y"].tobytes() + repr(
@@ -67,7 +73,8 @@ def test_class_level_wrappers_count_every_callback(monkeypatch):
     for name in ("rhs", "jacobian"):
         monkeypatch.setattr(MassActionKinetics, name, counting(name))
     metrics = MetricsRegistry()
-    SynchronousMachine(moving_average(2), metrics=metrics).run(STREAM)
+    SynchronousMachine(moving_average(2), metrics=metrics,
+                       method="LSODA").run(STREAM)
     counters = metrics.to_dict()["counters"]
     assert (counted["rhs"], counted["jacobian"]) == (10_514, 792)
     assert (counters["ode.nfev"], counters["ode.njev"]) == (10_514, 792)
@@ -80,7 +87,7 @@ def test_poisoned_buffers_change_no_bit(kernel, monkeypatch, walk):
     if walk == "odeint":
         monkeypatch.setattr(ode, "_lsoda_entry", None)
     monkeypatch.setattr(ode, "_BORROW", (False,))
-    copied = outputs(SynchronousMachine(moving_average(2)).run(STREAM))
+    copied = outputs(lsoda_machine().run(STREAM))
     monkeypatch.setattr(ode, "_BORROW", (True,))
     poisoned = []
 
@@ -98,7 +105,7 @@ def test_poisoned_buffers_change_no_bit(kernel, monkeypatch, walk):
 
     for name in ("rhs", "jacobian"):
         monkeypatch.setattr(MassActionKinetics, name, poisoning(name))
-    run = SynchronousMachine(moving_average(2)).run(STREAM)
+    run = lsoda_machine().run(STREAM)
     assert poisoned.count("rhs") > 10_000 and "jacobian" in poisoned
     assert outputs(run) == copied
 
@@ -136,9 +143,9 @@ def test_the_twins_ignore_borrow(monkeypatch):
 
 def test_forks_on_threads_keep_their_own_buffers():
     streams = [{"x": [8.0, 2.0, 6.0]}, {"x": [4.0, 0.0, 10.0]}] * 2
-    serial = [outputs(SynchronousMachine(moving_average(2)).run(stream))
+    serial = [outputs(lsoda_machine().run(stream))
               for stream in streams[:2]] * 2
-    machines = [SynchronousMachine(moving_average(2)) for _ in streams]
+    machines = [lsoda_machine() for _ in streams]
     assert len({id(machine.template) for machine in machines}) == 1
     barrier = threading.Barrier(len(machines), timeout=60)
     results: list = [None] * len(machines)

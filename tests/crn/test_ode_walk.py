@@ -188,7 +188,7 @@ def _machine(name, clocking, telemetry):
                   "tracer": Tracer(MemorySink())}
     return SynchronousMachine(DESIGNS[name](),
                               options=MachineOptions(clocking=clocking),
-                              **kwargs)
+                              method="LSODA", **kwargs)
 
 
 def _spans(spans):
@@ -296,7 +296,7 @@ del _odepack.lsoda  # a scipy without the resumable entry point
 from repro.scenarios import get_scenario
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    machine = get_scenario("ma").driver(taps=2)
+    machine = get_scenario("ma").driver(taps=2, method="LSODA")
     runs = [machine.run({"x": [8.0, 4.0, 6.0, 2.0]}) for _ in range(2)]
 print(json.dumps({
     "warnings": [str(w.message) for w in caught
@@ -316,7 +316,7 @@ def test_missing_entry_point_falls_back_with_one_warning():
     outcome = json.loads(done.stdout.strip().splitlines()[-1])
     assert len(outcome["warnings"]) == 1, outcome["warnings"]
     assert "identical results" in outcome["warnings"][0]
-    machine = get_scenario("ma").driver(taps=2)
+    machine = get_scenario("ma").driver(taps=2, method="LSODA")
     runs = [machine.run({"x": [8.0, 4.0, 6.0, 2.0]}) for _ in range(2)]
     assert outcome["outputs"] == [[float(v).hex() for v in run.outputs["y"]]
                                   for run in runs]

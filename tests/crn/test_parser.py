@@ -95,6 +95,14 @@ class TestErrors:
             parse_network("A -> B\nC -> @ 1.2.3\n")
         assert "line 2" in str(info.value)
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "1e999"])
+    def test_non_finite_init_rejected_with_line_number(self, value):
+        with pytest.raises(ParseError,
+                           match=r"line 2: init value of 'X' must be "
+                                 r"finite") as info:
+            parse_network(f"X -> Y\ninit X = {value}\n")
+        assert info.value.line_no == 2
+
     def test_custom_rate_category_accepted(self):
         # Category names beyond fast/slow are legal; they resolve (or
         # fail) at simulation time via the RateScheme.
