@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
+from repro.crn.simulation.margins import MarginEvent, MarginTable
 from repro.crn.simulation.ode import OdeSimulator
 from repro.crn.simulation.result import Trajectory
 from repro.core.memory import DelayLine
@@ -97,6 +98,15 @@ class SelfTimedPipeline:
         self.metrics = ensure_metrics(metrics)
         self.simulator = OdeSimulator(self.network, self.scheme,
                                       tracer=tracer, metrics=metrics)
+        # The effective output counts both halves of the accelerator
+        # dimer I_Y, where there is one: it parks part of the output.
+        index = self.network.species_index
+        output, weights = [index(self.output_name)], [1.0]
+        dimer = f"I_{self.output_name}"
+        if dimer in self.network:
+            output.append(index(dimer))
+            weights.append(2.0)
+        self._output = MarginTable([(output, weights, 0.0, 1)])
         self.arrival_fraction = arrival_fraction
         # Handshake hold-off: after acknowledging an arrival, let the
         # rotation finish its residual phases before the next request.
@@ -114,31 +124,6 @@ class SelfTimedPipeline:
     @property
     def output_name(self) -> str:
         return self.line.output.name
-
-    def _effective_from_state(self, state) -> float:
-        """Effective output (dimer-inclusive) from a raw state vector."""
-        value = float(state[self.network.species_index(self.output_name)])
-        dimer = f"I_{self.output_name}"
-        if dimer in self.network:
-            value += 2.0 * float(
-                state[self.network.species_index(dimer)])
-        return value
-
-    def _arrival_event(self, threshold: float):
-        output_index = self.network.species_index(self.output_name)
-        dimer = f"I_{self.output_name}"
-        dimer_index = (self.network.species_index(dimer)
-                       if dimer in self.network else None)
-
-        def event(t: float, x: np.ndarray) -> float:
-            value = float(x[output_index])
-            if dimer_index is not None:
-                value += 2.0 * float(x[dimer_index])
-            return value - threshold
-
-        event.terminal = True
-        event.direction = 1.0
-        return event
 
     def run(self, samples: list[float], record: bool = False,
             samples_per_wave: int = 80) -> AsyncRun:
@@ -164,8 +149,9 @@ class SelfTimedPipeline:
             # Acknowledge: the output has received (almost all of) the
             # cumulative injected quantity.  The effective output includes
             # the share reversibly parked in the accelerator dimer.
-            event = self._arrival_event(
-                previous_total + self.arrival_fraction * max(sample, 1e-9))
+            event = MarginEvent(self._output.with_last_threshold(
+                previous_total + self.arrival_fraction * max(sample, 1e-9)),
+                1.0)
             segment = self.simulator.simulate(
                 t + self.max_wait, t_start=t, initial=state,
                 n_samples=samples_per_wave if record else 8,
@@ -184,7 +170,7 @@ class SelfTimedPipeline:
                 t = tail.t_final
                 if record:
                     segment = segment.concat(tail)
-            total = self._effective_from_state(state)
+            total = float(self._output.evaluate(state))
             arrived.append(total - previous_total)
             previous_total = total
             arrival_times.append(t)

@@ -69,6 +69,7 @@ import numpy as np
 from repro.conformance.metamorphic import CheckResult, _guarded, _Skip
 from repro.crn.simulation import (SimulationOptions, StochasticSimulator,
                                   TauLeapingSimulator, simulate)
+from repro.crn.simulation.margins import MarginEvent, MarginTable
 from repro.errors import SimulationError
 
 #: Copy-number scaling for the SSA-vs-ODE limit oracle.
@@ -414,9 +415,9 @@ def check_native_ssa_poll_vs_python(target, seed: int) -> CheckResult:
                     body)
 
 
-def _never(t, x) -> float:
-    """An event that never fires, so a walk covers its whole grid."""
-    return 1.0
+#: An event that never fires (its empty sum less -1 is 1.0 on every
+#: state), so a walk covers its whole grid.
+_NEVER = MarginEvent(MarginTable([([], [], -1.0, 1)]), -1.0)
 
 
 def check_lsoda_walk_vs_odeint(target, seed: int) -> CheckResult:
@@ -438,7 +439,7 @@ def check_lsoda_walk_vs_odeint(target, seed: int) -> CheckResult:
             walk_stats = {"nfev": 0, "njev": 0}
             odeint_stats = {"nfev": 0, "njev": 0}
             walked, _, _ = simulator._walk_lsoda(
-                x0, grid, _never, -1.0, None, walk_stats)
+                x0, grid, _NEVER, -1.0, None, walk_stats)
             states = simulator._odeint_span(x0, grid, odeint_stats)
             where = _first_difference(walked, states)
             if where is not None:

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
-from repro.crn.simulation.margins import MarginTable, scan
+from repro.crn.simulation.margins import MarginEvent, MarginTable, scan
 from repro.crn.simulation.ode import OdeSimulator
 from repro.crn.simulation.result import Trajectory
 from repro.crn.species import COLORS
@@ -221,21 +221,6 @@ def _cycle_deadline(max_cycle_time: float | None, default: float) -> float:
     return float(max_cycle_time)
 
 
-def _terminal_event(margin: MarginTable, direction: float):
-    """A terminal, directional ODE event on one clock margin; it carries
-    the table as ``event.margin``, which ``native-bdf`` evaluates in
-    C."""
-    evaluate = margin.evaluate
-
-    def event(t: float, x: np.ndarray) -> float:
-        return float(evaluate(x))
-
-    event.terminal = True
-    event.direction = direction
-    event.margin = margin
-    return event
-
-
 # -- machine templates ------------------------------------------------------
 #
 # Every machine built on one design runs the same synthesized network
@@ -260,24 +245,16 @@ class MachineTemplate:
 
     circuit: SynthesizedCircuit
     network: Network
-    blue_indices: np.ndarray
     clock_red_index: int
     clock_indices: tuple[int, ...]
     clock_red_dimer_index: int | None
     signal_indices: tuple[int, ...]
     signal_groups: Mapping[str, tuple[str, ...]]
-    green_indices: np.ndarray
-    signal_blue_indices: np.ndarray
     landing: tuple | None
     departure: MarginTable
     boundary: MarginTable
     settle: MarginTable
     simulator: Any
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.setflags(write=False)
 
 
 def _build_template(engine: type, circuit: SynthesizedCircuit,
@@ -325,24 +302,23 @@ def _build_template(engine: type, circuit: SynthesizedCircuit,
         engine._blue_tolerance(scheme), boundary_fraction,
         options.settle_fraction, blue, green, signal_blue)
     simulator = engine._simulator._prototype(network, scheme, rates)
-    _read_only(blue, green, signal_blue)
     for table in (departure, boundary, settle):
-        _read_only(table.ptr, table.species, table.weights,
-                   table.thresholds, table.signs)
+        for array in (table.ptr, table.species, table.weights,
+                      table.thresholds, table.signs):
+            array.setflags(write=False)
     # Coloured signal species (every coloured species outside the clock:
     # dimers are uncoloured), in network order and per colour category
     # for the phase monitor and the transfer spans.
     signal = [i for i, s in enumerate(species)
               if s.role == "signal" and s.color is not None]
     return MachineTemplate(
-        circuit=circuit, network=network, blue_indices=blue,
+        circuit=circuit, network=network,
         clock_red_index=red_index, clock_indices=clock_indices,
         clock_red_dimer_index=dimer, signal_indices=tuple(signal),
         signal_groups=MappingProxyType({
             color: tuple(species[i].name for i in signal
                          if species[i].color == color)
             for color in COLORS}),
-        green_indices=green, signal_blue_indices=signal_blue,
         landing=landing, departure=departure, boundary=boundary,
         settle=settle, simulator=simulator)
 
@@ -514,11 +490,14 @@ class _CycleDriver:
     An engine names its simulator class (``_simulator``) and its
     ``_blue_tolerance(scheme)``, calls :meth:`_setup`, sets
     ``quantization`` (0: boundaries left alone) and ``max_cycle_time``,
-    and supplies ``_run_cycle(state, t_start, keep)
+    and supplies ``_run_cycle(state, t_start, keep, estimates)
     -> (boundary state, boundary time, segment)``: the segment is the
     cycle's sampled rows as a :class:`Trajectory` when ``keep`` is set,
-    else ``None``.  The hooks at the end convert quantities.
-    ``template`` is the :class:`MachineTemplate` the machine runs on.
+    else ``None``, and ``estimates`` is the run's own dict (empty at its
+    first cycle) for what the engine carries from cycle to cycle, so no
+    run depends on an earlier one.  The hooks at the end convert
+    quantities.  ``template`` is the :class:`MachineTemplate` the
+    machine runs on; the driver reads it in place.
     """
 
     _simulator: type
@@ -562,19 +541,7 @@ class _CycleDriver:
                                        setup.rates, boundary_fraction,
                                        options)
         self.template = template
-        self.circuit, self._network = template.circuit, template.network
-        self._blue_indices = template.blue_indices
-        self._clock_red_index = template.clock_red_index
-        self._clock_indices = template.clock_indices
-        self._clock_red_dimer_index = template.clock_red_dimer_index
-        self._signal_indices = template.signal_indices
-        self._signal_groups = template.signal_groups
-        self._green_indices = template.green_indices
-        self._signal_blue_indices = template.signal_blue_indices
-        self._landing = template.landing
-        self._departure = template.departure
-        self._boundary = template.boundary
-        self._settle = template.settle
+        self.circuit = template.circuit
         self.blue_tolerance = engine._blue_tolerance(self.scheme)
         self.tracer = ensure_tracer(tracer)
         self.metrics = ensure_metrics(metrics)
@@ -604,7 +571,7 @@ class _CycleDriver:
             config = MonitorConfig(
                 min_signal_mass=10.0 * self.quantization or 1.0)
         view = ProtocolView(
-            color_groups=self._signal_groups,
+            color_groups=self.template.signal_groups,
             indicator_names={
                 color: self.circuit.protocol.indicator_name(color)
                 for color in COLORS},
@@ -617,7 +584,7 @@ class _CycleDriver:
     def network(self) -> Network:
         """The simulated network (the faulted copy when ``faults`` is
         active, the pristine synthesized network otherwise)."""
-        return self._network
+        return self.template.network
 
     @property
     def design(self) -> MatrixDesign:
@@ -637,7 +604,7 @@ class _CycleDriver:
         ``signal_mass``: its signal-blue residual scales with that mass
         (an R104-style boundary residual, kept under the monitor's warn
         fraction) and never drops below ``blue_tolerance``."""
-        return self._settle.with_last_threshold(max(
+        return self.template.settle.with_last_threshold(max(
             self.blue_tolerance, self.options.settle_residual * signal_mass))
 
     def _closing_table(self, signal_mass: float) -> MarginTable:
@@ -645,7 +612,7 @@ class _CycleDriver:
         under this clocking mode."""
         if self.options.adaptive:
             return self._settle_table(signal_mass)
-        return self._boundary
+        return self.template.boundary
 
     # -- adaptive landing -----------------------------------------------------------
 
@@ -661,7 +628,7 @@ class _CycleDriver:
         as a fixed boundary would have.
         """
         state = state.copy()
-        for index, targets in self._landing:
+        for index, targets in self.template.landing:
             amount = state[index]
             if amount <= 0:
                 continue
@@ -699,6 +666,7 @@ class _CycleDriver:
         state_history = [self._register_values(state)]
         trajectory: Trajectory | None = None
         monitor = self.make_monitor()
+        estimates: dict[str, float] = {}
 
         t = 0.0
         for cycle in range(n_cycles):
@@ -706,7 +674,7 @@ class _CycleDriver:
                 state = self._inject(state, {name: streams[name][cycle]
                                              for name in streams})
             state, span, segment = self._advance_cycle(
-                state, t, cycle, record, monitor)
+                state, t, cycle, record, monitor, estimates)
             t = span.t1
             spans.append(span)
             for name in self.design.outputs:
@@ -746,7 +714,8 @@ class _CycleDriver:
 
     def _advance_cycle(self, state: np.ndarray, t_start: float,
                        index: int, record: bool,
-                       monitor: ProtocolMonitor | None
+                       monitor: ProtocolMonitor | None,
+                       estimates: dict[str, float]
                        ) -> tuple[np.ndarray, CycleSpan, Trajectory | None]:
         """Run one cycle and record its span (plus telemetry if on).
 
@@ -755,8 +724,8 @@ class _CycleDriver:
         """
         telemetry = self._telemetry
         wall_start = perf_counter() if telemetry else 0.0
-        state, t_end, segment = self._run_cycle(state, t_start,
-                                                record or telemetry)
+        state, t_end, segment = self._run_cycle(
+            state, t_start, record or telemetry, estimates)
         wall = perf_counter() - wall_start if telemetry else 0.0
         span = CycleSpan(index, t_start, t_end, wall)
         if self.options.adaptive:
@@ -820,7 +789,7 @@ class _CycleDriver:
         states = segment.states
         if states.shape[0] == 0:
             return 0.0
-        _, row = scan(states, self._departure,
+        _, row = scan(states, self.template.departure,
                       self._settle_table(self._signal_mass(states[0])))
         if row is None:
             return 0.0
@@ -901,7 +870,7 @@ class _CycleDriver:
         """
         results = []
         for source, target in _ROTATION:
-            members = self._signal_groups[source]
+            members = self.template.signal_groups[source]
             if not members:
                 continue
             series = segment.total(members)
@@ -948,7 +917,7 @@ class _CycleDriver:
         state[state < self.quantization] = 0.0
         deficit = self.circuit.clock.mass - self._clock_total(state)
         if deficit > 0:
-            state[self._clock_red_index] += deficit
+            state[self.template.clock_red_index] += deficit
         return state
 
     def _boundary_faults(self, cycle: int, state: np.ndarray) -> np.ndarray:
@@ -964,11 +933,12 @@ class _CycleDriver:
         return state
 
     def _clock_total(self, state: np.ndarray) -> float:
+        template = self.template
         total = 0.0
-        for index in self._clock_indices:
+        for index in template.clock_indices:
             total += float(state[index])
-        if self._clock_red_dimer_index is not None:
-            total += 2.0 * float(state[self._clock_red_dimer_index])
+        if template.clock_red_dimer_index is not None:
+            total += 2.0 * float(state[template.clock_red_dimer_index])
         return total
 
     # -- state accessors -----------------------------------------------------------------
@@ -1022,7 +992,7 @@ class _CycleDriver:
 
     def _signal_mass(self, state: np.ndarray) -> float:
         total = 0.0
-        for index in self._signal_indices:
+        for index in self.template.signal_indices:
             total += float(state[index])
         return total
 
@@ -1084,12 +1054,6 @@ class SynchronousMachine(_CycleDriver):
         # Default cycle timeout: generous multiple of the slow time scale.
         self.max_cycle_time = _cycle_deadline(max_cycle_time,
                                               500.0 / self.scheme.slow)
-        # Period estimate for sample-density planning (updated per cycle).
-        self._last_period: float | None = None
-        # Previous cycle's segment durations: time-to-event hints for the
-        # solver's chunked event search (cycle jitter is a few percent, so
-        # the previous duration is an excellent estimate).
-        self._segment_estimates: dict[str, float] = {}
 
     @staticmethod
     def _blue_tolerance(scheme: RateScheme) -> float:
@@ -1103,9 +1067,16 @@ class SynchronousMachine(_CycleDriver):
         theta = scheme.values.get("amp", 30.0 * scheme.slow) / scheme.fast
         return 3.0 * theta
 
-    def _run_cycle(self, state: np.ndarray, t_start: float, keep: bool
+    def _run_cycle(self, state: np.ndarray, t_start: float, keep: bool,
+                   estimates: dict[str, float]
                    ) -> tuple[np.ndarray, float, Trajectory]:
-        """Integrate to departure, then to the closing event."""
+        """Integrate to departure, then to the closing event.
+
+        ``estimates`` carries the run's previous cycle: its period and
+        segment durations, which plan the sample grid and hint the
+        LSODA walk's chunked event search (cycle jitter is a few
+        percent, so the previous duration is an excellent estimate).
+        """
         signal_mass = self._signal_mass(state)
         # Each segment's sample grid spans max_cycle_time (the event cuts
         # it short), so hitting ``_SAMPLES_PER_CYCLE`` points *inside*
@@ -1114,16 +1085,15 @@ class SynchronousMachine(_CycleDriver):
         # monitors need that density for the phase and drain statistics;
         # without them only the final state matters.
         if keep:
-            period = self._last_period or 10.0 / self.scheme.slow
+            period = estimates.get("period") or 10.0 / self.scheme.slow
             spacing = period / _SAMPLES_PER_CYCLE
             n_samples = min(int(self.max_cycle_time / spacing) + 2, 50_000)
         else:
             n_samples = 8
-        estimates = self._segment_estimates
         departure = self.simulator.simulate(
             t_start + self.max_cycle_time, t_start=t_start, initial=state,
             n_samples=n_samples,
-            events=[_terminal_event(self._departure, -1.0)],
+            events=[MarginEvent(self.template.departure, -1.0)],
             event_hint=estimates.get("departure"))
         if "event" not in departure.meta:
             raise SimulationError(
@@ -1139,8 +1109,7 @@ class SynchronousMachine(_CycleDriver):
             departure.t_final + self.max_cycle_time,
             t_start=departure.t_final, initial=departure.final(),
             n_samples=n_samples,
-            events=[_terminal_event(self._closing_table(signal_mass),
-                                    1.0)],
+            events=[MarginEvent(self._closing_table(signal_mass), 1.0)],
             event_hint=estimates.get(estimate_key))
         if "event" not in boundary.meta:
             raise SimulationError(
@@ -1150,7 +1119,7 @@ class SynchronousMachine(_CycleDriver):
         estimates["departure"] = departure.t_final - t_start
         estimates[estimate_key] = boundary.t_final - departure.t_final
         segment = departure.concat(boundary)
-        self._last_period = segment.t_final - t_start
+        estimates["period"] = segment.t_final - t_start
         return segment.final(), segment.t_final, segment
 
 
@@ -1168,6 +1137,7 @@ class MachineStepper:
         self.time = 0.0
         self.spans: list[CycleSpan] = []
         self.monitor = machine.make_monitor()
+        self._estimates: dict[str, float] = {}
         self._previous = {name: machine._readout(self.state, name)
                           for name in machine.design.outputs}
 
@@ -1206,7 +1176,7 @@ class MachineStepper:
         cycle = len(self.spans)
         self.state, span, _ = machine._advance_cycle(
             self.state, self.time, cycle, record=False,
-            monitor=self.monitor)
+            monitor=self.monitor, estimates=self._estimates)
         self.time = span.t1
         self.spans.append(span)
         outputs = {}

@@ -118,7 +118,8 @@ class StochasticMachine(_CycleDriver):
         """Counts are discrete: a boundary needs every blue at zero."""
         return 0
 
-    def _run_cycle(self, counts: np.ndarray, t_start: float, keep: bool
+    def _run_cycle(self, counts: np.ndarray, t_start: float, keep: bool,
+                   estimates: dict
                    ) -> tuple[np.ndarray, float, Trajectory | None]:
         """Advance one full rotation, scanning *within* each simulated
         chunk: the boundary window (clock red re-accumulated, blues
@@ -130,7 +131,8 @@ class StochasticMachine(_CycleDriver):
         the module docstring) is part of every seeded realisation, and
         the engine's own ``ssa.batch`` spans are chunk-relative.  With
         ``keep``, the polled rows come back as the cycle's segment,
-        shifted to the cycle's time and cut at the boundary row.
+        shifted to the cycle's time and cut at the boundary row.  No
+        estimate carries over: ``estimates`` stays empty.
         """
         closing = self._closing_table(self._signal_mass(counts))
         grid = self._grid
@@ -140,7 +142,7 @@ class StochasticMachine(_CycleDriver):
         t = start = t_start
         while True:
             poll = self.simulator.poll(
-                counts, grid, self._departure, closing, t=t,
+                counts, grid, self.template.departure, closing, t=t,
                 departed=departed, chunks=self._window, keep=keep,
                 until=((start, self.patience),
                        (t_start, self.max_cycle_time)))
@@ -181,7 +183,7 @@ class StochasticMachine(_CycleDriver):
         docstring)."""
         counts = counts.copy()
         flushed = 0
-        for index in self._signal_indices:
+        for index in self.template.signal_indices:
             if 0 < counts[index] <= self.straggler_tolerance:
                 flushed += int(counts[index])
                 counts[index] = 0

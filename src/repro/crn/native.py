@@ -28,10 +28,12 @@ lazy load and one fallback warning serve them all.
   BDF (``scipy/integrate/_ivp/bdf.py``) step for step, calling
   ``repro_rhs``/``repro_jacobian`` on the kinetics struct's own
   buffers and solving with a small dense LU.  It runs a machine's cycle
-  segment in one call: after every accepted step it evaluates one clock
-  margin table and locates the first crossing on the step's
-  interpolant, which also gives any sample rows.  It is an ODE method of
-  its own (``native-bdf``), not a twin of LSODA: its floats are its own.
+  segment in one call: after every accepted step it evaluates the
+  margin table of one
+  :class:`~repro.crn.simulation.margins.MarginEvent` and locates the
+  first crossing on the step's interpolant, which also gives any sample
+  rows.  It is an ODE method of its own (``native-bdf``), not a twin of
+  LSODA: its floats are its own.
 
 The source is built with ``-ffp-contract=off`` so no multiply-add is
 fused.  It is network-independent, so it is compiled once per machine

@@ -26,6 +26,18 @@ from repro.errors import NetworkError
 CANONICAL_SCHEMA = "repro.network/1"
 
 
+def _checked_initial(name: str, value) -> float:
+    """An initial quantity of ``name`` as a finite, non-negative float."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise NetworkError(f"initial quantity of {name!r} must be finite, "
+                           f"got {value!r}")
+    if value < 0:
+        raise NetworkError(f"initial quantity of {name!r} must be "
+                           f"non-negative, got {value!r}")
+    return value
+
+
 class Network:
     """A chemical reaction network with initial conditions."""
 
@@ -76,6 +88,9 @@ class Network:
             species = Species(species, **metadata)
         else:
             species = as_species(species)
+        if initial:
+            # Checked first: a refused amount registers nothing.
+            initial = _checked_initial(species.name, initial)
         existing = self._species.get(species.name)
         if existing is None:
             self._species[species.name] = species
@@ -90,7 +105,7 @@ class Network:
                     f"{existing.color}/{existing.role} vs "
                     f"{species.color}/{species.role}")
         if initial:
-            self.set_initial(species, initial)
+            self._initial[species.name] = initial
         return self._species[species.name]
 
     def get_species(self, name: str) -> Species:
@@ -151,13 +166,7 @@ class Network:
     def set_initial(self, species: SpeciesLike, value: float) -> None:
         if self._frozen:
             self._refuse()
-        value = float(value)
-        if not math.isfinite(value):
-            raise NetworkError(
-                f"initial quantity of {as_species(species).name!r} must be "
-                f"finite, got {value!r}")
-        if value < 0:
-            raise NetworkError("initial quantity must be non-negative")
+        value = _checked_initial(as_species(species).name, value)
         name = self.add_species(species).name
         self._initial[name] = value
 

@@ -5,9 +5,10 @@ over state rows.  Each :class:`MarginTable` term sums a few species
 with weights (2.0 counts both halves of the ``I_C_red`` dimer) and
 compares the sum with a threshold, signed so that the term is
 non-negative when its condition holds; the table's margin is the least
-term.  The ODE machine turns tables into terminal events, telemetry and
-the SSA poll loop's Python twin evaluate them here, and the compiled
-poll loop (:mod:`repro.crn.native`) evaluates the same arrays in C.
+term.  Every ODE event is a :class:`MarginEvent`, the crossing of one
+table; telemetry and the SSA poll loop's Python twin evaluate tables
+here, and the compiled poll loop and BDF (:mod:`repro.crn.native`)
+evaluate the same arrays in C.
 
 Each term is evaluated with the operations the machine always used --
 numpy's ``take``/``sum`` over a unit-weight group, ``red + 2.0 *
@@ -114,6 +115,27 @@ class MarginTable:
         """This table with its last term's threshold replaced."""
         *kept, (species, weights, _, sign) = self.terms
         return MarginTable([*kept, (species, weights, threshold, sign)])
+
+
+class MarginEvent:
+    """An ODE event: the crossing of ``margin``, a :class:`MarginTable`.
+
+    Called as ``event(t, x)`` it returns the table's margin on the state
+    ``x`` as a float; a sign change in ``direction`` stops the solve when
+    ``terminal`` (scipy ``solve_ivp`` semantics).  The LSODA walk and
+    ``solve_ivp`` call it, and ``native-bdf`` evaluates ``margin`` in C.
+    """
+
+    __slots__ = ("margin", "direction", "terminal")
+
+    def __init__(self, margin: MarginTable, direction: float,
+                 terminal: bool = True):
+        self.margin = margin
+        self.direction = direction
+        self.terminal = terminal
+
+    def __call__(self, t: float, x: np.ndarray) -> float:
+        return float(self.margin.evaluate(x))
 
 
 def scan(rows: np.ndarray, departure: MarginTable, closing: MarginTable,

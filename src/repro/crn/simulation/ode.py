@@ -11,6 +11,12 @@ Dormand-Prince integrator is available as an independent cross-check.
 the compiled kinetics and locating a clock margin's crossing without
 returning to Python.  The synchronous machines run on it; LSODA stays
 the reference every other caller, and every pin, uses.
+
+Events are callables ``event(t, x)`` with scipy's ``terminal`` and
+``direction`` attributes.  Every event the package builds is a
+:class:`~repro.crn.simulation.margins.MarginEvent`, the crossing of a
+margin table, which every method takes; LSODA and ``solve_ivp`` also
+take any other callable.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from repro.crn.kinetics import (MassActionKinetics, build_kinetics,
                                 shallow_copy)
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
-from repro.crn.simulation.margins import MarginTable
+from repro.crn.simulation.margins import MarginEvent
 from repro.crn.simulation.result import Trajectory, check_time_span
 from repro.crn.simulation.rk import integrate_rk45
 from repro.errors import SimulationError
@@ -234,9 +240,10 @@ class OdeSimulator:
         one of :data:`METHODS`.  ``native-bdf`` runs scipy's BDF compiled
         into the kernel, on the analytic dense Jacobian whatever
         ``jacobian`` says, with no event or one terminal directional
-        event that carries its :class:`MarginTable` as ``event.margin``
-        (the machines' clock events).  Without a kernel it runs the
-        LSODA path instead, after the kernel's one ``RuntimeWarning``.
+        :class:`~repro.crn.simulation.margins.MarginEvent` (the
+        machines' clock events, the ``events`` factories).  Without a
+        kernel it runs the LSODA path instead, after the kernel's one
+        ``RuntimeWarning``.
     jacobian:
         one of :data:`JACOBIAN_MODES`.  ``dense`` passes the analytic
         dense Jacobian; ``sparsity`` passes only the nonzero pattern via
@@ -343,7 +350,9 @@ class OdeSimulator:
         ``initial`` may be a full state vector or a mapping of overrides on
         top of the network's declared initial quantities.  If a terminal
         event fires, the trajectory ends at the event time and
-        ``trajectory.meta["event"]`` records which event index fired.
+        ``trajectory.meta["event"]`` records which event index fired.  A
+        :class:`~repro.crn.simulation.margins.MarginEvent` whose margin
+        names a species outside the network raises on every method.
 
         ``event_hint`` is an optional estimate of the time-to-event, a
         positive finite duration.  The LSODA fast path (see
@@ -366,19 +375,19 @@ class OdeSimulator:
         one_event = not events or (
             len(events) == 1 and getattr(events[0], "terminal", False)
             and getattr(events[0], "direction", 0.0) != 0.0)
+        for event in events or ():
+            if isinstance(event, MarginEvent) and \
+                    event.margin.n_species > self.network.n_species:
+                raise SimulationError(
+                    "an event's margin names species outside the network")
 
         if self.method == "native-bdf":
             event = events[0] if events else None
-            if not one_event or (event is not None and not isinstance(
-                    getattr(event, "margin", None), MarginTable)):
+            if not one_event or (event is not None
+                                 and not isinstance(event, MarginEvent)):
                 raise SimulationError(
                     "native-bdf supports no event, or one terminal "
-                    "directional event carrying its MarginTable")
-            if event is not None and \
-                    event.margin.n_species > self.network.n_species:
-                raise SimulationError(
-                    "native-bdf's event margin names species outside the "
-                    "network")
+                    "directional MarginEvent")
             bdf = self._native_bdf()
             if bdf:
                 return self._simulate_native(bdf, t_start, t_final, x0,
@@ -750,34 +759,3 @@ class OdeSimulator:
                 f"{self.network.species_names[index]!r} is "
                 f"{float(x0[index])!r}: ODE amounts must be finite")
         return x0
-
-
-#: Keyword arguments accepted by the legacy :func:`simulate` helper:
-#: constructor options plus per-call :meth:`OdeSimulator.simulate` ones.
-_SIMULATE_KWARGS = frozenset({
-    "method", "rtol", "atol", "rates", "jacobian", "tracer", "metrics",
-    "t_start", "initial", "n_samples", "events", "event_hint",
-})
-
-
-def simulate(network: Network, t_final: float,
-             scheme: RateScheme | None = None, **kwargs) -> Trajectory:
-    """One-shot convenience wrapper around :class:`OdeSimulator`.
-
-    Prefer the engine-agnostic :func:`repro.simulate` facade.  Unknown
-    keyword arguments raise :class:`TypeError` -- this helper used to
-    silently accept misspelled options via ``kwargs.pop`` defaults.
-    """
-    unknown = set(kwargs) - _SIMULATE_KWARGS
-    if unknown:
-        raise TypeError(
-            f"simulate() got unknown option(s): {sorted(unknown)}; "
-            f"valid options are {sorted(_SIMULATE_KWARGS)}")
-    simulator = OdeSimulator(
-        network, scheme, rates=kwargs.pop("rates", None),
-        method=kwargs.pop("method", "LSODA"),
-        rtol=kwargs.pop("rtol", 1e-7), atol=kwargs.pop("atol", 1e-9),
-        jacobian=kwargs.pop("jacobian", "auto"),
-        tracer=kwargs.pop("tracer", None),
-        metrics=kwargs.pop("metrics", None))
-    return simulator.simulate(t_final, **kwargs)

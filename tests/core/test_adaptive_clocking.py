@@ -115,12 +115,12 @@ class TestAdaptiveTiming:
         assert durations["adaptive"] < durations["fixed"]
 
     def test_adaptive_estimates_keyed_separately(self):
-        machine = SynchronousMachine(
+        stepper = SynchronousMachine(
             moving_average(2),
-            options=MachineOptions(clocking="adaptive"))
-        machine.run({"x": [8.0, 4.0]})
-        assert "settle" in machine._segment_estimates
-        assert "boundary" not in machine._segment_estimates
+            options=MachineOptions(clocking="adaptive")).stepper()
+        stepper.step({"x": 8.0})
+        assert "settle" in stepper._estimates
+        assert "boundary" not in stepper._estimates
 
 
 class TestStepperParity:

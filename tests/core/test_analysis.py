@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.crn.network import Network
-from repro.crn.simulation.ode import OdeSimulator, simulate
+from repro.crn.simulation.ode import OdeSimulator
 from repro.crn.simulation.result import Trajectory
 from repro.core.analysis import (conservation_drift, effective_series,
                                  effective_value, indicator_exclusivity,

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from repro.crn.simulation.ode import simulate
+from repro import simulate
 from repro.crn.simulation.ssa import StochasticSimulator
 from repro.core.iterative import (build_log_two, build_multiplier,
                                   build_power_of_two)

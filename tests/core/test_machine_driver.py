@@ -17,11 +17,13 @@ the SSA machine:
   spans and ``record=`` rows stay bitwise identical on the compiled poll
   loop and on its Python twin;
 * ODE machine runs on LSODA, a recorded trajectory, traced solver
-  effort and plain and evented ``OdeSimulator.simulate`` calls stay
-  bitwise identical on the compiled kinetics, the NumPy twins and the
+  effort and plain and evented ``OdeSimulator.simulate`` calls (one
+  LSODA and one ``BDF`` solve per ``events.py`` factory) stay bitwise
+  identical on the compiled kinetics, the NumPy twins and the
   ``odeint`` twin of the event walk (the ODE digests below);
 * the machines' default integrator, the compiled BDF, keeps its own
   pins, and without a kernel every machine equals its LSODA run;
+* a reused ODE machine's runs and steppers equal a fresh machine's;
 * non-finite input samples and a ``max_cycle_time`` that is not finite
   and positive are rejected on both engines.
 """
@@ -40,7 +42,8 @@ from repro.core.machine import MachineOptions, SynchronousMachine
 from repro.core.stochastic_machine import StochasticMachine
 from repro.crn import native
 from repro.crn.simulation import ode
-from repro.crn.simulation.events import species_below
+from repro.crn.simulation.events import (species_above, species_below,
+                                         total_above, total_below)
 from repro.crn.simulation.ode import OdeSimulator
 from repro.errors import SimulationError, SynthesisError
 from repro.faults.models import ClockGlitch, FaultPlan
@@ -278,6 +281,44 @@ class TestOdePins:
                                    "event_time": 0.3802533493502737}
         assert trajectory_digest(trajectory) == "b2ac9c4a28197afa"
 
+    @pytest.mark.parametrize("name,method,expected", [
+        ("species_below", "BDF", "9252044e86c3f009"),
+        ("species_above", "LSODA", "47bd5139501890a2"),
+        ("species_above", "BDF", "e39d2a1ef64d4a71"),
+        ("total_below", "LSODA", "6ddf2a88e66859c2"),
+        ("total_below", "BDF", "ed98d319486bbcbd"),
+        ("total_above", "LSODA", "ecea835fe07a7bdf"),
+        ("total_above", "BDF", "6af0bdbe42d41b8f"),
+        ("non_terminal", "LSODA", "480e45eaba41b0e4"),
+        ("non_terminal", "BDF", "0c145e96935ced91"),
+    ])
+    def test_factory_events(self, ode_path, name, method, expected):
+        """Each ``events.py`` factory on the resumable walk (or, for a
+        non-terminal event, ``solve_ivp``'s LSODA) and on ``BDF``;
+        :meth:`test_evented_simulate` is ``species_below`` on LSODA."""
+        network, x0 = _machine_network()
+        event = FACTORY_EVENTS[name](network)
+        trajectory = OdeSimulator(network, method=method).simulate(
+            3.0 if name == "non_terminal" else 50.0, initial=x0,
+            n_samples=101, events=[event])
+        assert trajectory_digest(trajectory) == expected
+
+
+#: One event per ``events.py`` factory on the ``ma2`` machine network
+#: started with 8 on ``s_x_p``: the clock red drains, the clock blue
+#: fills, the red signals drain and the blue signals fill, and a
+#: non-terminal event that never stops the solve.
+FACTORY_EVENTS = {
+    "species_below": lambda network: species_below(network, "C_red", 10.0),
+    "species_above": lambda network: species_above(network, "C_blue", 10.0),
+    "total_below": lambda network: total_below(
+        network, ["s_x_p", "s_d1_p"], 4.0),
+    "total_above": lambda network: total_above(
+        network, ["a_d1_p", "a_y_p"], 6.0),
+    "non_terminal": lambda network: species_below(network, "C_red", 10.0,
+                                                  terminal=False),
+}
+
 
 @pytest.fixture(params=["kernel", "no-kernel"])
 def native_path(request, monkeypatch):
@@ -337,6 +378,51 @@ class TestNativeOdePins:
         # Telemetry samples each segment densely; the rows come from the
         # interpolant, so the traced run is the bare run bitwise.
         assert digest([(run, None)]) == "e8bfe3d319b696cf"
+
+
+class TestReusedOdeMachine:
+    """Every ``run`` and ``stepper`` of an ODE machine starts from a
+    fresh machine's state: the LSODA walk's time-to-event hints and the
+    sample-grid plan of ``record`` and telemetry belong to one run, so
+    what ran on the machine before moves no bit."""
+
+    def test_lsoda_runs_twice_alike(self):
+        machine = SynchronousMachine(moving_average(2), method="LSODA")
+        first = machine.run({"x": ODE_STREAM})
+        second = machine.run({"x": ODE_STREAM})
+        assert digest([(first, None)]) == "550556006901176a"
+        assert digest([(second, None)]) == "550556006901176a"
+
+    def test_fallback_run_equals_a_fresh_machines(self, monkeypatch):
+        monkeypatch.setattr(native, "_kernel", None)
+        machine = SynchronousMachine(iir_first_order())
+        machine.run({"x": [20.0, 20.0, 20.0]})
+        run = machine.run({"x": ODE_STREAM})
+        assert digest([(run, None)]) == "6703883f900d12e1"
+
+    def test_fallback_stepper_equals_a_fresh_machines(self, monkeypatch):
+        monkeypatch.setattr(native, "_kernel", None)
+        machine = SynchronousMachine(iir_first_order())
+        machine.run({"x": [20.0, 20.0, 20.0]})
+        stepper, stepped = _stepped(machine, ODE_STREAM)
+        fresh, expected = _stepped(SynchronousMachine(iir_first_order()),
+                                   ODE_STREAM)
+        assert stepped.tobytes() == expected.tobytes()
+        assert _spans(stepper.spans) == _spans(fresh.spans)
+
+    def test_recorded_rows_equal_a_fresh_machines(self, native_path):
+        def traced():
+            return SynchronousMachine(moving_average(2),
+                                      tracer=Tracer(MemorySink()))
+
+        machine = traced()
+        machine.run({"x": [2.0] * 6})
+        reused = machine.run({"x": ODE_STREAM}, record=True).trajectory
+        fresh = traced().run({"x": ODE_STREAM}, record=True).trajectory
+        if native_path == "kernel":
+            assert fresh.states.shape == (255, 16)
+        assert reused.states.shape == fresh.states.shape
+        assert trajectory_digest(reused) == trajectory_digest(fresh)
 
 
 def _stepped(machine, stream):

@@ -242,11 +242,7 @@ def ma2_rates(scheme: RateScheme) -> np.ndarray:
 
 def _arrays(template) -> dict[str, np.ndarray]:
     simulator = template.simulator
-    arrays = {
-        "blue_indices": template.blue_indices,
-        "green_indices": template.green_indices,
-        "signal_blue_indices": template.signal_blue_indices,
-    }
+    arrays = {}
     for name in ("departure", "boundary", "settle"):
         table = getattr(template, name)
         for field in ("ptr", "species", "weights", "thresholds", "signs"):

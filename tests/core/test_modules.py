@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from repro import simulate
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
-from repro.crn.simulation.ode import OdeSimulator, simulate
+from repro.crn.simulation.ode import OdeSimulator
 from repro.core import modules
 from repro.errors import NetworkError
 

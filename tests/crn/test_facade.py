@@ -5,7 +5,6 @@ import pytest
 
 from repro import SimulationOptions, parse_network, simulate
 from repro.crn.simulation.ode import OdeSimulator
-from repro.crn.simulation.ode import simulate as ode_simulate
 from repro.crn.simulation.result import SimulationResult
 from repro.crn.simulation.ssa import StochasticSimulator
 from repro.crn.simulation.tau_leaping import TauLeapingSimulator
@@ -125,14 +124,3 @@ class TestRemovedShims:
             4.0, n_samples=20)
         np.testing.assert_allclose(trajectory.states, direct.states)
 
-
-class TestLegacyOdeHelper:
-    def test_known_kwargs_still_work(self, network):
-        trajectory = ode_simulate(network, 4.0, n_samples=17, rtol=1e-8)
-        assert len(trajectory) == 17
-
-    def test_unknown_kwarg_raises_typeerror(self, network):
-        # Regression: this helper used to silently ignore misspellings
-        # via kwargs.pop defaults.
-        with pytest.raises(TypeError, match="unknown option"):
-            ode_simulate(network, 4.0, nsamples=17)

@@ -14,6 +14,8 @@ rely on:
   ends in the driver's deadline error, and a blow-up or overflow raises
   ``SimulationError`` naming the time;
 * forks of one machine template keep their own solver state on threads;
+* it takes each ``events.py`` factory's ``MarginEvent``, landing where
+  LSODA lands within the cross-solver acceptance;
 * events it cannot evaluate in C are refused.
 """
 
@@ -28,10 +30,13 @@ import pytest
 
 from repro.apps.filters import moving_average
 from repro.conformance.generator import BUDGETS, generate_targets
-from repro.core.machine import SynchronousMachine, _terminal_event
+from repro.conformance.oracles import SOLVER_ATOL, SOLVER_RTOL
+from repro.core.machine import SynchronousMachine
 from repro.crn import native
 from repro.crn.network import Network
-from repro.crn.simulation.margins import MarginTable
+from repro.crn.simulation.events import (species_above, species_below,
+                                         total_above, total_below)
+from repro.crn.simulation.margins import MarginEvent, MarginTable
 from repro.crn.simulation.ode import OdeSimulator, solve_ivp
 from repro.errors import SimulationError
 from repro.obs import MemorySink, MetricsRegistry, SpanRecord, Tracer
@@ -69,7 +74,20 @@ def _margin_event(network, species: str, threshold: float, sign: int,
     """The machines' event shape: one margin table term."""
     table = MarginTable([([network.species_index(species)], [1.0],
                           threshold, sign)])
-    return _terminal_event(table, direction)
+    return MarginEvent(table, direction)
+
+
+#: One terminal event per ``events.py`` factory on the machine start:
+#: the clock red drains, the clock blue fills, the red signals drain
+#: and the blue signals fill.
+FACTORY_EVENTS = {
+    "species_below": lambda network: species_below(network, "C_red", 10.0),
+    "species_above": lambda network: species_above(network, "C_blue", 10.0),
+    "total_below": lambda network: total_below(
+        network, ["s_x_p", "s_d1_p"], 4.0),
+    "total_above": lambda network: total_above(
+        network, ["a_d1_p", "a_y_p"], 6.0),
+}
 
 
 def _machine_start():
@@ -193,11 +211,28 @@ class TestEvents:
         with pytest.raises(SimulationError, match="native-bdf supports"):
             simulator.simulate(2.0, events=events)
 
+    @pytest.mark.parametrize("name", sorted(FACTORY_EVENTS))
+    def test_takes_each_factory_event(self, name):
+        network, x0 = _machine_start()
+        event = FACTORY_EVENTS[name](network)
+        native_run, lsoda_run = [
+            OdeSimulator(network, method=method).simulate(
+                50.0, initial=x0, n_samples=101, events=[event])
+            for method in ("native-bdf", "LSODA")]
+        assert native_run.meta["event"] == lsoda_run.meta["event"] == 0
+        assert native_run.meta["event_time"] == pytest.approx(
+            lsoda_run.meta["event_time"], rel=1e-5)
+        # diff.native-ode-vs-lsoda's acceptance, on the event state.
+        scale = max(1.0, float(np.max(np.abs(lsoda_run.states))))
+        np.testing.assert_allclose(
+            native_run.states[-1], lsoda_run.states[-1], rtol=0.0,
+            atol=SOLVER_ATOL + SOLVER_RTOL * scale)
+
     def test_a_margin_outside_the_network_is_refused(self):
         table = MarginTable([([0, 3], [1.0, 1.0], 5.0, 1)])
         simulator = OdeSimulator(_decay(), method="native-bdf")
         with pytest.raises(SimulationError, match="outside the network"):
-            simulator.simulate(2.0, events=[_terminal_event(table, -1.0)])
+            simulator.simulate(2.0, events=[MarginEvent(table, -1.0)])
 
 
 class TestFailures:

@@ -344,7 +344,7 @@ def _machine_tables(clocking):
     """The E14 machine's own tables, closing for a 40-molecule cycle."""
     machine = StochasticMachine(moving_average(2), seed=0,
                                 options=MachineOptions(clocking=clocking))
-    return machine._departure, machine._closing_table(40.0)
+    return machine.template.departure, machine._closing_table(40.0)
 
 
 POLL_TABLES = {

@@ -86,6 +86,24 @@ class TestInitialConditions:
         with pytest.raises(NetworkError):
             Network().set_initial("X", -1.0)
 
+    def test_negative_rejected_naming_the_species_and_value(self):
+        with pytest.raises(NetworkError,
+                           match=r"initial quantity of 'X' must be "
+                                 r"non-negative, got -1\.0"):
+            Network().set_initial("X", -1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_refused_initial_registers_nothing(self, value):
+        network = Network()
+        network.add("A", "B")
+        with pytest.raises(NetworkError, match=f"'C' .*got {value!r}"):
+            network.add_species("C", initial=value)
+        assert "C" not in network
+        assert network.species_names == ["A", "B"]
+        with pytest.raises(NetworkError):
+            network.set_initial("D", value)
+        assert "D" not in network
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
     def test_non_finite_rejected_naming_the_species(self, value):

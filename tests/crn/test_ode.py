@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro import simulate
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
 from repro.crn.simulation.options import SimulationOptions
 from repro.crn.simulation.events import species_above, species_below
-from repro.crn.simulation.ode import METHODS, OdeSimulator, simulate
+from repro.crn.simulation.ode import METHODS, OdeSimulator
 from repro.errors import NetworkError, SimulationError
 
 

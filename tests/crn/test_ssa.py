@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.crn.network import Network
-from repro.crn.simulation.ode import simulate
 from repro.crn.simulation.ssa import StochasticSimulator
 from repro.crn.simulation.tau_leaping import TauLeapingSimulator
 from repro.errors import SimulationError

@@ -1,5 +1,7 @@
 """Tests for the self-timed (asynchronous) pipeline."""
 
+import hashlib
+
 import pytest
 
 from repro.asynchronous import SelfTimedPipeline
@@ -44,3 +46,30 @@ class TestSelfTimedPipeline:
         pipeline = SelfTimedPipeline(n=1, gating="catalytic")
         run = pipeline.run([10.0, 20.0])
         assert run.max_error() < 1.5
+
+
+def _digest(run) -> str:
+    """First 16 hex digits of a sha256 over a recorded run's times,
+    states and metadata, and its arrivals."""
+    trajectory = run.trajectory
+    h = hashlib.sha256(trajectory.times.tobytes())
+    h.update(trajectory.states.tobytes())
+    h.update(repr(sorted(trajectory.meta.items())).encode())
+    h.update(repr((run.arrived, run.arrival_times)).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n,gating,rows,expected", [
+    (2, "catalytic", 25, "b34b01323afdc208"),
+    (2, "consuming", 33, "eca89c0baa4fd231"),
+    (3, "catalytic", 25, "f599319fbe7256a7"),
+    (3, "consuming", 36, "8a65aac3707aec90"),
+])
+def test_recorded_runs_are_pinned(n, gating, rows, expected):
+    """Every arrival is an LSODA event on the output (and its ``I_``
+    dimer, under consuming gating); the handshake's solves keep their
+    bits."""
+    run = SelfTimedPipeline(n=n, gating=gating).run([20, 10, 30],
+                                                    record=True)
+    assert run.trajectory.states.shape[0] == rows
+    assert _digest(run) == expected

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import simulate
 from repro.crn.network import Network
-from repro.crn.simulation.ode import OdeSimulator, simulate
+from repro.crn.simulation.ode import OdeSimulator
 from repro.dsd import (Complex, DsdCompiler, Strand, compile_network,
                        recognition, toehold)
 from repro.errors import NetworkError
