@@ -247,14 +247,36 @@ class MachineTemplate:
     network: Network
     clock_red_index: int
     clock_indices: tuple[int, ...]
-    clock_red_dimer_index: int | None
     signal_indices: tuple[int, ...]
     signal_groups: Mapping[str, tuple[str, ...]]
+    registers: Mapping[str, "Terms"]
+    readouts: Mapping[str, "Terms"]
+    clock: "Terms"
+    #: ``(track, assertion key, terms)`` per register, then the clock.
+    probed: tuple[tuple[str, str, "Terms"], ...]
     landing: tuple | None
     departure: MarginTable
     boundary: MarginTable
     settle: MarginTable
     simulator: Any
+
+
+class Terms(tuple):
+    """A value's :class:`SynthesizedCircuit` terms as ``(species index,
+    coefficient)`` pairs, added left to right from 0.0 on one state or on
+    a block of rows: either way, the bits of the circuit's getters."""
+
+    def value(self, state: np.ndarray) -> float:
+        total = 0.0
+        for index, coefficient in self:
+            total += coefficient * float(state[index])
+        return total
+
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        total = np.zeros(states.shape[0])
+        for index, coefficient in self:
+            total += coefficient * states[:, index]
+        return total
 
 
 def _build_template(engine: type, circuit: SynthesizedCircuit,
@@ -273,6 +295,9 @@ def _build_template(engine: type, circuit: SynthesizedCircuit,
         return np.array([index(s) for s in species if s.color == color],
                         dtype=np.intp)
 
+    def resolve(pairs: list[tuple[str, float]]) -> Terms:
+        return Terms((index(name), weight) for name, weight in pairs)
+
     blue = indices("blue")
     red_index = index(circuit.clock.red.name)
     clock_indices = tuple(index(name)
@@ -282,6 +307,10 @@ def _build_template(engine: type, circuit: SynthesizedCircuit,
     # C_red quantity never reaches the threshold.
     red_dimer = f"I_{circuit.clock.red.name}"
     dimer = index(red_dimer) if red_dimer in network else None
+    design = circuit.design
+    registers = {name: resolve(circuit.register_terms(name))
+                 for name in design.delays}
+    clock = resolve(circuit.clock_terms())
     # Adaptive-clocking bookkeeping (also feeds the fixed-mode
     # recoverable-dead-time attribution in telemetry): the green
     # category, the blue species outside the clock, and -- in adaptive
@@ -314,11 +343,19 @@ def _build_template(engine: type, circuit: SynthesizedCircuit,
     return MachineTemplate(
         circuit=circuit, network=network,
         clock_red_index=red_index, clock_indices=clock_indices,
-        clock_red_dimer_index=dimer, signal_indices=tuple(signal),
+        signal_indices=tuple(signal),
         signal_groups=MappingProxyType({
             color: tuple(species[i].name for i in signal
                          if species[i].color == color)
             for color in COLORS}),
+        registers=MappingProxyType(registers),
+        readouts=MappingProxyType({
+            name: resolve(circuit.readout_terms(name))
+            for name in design.outputs}),
+        clock=clock,
+        probed=(*((f"reg_{name}", signal_key(f"reg_{name}"), terms)
+                  for name, terms in registers.items()),
+                ("clock_total", "clock_total", clock)),
         landing=landing, departure=departure, boundary=boundary,
         settle=settle, simulator=simulator)
 
@@ -490,8 +527,9 @@ class _CycleDriver:
     An engine names its simulator class (``_simulator``) and its
     ``_blue_tolerance(scheme)``, calls :meth:`_setup`, sets
     ``quantization`` (0: boundaries left alone) and ``max_cycle_time``,
-    and supplies ``_run_cycle(state, t_start, keep, estimates)
-    -> (boundary state, boundary time, segment)``: the segment is the
+    and supplies ``_run_cycle(state, t_start, closing, keep, estimates)
+    -> (boundary state, boundary time, segment)``: ``closing`` is the
+    cycle's closing margin (:meth:`_closing_table`), the segment is the
     cycle's sampled rows as a :class:`Trajectory` when ``keep`` is set,
     else ``None``, and ``estimates`` is the run's own dict (empty at its
     first cycle) for what the engine carries from cycle to cycle, so no
@@ -724,18 +762,23 @@ class _CycleDriver:
         """
         telemetry = self._telemetry
         wall_start = perf_counter() if telemetry else 0.0
+        signal_mass = self._signal_mass(state)
+        closing = self._closing_table(signal_mass)
         state, t_end, segment = self._run_cycle(
-            state, t_start, record or telemetry, estimates)
+            state, t_start, closing, record or telemetry, estimates)
         wall = perf_counter() - wall_start if telemetry else 0.0
         span = CycleSpan(index, t_start, t_end, wall)
         if self.options.adaptive:
             state = self._land_residuals(state)
         if telemetry:
-            self._emit_cycle_telemetry(span, segment, state, monitor)
+            # The settle table also attributes fixed-mode dead time.
+            settle = closing if self.options.adaptive \
+                else self._settle_table(signal_mass)
+            self._emit_cycle_telemetry(span, segment, state, settle, monitor)
         return state, span, segment
 
     def _emit_cycle_telemetry(self, span: CycleSpan, segment: Trajectory,
-                              state: np.ndarray,
+                              state: np.ndarray, settle: MarginTable,
                               monitor: ProtocolMonitor | None) -> None:
         metrics = self.metrics
         if metrics.enabled:
@@ -751,7 +794,7 @@ class _CycleDriver:
             # after the adaptive settling condition first held.
             phases = self._phase_spans(segment, span)
             transfers = self._transfer_spans(segment, span, phases)
-            boundary_wait = self._boundary_wait(segment)
+            boundary_wait = self._boundary_wait(segment, settle)
             if metrics.enabled:
                 metrics.observe("machine.boundary_wait", boundary_wait)
         if tracer.enabled:
@@ -773,24 +816,25 @@ class _CycleDriver:
         if monitor is not None:
             # Conservation is judged on the pre-replenishment state: the
             # boundary top-up in _quantize would mask the drift.
-            monitor.observe_cycle(span, segment,
-                                  clock_total=self._clock_total(state))
+            monitor.observe_cycle(
+                span, segment, clock_total=self.template.clock.value(state))
 
-    def _boundary_wait(self, segment: Trajectory) -> float:
+    def _boundary_wait(self, segment: Trajectory,
+                       settle: MarginTable) -> float:
         """Recoverable dead time within one cycle segment.
 
         Simulated time between the first post-departure sample at which
-        the adaptive settling condition holds and the cycle's actual
-        end.  Under fixed clocking this is the margin adaptive clocking
-        recovers; under adaptive clocking it is ~0 by construction
-        (bounded by the sample spacing).  Sample-grid resolution is
-        deliberate: this is attribution telemetry, not an event.
+        the adaptive settling condition ``settle`` holds and the cycle's
+        actual end.  Under fixed clocking this is the margin adaptive
+        clocking recovers; under adaptive clocking it is ~0 by
+        construction (bounded by the sample spacing).  Sample-grid
+        resolution is deliberate: this is attribution telemetry, not an
+        event.
         """
         states = segment.states
         if states.shape[0] == 0:
             return 0.0
-        _, row = scan(states, self.template.departure,
-                      self._settle_table(self._signal_mass(states[0])))
+        _, row = scan(states, self.template.departure, settle)
         if row is None:
             return 0.0
         times = segment.times
@@ -809,52 +853,38 @@ class _CycleDriver:
         before any end-of-run scorer compares outputs.
         """
         probe = self.probe
-        probe.observe_cycle(span, phases, transfers, boundary_wait)
-        # Adaptive within-cycle sampling: at most ``samples_per_cycle``
-        # rows of the cycle's segment; the change-list compresses
+        # Every ``rows // samples_per_cycle``-th segment row (the ODE
+        # machine's ~60-row grid charts all 60-61 at the default 32),
+        # then the boundary state at ``t1``; the change-lists compress
         # plateaus away.
-        times = segment.times
-        if times.size:
-            stride = max(1, times.size // max(probe.samples_per_cycle, 1))
-            for i in range(0, times.size, stride):
-                self._probe_state_sample(float(times[i]),
-                                         segment.states[i])
+        stride = max(1, len(segment) // max(probe.samples_per_cycle, 1))
+        rows = segment.states[::stride]
+        times = np.append(segment.times[::stride], span.t1)
         values = {"cycle": span.index, "t": span.t1,
                   "period": span.duration}
-        values.update(self._probe_state_sample(span.t1, state))
+        columns = {}
+        for track, key, terms in self.template.probed:
+            value = terms.value(state)
+            columns[track] = np.append(terms.rows(rows), value)
+            values[key] = value
+        probe.observe_cycle(span, phases, transfers, boundary_wait,
+                            times, columns)
         probe.boundary(span.index, span.t1, values)
-
-    def _probe_state_sample(self, t: float,
-                            state: np.ndarray) -> dict[str, float]:
-        """Record one waveform row; returns identifier-safe values."""
-        probe = self.probe
-        values: dict[str, float] = {}
-        for name, value in self._register_values(state).items():
-            probe.record(f"reg_{name}", t, value, kind="real")
-            values[signal_key(f"reg_{name}")] = value
-        clock_total = self._clock_total(state)
-        probe.record("clock_total", t, clock_total, kind="real")
-        values["clock_total"] = clock_total
-        return values
 
     def _phase_spans(self, segment: Trajectory, span: CycleSpan
                      ) -> list[tuple[str, float, float]]:
         """Dominant-clock-colour windows within one cycle segment."""
-        columns = np.stack([segment.column(name) for name in
-                            self.circuit.clock.species_names()])
-        dominant = np.argmax(columns, axis=0)
+        dominant = np.argmax(segment.states[:, self.template.clock_indices],
+                             axis=1)
+        # A window starts wherever the dominant colour changes.
+        starts = (np.flatnonzero(np.diff(dominant)) + 1).tolist()
         times = segment.times
         spans: list[tuple[str, float, float]] = []
-        start = 0
-        for i in range(1, len(dominant) + 1):
-            if i < len(dominant) and dominant[i] == dominant[start]:
-                continue
+        for start, end in zip([0, *starts], [*starts, None]):
             t0 = max(float(times[start]), span.t0)
-            t1 = span.t1 if i == len(dominant) \
-                else min(float(times[i]), span.t1)
+            t1 = span.t1 if end is None else min(float(times[end]), span.t1)
             if t1 > t0:
                 spans.append((COLORS[dominant[start]], t0, t1))
-            start = i
         return spans
 
     def _transfer_spans(self, segment: Trajectory, span: CycleSpan,
@@ -915,7 +945,7 @@ class _CycleDriver:
             return state
         state = state.copy()
         state[state < self.quantization] = 0.0
-        deficit = self.circuit.clock.mass - self._clock_total(state)
+        deficit = self.circuit.clock.mass - self.template.clock.value(state)
         if deficit > 0:
             state[self.template.clock_red_index] += deficit
         return state
@@ -931,15 +961,6 @@ class _CycleDriver:
             state = self._coerce(self.faults.on_boundary(
                 cycle, np.asarray(state, dtype=float), self.network))
         return state
-
-    def _clock_total(self, state: np.ndarray) -> float:
-        template = self.template
-        total = 0.0
-        for index in template.clock_indices:
-            total += float(state[index])
-        if template.clock_red_dimer_index is not None:
-            total += 2.0 * float(state[template.clock_red_dimer_index])
-        return total
 
     # -- state accessors -----------------------------------------------------------------
 
@@ -974,21 +995,12 @@ class _CycleDriver:
             state[index] += abs(value)
         return state
 
-    def _getter(self, state: np.ndarray):
-        network = self.network
-
-        def get(name: str) -> float:
-            return float(state[network.species_index(name)])
-
-        return get
-
     def _readout(self, state: np.ndarray, output: str) -> float:
-        return self.circuit.readout_value(self._getter(state), output)
+        return self.template.readouts[output].value(state)
 
     def _register_values(self, state: np.ndarray) -> dict[str, float]:
-        getter = self._getter(state)
-        return {name: self.circuit.state_value(getter, name)
-                for name in self.design.delays}
+        return {name: terms.value(state)
+                for name, terms in self.template.registers.items()}
 
     def _signal_mass(self, state: np.ndarray) -> float:
         total = 0.0
@@ -1067,17 +1079,17 @@ class SynchronousMachine(_CycleDriver):
         theta = scheme.values.get("amp", 30.0 * scheme.slow) / scheme.fast
         return 3.0 * theta
 
-    def _run_cycle(self, state: np.ndarray, t_start: float, keep: bool,
+    def _run_cycle(self, state: np.ndarray, t_start: float,
+                   closing: MarginTable, keep: bool,
                    estimates: dict[str, float]
                    ) -> tuple[np.ndarray, float, Trajectory]:
-        """Integrate to departure, then to the closing event.
+        """Integrate to departure, then to the ``closing`` event.
 
         ``estimates`` carries the run's previous cycle: its period and
         segment durations, which plan the sample grid and hint the
         LSODA walk's chunked event search (cycle jitter is a few
         percent, so the previous duration is an excellent estimate).
         """
-        signal_mass = self._signal_mass(state)
         # Each segment's sample grid spans max_cycle_time (the event cuts
         # it short), so hitting ``_SAMPLES_PER_CYCLE`` points *inside*
         # the actual cycle needs the grid spacing planned from a period
@@ -1109,7 +1121,7 @@ class SynchronousMachine(_CycleDriver):
             departure.t_final + self.max_cycle_time,
             t_start=departure.t_final, initial=departure.final(),
             n_samples=n_samples,
-            events=[MarginEvent(self._closing_table(signal_mass), 1.0)],
+            events=[MarginEvent(closing, 1.0)],
             event_hint=estimates.get(estimate_key))
         if "event" not in boundary.meta:
             raise SimulationError(

@@ -50,6 +50,7 @@ import math
 import numpy as np
 
 from repro.crn.rates import RateScheme
+from repro.crn.simulation.margins import MarginTable
 from repro.crn.simulation.result import Trajectory
 from repro.crn.simulation.ssa import StochasticSimulator
 from repro.core.dfg import MatrixDesign, SignalFlowGraph
@@ -118,8 +119,8 @@ class StochasticMachine(_CycleDriver):
         """Counts are discrete: a boundary needs every blue at zero."""
         return 0
 
-    def _run_cycle(self, counts: np.ndarray, t_start: float, keep: bool,
-                   estimates: dict
+    def _run_cycle(self, counts: np.ndarray, t_start: float,
+                   closing: MarginTable, keep: bool, estimates: dict
                    ) -> tuple[np.ndarray, float, Trajectory | None]:
         """Advance one full rotation, scanning *within* each simulated
         chunk: the boundary window (clock red re-accumulated, blues
@@ -134,7 +135,6 @@ class StochasticMachine(_CycleDriver):
         shifted to the cycle's time and cut at the boundary row.  No
         estimate carries over: ``estimates`` stays empty.
         """
-        closing = self._closing_table(self._signal_mass(counts))
         grid = self._grid
         times: list[np.ndarray] = []
         rows: list[np.ndarray] = []

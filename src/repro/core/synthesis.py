@@ -57,22 +57,46 @@ class SynthesizedCircuit:
     def rails(self) -> tuple[str, ...]:
         return RAILS if self.signed else ("p",)
 
+    # A value read off a state is a list of ``(species, coefficient)``
+    # terms added left to right from 0.0, by getter or by species index.
+
+    def _signed(self, species: str, sign: float) -> list[tuple[str, float]]:
+        """``species`` and, if present, its ``I_`` dimer weighed twice."""
+        dimer = f"I_{species}"
+        return [(species, sign)] + (
+            [(dimer, sign * 2.0)] if dimer in self.network else [])
+
+    def register_terms(self, name: str) -> list[tuple[str, float]]:
+        """Terms of a delay register's value (:meth:`state_value`)."""
+        return [term for rail, sign in (("p", 1.0), ("n", -1.0))
+                if rail in self.rails()
+                for term in self._signed(self.source_species[name][rail],
+                                         sign)]
+
+    def readout_terms(self, name: str) -> list[tuple[str, float]]:
+        """Terms of an output's readout (:meth:`readout_value`)."""
+        terms = []
+        for rail, sign in (("p", 1.0), ("n", -1.0)):
+            acc = _acc_name(name, rail)
+            if rail in self.rails():
+                terms += [(self.readout_species[name][rail], sign),
+                          *(self._signed(acc, sign)
+                            if acc in self.network else ())]
+        return terms
+
+    def clock_terms(self) -> list[tuple[str, float]]:
+        """Terms of the clock's conserved total: each colour, then the
+        red dimer (consuming gating parks clock red in it)."""
+        return [*((name, 1.0) for name in self.clock.species_names()),
+                *self._signed(self.clock.red.name, 1.0)[1:]]
+
     def state_value(self, state_getter, name: str) -> float:
         """Effective (dimer-inclusive) value of a delay register.
 
         ``state_getter(species_name) -> float`` abstracts over raw state
         vectors and trajectory finals.
         """
-        value = 0.0
-        for rail, sign in (("p", 1.0), ("n", -1.0)):
-            if rail not in self.rails():
-                continue
-            species = self.source_species[name][rail]
-            value += sign * state_getter(species)
-            dimer = f"I_{species}"
-            if dimer in self.network:
-                value += sign * 2.0 * state_getter(dimer)
-        return value
+        return _evaluate(self.register_terms(name), state_getter)
 
     def readout_value(self, state_getter, name: str) -> float:
         """Cumulative effective output readout (see machine driver).
@@ -84,18 +108,14 @@ class SynthesizedCircuit:
         to exactly where within the boundary tolerance the cycle event
         fired.
         """
-        value = 0.0
-        for rail, sign in (("p", 1.0), ("n", -1.0)):
-            if rail not in self.rails():
-                continue
-            value += sign * state_getter(self.readout_species[name][rail])
-            acc = _acc_name(name, rail)
-            if acc in self.network:
-                value += sign * state_getter(acc)
-                dimer = f"I_{acc}"
-                if dimer in self.network:
-                    value += sign * 2.0 * state_getter(dimer)
-        return value
+        return _evaluate(self.readout_terms(name), state_getter)
+
+
+def _evaluate(terms: list[tuple[str, float]], state_getter) -> float:
+    value = 0.0
+    for species, coefficient in terms:
+        value += coefficient * state_getter(species)
+    return value
 
 
 def synthesize(design: MatrixDesign | SignalFlowGraph,

@@ -209,9 +209,11 @@ def indicator_contrast(trajectory: Trajectory, name: str,
     and 5th percentile levels is large.  A mushy indicator (insufficient
     rate separation) hovers, and the ratio collapses toward 1.
     """
-    series = trajectory.column(name)
-    high = float(np.percentile(series, 95))
-    low = float(np.percentile(series, 5))
+    low, high = np.percentile(trajectory.column(name), (5, 95)).tolist()
+    return _contrast(low, high, floor)
+
+
+def _contrast(low: float, high: float, floor: float = 1e-9) -> float:
     return high / max(low, floor)
 
 
@@ -335,10 +337,14 @@ class ProtocolMonitor:
     def _check_indicators(self, span: CycleSpan,
                           segment: Trajectory) -> None:
         config = self.config
-        for color, name in self.view.indicator_names.items():
-            if name not in segment:
-                continue
-            contrast = indicator_contrast(segment, name)
+        present = [(color, name) for color, name
+                   in self.view.indicator_names.items() if name in segment]
+        # Every indicator's 5th and 95th percentile from one gather.
+        lows, highs = np.percentile(segment.states[:, [
+            segment.species_index(name) for _, name in present]],
+            (5, 95), axis=0).tolist()
+        for (color, name), low, high in zip(present, lows, highs):
+            contrast = _contrast(low, high)
             self.metrics.observe(f"monitor.indicator_contrast[{color}]",
                                  contrast)
             self._emit_metric("indicator_contrast", span, contrast,
@@ -358,12 +364,11 @@ class ProtocolMonitor:
                                  segment: Trajectory) -> None:
         config = self.config
         final = segment.states[-1]
-        index = {name: i for i, name in enumerate(segment.names)}
         total = 0.0
         leftover = 0.0
         for color, members in self.view.color_groups.items():
-            mass = sum(float(final[index[m]]) for m in members
-                       if m in index)
+            mass = sum(float(final[segment.species_index(m)])
+                       for m in members if m in segment)
             total += mass
             if color == self.view.drained_color:
                 leftover += mass

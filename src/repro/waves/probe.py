@@ -17,10 +17,11 @@ The probe owns three things:
   ``boundary_wait`` is the recoverable dead time between digital
   settling and the actual cycle boundary.
 
-Drivers call :meth:`record` for within-cycle samples, :meth:`boundary`
-once per cycle boundary with the full boundary value dict (also the
+Drivers call :meth:`record` for single samples, :meth:`boundary` once
+per cycle boundary with the full boundary value dict (also the
 assertion-expression namespace), and :meth:`observe_cycle` with the
-phase/transfer decomposition the tracer already computes.
+phase/transfer decomposition the tracer already computes and a cycle's
+sampled ``real`` columns, which reach the engine in time order.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ class WaveformProbe:
         optional :class:`~repro.waves.assertions.AssertionEngine`
         evaluated online; violations come back from :meth:`finish`.
     samples_per_cycle:
-        cap on adaptive within-cycle samples a driver should take
-        (drivers read this; the probe itself stores only changes).
+        a machine charts every ``rows // samples_per_cycle``-th row of a
+        cycle's segment: at least this many rows and fewer than twice as
+        many, or every row of a shorter segment.
     """
 
     __slots__ = ("enabled", "waveform", "engine", "samples_per_cycle",
@@ -93,13 +95,30 @@ class WaveformProbe:
             self.engine.on_boundary(int(cycle), float(t), values)
 
     def observe_cycle(self, span, phases, transfers,
-                      boundary_wait: float = 0.0) -> None:
-        """Store one cycle's phase/transfer decomposition and chart the
-        phase channel."""
+                      boundary_wait: float = 0.0, times=(),
+                      columns=None) -> None:
+        """Store one cycle's phase/transfer decomposition, chart the
+        phase channel and each ``columns`` track (an array of ``real``
+        samples at ``times``).  The engine sees the changes in time order:
+        a phase change first at a tie, then row by row in column order."""
         self.cycle_records.append((span, list(phases), list(transfers),
                                    float(boundary_wait)))
-        for color, t0, _t1 in phases:
-            self.record(PHASE_SIGNAL, t0, color, kind="state")
+        waveform, engine = self.waveform, self.engine
+        changes = []
+        for i, (color, t0, _t1) in enumerate(phases):
+            if waveform.record(PHASE_SIGNAL, t0, color, kind="state"):
+                changes.append((float(t0), -1, i, PHASE_SIGNAL, color))
+        for rank, (name, column) in enumerate((columns or {}).items()):
+            changed = waveform.declare(name, "real").extend(times, column)
+            if engine is not None:
+                changes += (
+                    (t, row, rank, name, value) for t, row, value in zip(
+                        times[changed].tolist(), changed.tolist(),
+                        column[changed].tolist()))
+        if engine is not None:
+            changes.sort()  # (time, row, rank) never ties
+            for t, _row, _rank, name, value in changes:
+                engine.on_change(t, name, value)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -139,7 +158,7 @@ class NullWaveformProbe:
         pass
 
     def observe_cycle(self, span, phases, transfers,
-                      boundary_wait=0.0) -> None:
+                      boundary_wait=0.0, times=(), columns=None) -> None:
         pass
 
     def finish(self, t=None) -> list:

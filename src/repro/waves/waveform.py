@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ReproError
 
 #: Signal kinds a track may declare.
@@ -102,6 +104,28 @@ class SignalTrack:
         self.times.append(t)
         self.values.append(value)
         return True
+
+    def extend(self, times, values) -> np.ndarray:
+        """Record ``real`` samples in one pass, as :meth:`record` would one
+        by one; returns the indices of those that changed the track."""
+        if self.kind != "real":
+            raise WaveError(f"signal {self.name!r}: only real tracks "
+                            f"take sample blocks")
+        times, values = np.asarray(times, float), np.asarray(values, float)
+        if np.any(np.diff(times, prepend=self.times[-1:]) < 0):
+            raise WaveError(f"signal {self.name!r}: time went backwards")
+        # A sample changes the track when it differs from the sample
+        # before it; of the changes at one time the last one stays.
+        changed = np.flatnonzero(values != np.concatenate(
+            (self.values[-1:] or [np.nan], values[:-1])))
+        kept = changed[np.diff(times[changed], append=np.inf) != 0]
+        t, v = times[kept].tolist(), values[kept].tolist()
+        if t and self.times and t[0] == self.times[-1]:
+            self.values[-1] = v.pop(0)
+            del t[0]
+        self.times += t
+        self.values += v
+        return changed
 
     def _coerce(self, value):
         if self.kind == "bit":
@@ -225,10 +249,8 @@ def waveform_from_trajectory(trajectory, names=None,
     if rows and rows[-1] != times.size - 1:
         rows.append(times.size - 1)
     for name in names:
-        waveform.declare(name, "real")
-        series = trajectory.column(name)
-        for i in rows:
-            waveform.record(name, float(times[i]), float(series[i]))
+        waveform.declare(name, "real").extend(
+            times[rows], trajectory.column(name)[rows])
     return waveform
 
 

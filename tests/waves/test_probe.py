@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.apps.filters import moving_average
@@ -50,6 +51,28 @@ class TestProbe:
         assert probe.waveform["phase"].values == ["red", "green",
                                                  "blue"]
         assert probe.cycle_records == [(span, phases, [], 0.25)]
+
+    def test_observe_cycle_streams_changes_in_time_order(self):
+        seen = []
+
+        class Recorder:
+            def on_change(self, t, signal, value):
+                seen.append((t, signal, value))
+
+        probe = WaveformProbe(assertions=Recorder())
+        span = CycleSpan(0, 0.0, 2.0)
+        phases = [("red", 0.0, 1.0), ("green", 1.0, 2.0)]
+        probe.observe_cycle(span, phases, [], 0.0,
+                            np.array([0.0, 1.0, 2.0]),
+                            {"a": np.array([1.0, 2.0, 2.0]),
+                             "b": np.array([5.0, 5.0, 6.0])})
+        # A phase change first at a tie; then row by row, in column
+        # order; repeated values are not changes.
+        assert seen == [(0.0, "phase", "red"), (0.0, "a", 1.0),
+                        (0.0, "b", 5.0), (1.0, "phase", "green"),
+                        (1.0, "a", 2.0), (2.0, "b", 6.0)]
+        assert probe.waveform["a"].times == [0.0, 1.0]
+        assert probe.waveform["b"].values == [5.0, 6.0]
 
     def test_finish_without_engine(self):
         probe = WaveformProbe()

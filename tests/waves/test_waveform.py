@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.crn.parser import parse_network
@@ -58,6 +59,48 @@ class TestSignalTrack:
     def test_unknown_kind(self):
         with pytest.raises(WaveError, match="unknown signal kind"):
             Waveform().declare("b", "analogue")
+
+
+class TestExtend:
+    """``SignalTrack.extend`` records a block of real samples exactly as
+    ``record`` does one by one."""
+
+    @staticmethod
+    def _block(rng, t0):
+        n = int(rng.integers(0, 30))
+        # Repeated times, repeated values, zeros of both signs and NaN.
+        times = t0 + np.cumsum(rng.integers(0, 3, n) * 0.5)
+        values = rng.choice([0.0, -0.0, 1.0, 2.5, np.nan], n)
+        return times, values
+
+    def test_equals_sample_by_sample_records(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            bulk, single = Waveform(), Waveform()
+            t0 = 0.0
+            for _ in range(int(rng.integers(1, 5))):
+                times, values = self._block(rng, t0)
+                changed = bulk.declare("r", "real").extend(times, values)
+                expected = [i for i, (t, v) in enumerate(zip(times, values))
+                            if single.record("r", t, v, kind="real")]
+                assert changed.tolist() == expected
+                t0 = float(times[-1]) if times.size else t0
+            if "r" in single:
+                assert np.array_equal(bulk["r"].times, single["r"].times)
+                assert np.array(bulk["r"].values).tobytes() == \
+                    np.array(single["r"].values).tobytes()
+
+    def test_time_must_not_go_backwards(self):
+        track = Waveform().declare("r", "real")
+        track.extend([1.0, 2.0], [0.0, 1.0])
+        with pytest.raises(WaveError, match="backwards"):
+            track.extend([1.5], [2.0])
+        with pytest.raises(WaveError, match="backwards"):
+            track.extend([3.0, 2.5], [2.0, 3.0])
+
+    def test_only_real_tracks(self):
+        with pytest.raises(WaveError, match="only real"):
+            Waveform().declare("b", "bit").extend([0.0], [1])
 
 
 class TestWaveform:
