@@ -694,50 +694,24 @@ class _CycleDriver:
             default).
         """
         streams = self._check_streams(inputs)
-        n_samples = len(next(iter(streams.values()))) if streams else 0
-        n_cycles = n_samples + max(int(extra_cycles), 1)
-
-        state = self._initial_state()
-        spans: list[CycleSpan] = []
-        cumulative = {name: [self._readout(state, name)]
-                      for name in self.design.outputs}
-        state_history = [self._register_values(state)]
-        trajectory: Trajectory | None = None
-        monitor = self.make_monitor()
-        estimates: dict[str, float] = {}
-
-        t = 0.0
-        for cycle in range(n_cycles):
-            if cycle < n_samples:
-                state = self._inject(state, {name: streams[name][cycle]
-                                             for name in streams})
-            state, span, segment = self._advance_cycle(
-                state, t, cycle, record, monitor, estimates)
-            t = span.t1
-            spans.append(span)
-            for name in self.design.outputs:
-                cumulative[name].append(self._readout(state, name))
-            state_history.append(self._register_values(state))
-            state = self._boundary_faults(cycle, self._quantize(state))
-            if record:
-                trajectory = segment if trajectory is None else \
-                    trajectory.concat(segment)
-
-        # cumulative[k] = sum of y[j] for j < k, so consecutive differences
-        # recover the per-cycle output samples y[0], y[1], ...
-        outputs = {name: np.diff(np.array(series))
-                   for name, series in cumulative.items()}
-        reference = {name: np.array(values) for name, values in
-                     self.design.reference_run(
-                         {k: list(v) for k, v in inputs.items()}).items()}
-        diagnostics = monitor.finish() if monitor else []
-        if self.probe.enabled:
-            diagnostics = diagnostics + self.probe.finish(t)
-        return MachineRun(outputs=outputs, reference=reference,
-                          cycles=spans,
-                          trajectory=trajectory,
-                          state_history=state_history,
-                          diagnostics=diagnostics)
+        # One row of samples per cycle; an empty row is a flush cycle.
+        rows = [*zip(*streams.values())] + [()] * max(int(extra_cycles), 1)
+        stepper = MachineStepper(self)
+        stepper._record = record
+        steps = [stepper._cycle(dict(zip(streams, row))) for row in rows]
+        reference = self.design.reference_run(
+            {name: list(stream) for name, stream in inputs.items()})
+        return MachineRun(
+            outputs={name: np.array([step[name] for step in steps])
+                     for name in self.design.outputs},
+            reference={name: np.array(values)
+                       for name, values in reference.items()},
+            cycles=stepper.spans,
+            trajectory=functools.reduce(Trajectory.concat,
+                                        stepper._segments)
+            if record else None,
+            state_history=stepper.history,
+            diagnostics=stepper.finish())
 
     def stepper(self) -> "MachineStepper":
         """An incremental driver for closed-loop use.
@@ -757,8 +731,8 @@ class _CycleDriver:
                        ) -> tuple[np.ndarray, CycleSpan, Trajectory | None]:
         """Run one cycle and record its span (plus telemetry if on).
 
-        This is the single path both :meth:`run` and the stepper go
-        through, so cycle bookkeeping cannot diverge between them.
+        :class:`MachineStepper` is the only caller: :meth:`run` steps
+        one, so a run and a stepped run advance through one sequence.
         """
         telemetry = self._telemetry
         wall_start = perf_counter() if telemetry else 0.0
@@ -995,9 +969,6 @@ class _CycleDriver:
             state[index] += abs(value)
         return state
 
-    def _readout(self, state: np.ndarray, output: str) -> float:
-        return self.template.readouts[output].value(state)
-
     def _register_values(self, state: np.ndarray) -> dict[str, float]:
         return {name: terms.value(state)
                 for name, terms in self.template.registers.items()}
@@ -1136,66 +1107,93 @@ class SynchronousMachine(_CycleDriver):
 
 
 class MachineStepper:
-    """Cycle-at-a-time driver (see :meth:`SynchronousMachine.stepper`).
+    """Cycle-at-a-time driver (see :meth:`SynchronousMachine.stepper`);
+    :meth:`SynchronousMachine.run` steps one over its whole stream.
 
     Because an output computed in cycle n is read out during cycle n+1,
     :meth:`step` returns the *previous* cycle's outputs; call
-    :meth:`flush` once after the last input to collect the final sample.
+    :meth:`flush` once after the last input to collect the final sample
+    and :meth:`finish` to end the run.  ``history`` holds the register
+    values at the start and after each cycle, before quantisation.
     """
 
     def __init__(self, machine: _CycleDriver):
+        if machine.probe.cycle_records:
+            raise SimulationError(
+                "this machine's WaveformProbe already holds a run: a "
+                "probe records one run, so give each run its own probe")
         self.machine = machine
         self.state = machine._initial_state()
         self.time = 0.0
         self.spans: list[CycleSpan] = []
+        self.history = [machine._register_values(self.state)]
         self.monitor = machine.make_monitor()
         self._estimates: dict[str, float] = {}
-        self._previous = {name: machine._readout(self.state, name)
-                          for name in machine.design.outputs}
+        self._previous = {name: terms.value(self.state) for name, terms
+                          in machine.template.readouts.items()}
+        self._record = False
+        self._segments: list[Trajectory] = []
+        self._finished = False
 
     @property
     def cycles(self) -> int:
         return len(self.spans)
 
     def diagnostics(self) -> list[RuntimeDiagnostic]:
-        """Protocol-health diagnostics accumulated so far (finalises the
-        monitor, including the run-level jitter check, plus any
-        waveform-assertion violations)."""
-        found = self.monitor.finish() if self.monitor else []
-        if self.machine.probe.enabled:
-            found = found + self.machine.probe.diagnostics()
-        return found
+        """Protocol-health diagnostics and waveform-assertion violations
+        found so far; ends nothing (see :meth:`finish`)."""
+        found = list(self.monitor.diagnostics) if self.monitor else []
+        return found + self.machine.probe.diagnostics()
+
+    def finish(self) -> list[RuntimeDiagnostic]:
+        """End the run and return every diagnostic: the monitor's
+        run-level jitter check and the assertions' end-of-stream
+        obligations run here, once.  No cycle may follow."""
+        if not self._finished:
+            self._finished = True
+            if self.monitor:
+                self.monitor.finish()
+            self.machine.probe.finish(self.time)
+        return self.diagnostics()
 
     def step(self, inputs: Mapping[str, float]) -> dict[str, float]:
         """Inject one sample per input, advance one cycle, and return
         the output increments observed during that cycle."""
         streams = self.machine._check_streams(
             {name: [value] for name, value in inputs.items()})
-        self.state = self.machine._inject(
-            self.state, {name: stream[0] for name, stream in streams.items()})
-        return self._advance()
+        return self._cycle({name: stream[0]
+                            for name, stream in streams.items()})
 
     def flush(self) -> dict[str, float]:
         """Advance one cycle with zero input (drains the pipeline)."""
-        return self._advance()
+        return self._cycle({})
 
     def registers(self) -> dict[str, float]:
         """Current delay-register values."""
         return self.machine._register_values(self.state)
 
-    def _advance(self) -> dict[str, float]:
+    def _cycle(self, samples: Mapping[str, float]) -> dict[str, float]:
+        """One cycle on checked ``samples`` (none on a flush)."""
+        if self._finished:
+            raise SimulationError("this run has finished: start a new "
+                                  "stepper")
         machine = self.machine
         cycle = len(self.spans)
-        self.state, span, _ = machine._advance_cycle(
-            self.state, self.time, cycle, record=False,
-            monitor=self.monitor, estimates=self._estimates)
+        state = machine._inject(self.state, samples) if samples \
+            else self.state
+        state, span, segment = machine._advance_cycle(
+            state, self.time, cycle, self._record, self.monitor,
+            self._estimates)
         self.time = span.t1
         self.spans.append(span)
         outputs = {}
-        for name in machine.design.outputs:
-            total = machine._readout(self.state, name)
+        for name, terms in machine.template.readouts.items():
+            total = terms.value(state)
             outputs[name] = total - self._previous[name]
             self._previous[name] = total
+        self.history.append(machine._register_values(state))
+        if self._record:
+            self._segments.append(segment)
         self.state = machine._boundary_faults(
-            cycle, machine._quantize(self.state))
+            cycle, machine._quantize(state))
         return outputs

@@ -58,7 +58,8 @@ class SynthesizedCircuit:
         return RAILS if self.signed else ("p",)
 
     # A value read off a state is a list of ``(species, coefficient)``
-    # terms added left to right from 0.0, by getter or by species index.
+    # terms added left to right from 0.0; a machine template resolves
+    # them to species indices and evaluates them (``Terms``).
 
     def _signed(self, species: str, sign: float) -> list[tuple[str, float]]:
         """``species`` and, if present, its ``I_`` dimer weighed twice."""
@@ -67,14 +68,23 @@ class SynthesizedCircuit:
             [(dimer, sign * 2.0)] if dimer in self.network else [])
 
     def register_terms(self, name: str) -> list[tuple[str, float]]:
-        """Terms of a delay register's value (:meth:`state_value`)."""
+        """Terms of a delay register's effective (dimer-inclusive) value,
+        signed across rails."""
         return [term for rail, sign in (("p", 1.0), ("n", -1.0))
                 if rail in self.rails()
                 for term in self._signed(self.source_species[name][rail],
                                          sign)]
 
     def readout_terms(self, name: str) -> list[tuple[str, float]]:
-        """Terms of an output's readout (:meth:`readout_value`)."""
+        """Terms of an output's cumulative readout (see machine driver).
+
+        Everything already destined for the output counts with weight
+        one: the uncoloured readout pool plus the in-flight blue
+        accumulator (and its dimer in companion mode), signed across
+        rails.  Counting the in-flight accumulator makes the cumulative
+        readout invariant to exactly where within the boundary tolerance
+        the cycle event fired.
+        """
         terms = []
         for rail, sign in (("p", 1.0), ("n", -1.0)):
             acc = _acc_name(name, rail)
@@ -89,33 +99,6 @@ class SynthesizedCircuit:
         red dimer (consuming gating parks clock red in it)."""
         return [*((name, 1.0) for name in self.clock.species_names()),
                 *self._signed(self.clock.red.name, 1.0)[1:]]
-
-    def state_value(self, state_getter, name: str) -> float:
-        """Effective (dimer-inclusive) value of a delay register.
-
-        ``state_getter(species_name) -> float`` abstracts over raw state
-        vectors and trajectory finals.
-        """
-        return _evaluate(self.register_terms(name), state_getter)
-
-    def readout_value(self, state_getter, name: str) -> float:
-        """Cumulative effective output readout (see machine driver).
-
-        Sums everything already destined for the output with weight one:
-        the uncoloured readout pool plus the in-flight blue accumulator
-        (and its dimer in companion mode), signed across rails.  Counting
-        the in-flight accumulator makes the cumulative readout invariant
-        to exactly where within the boundary tolerance the cycle event
-        fired.
-        """
-        return _evaluate(self.readout_terms(name), state_getter)
-
-
-def _evaluate(terms: list[tuple[str, float]], state_getter) -> float:
-    value = 0.0
-    for species, coefficient in terms:
-        value += coefficient * state_getter(species)
-    return value
 
 
 def synthesize(design: MatrixDesign | SignalFlowGraph,

@@ -62,7 +62,7 @@ class WaveformProbe:
     """
 
     __slots__ = ("enabled", "waveform", "engine", "samples_per_cycle",
-                 "cycle_records", "_finished")
+                 "cycle_records")
 
     def __init__(self, assertions: AssertionEngine | None = None,
                  samples_per_cycle: int = 32):
@@ -74,7 +74,6 @@ class WaveformProbe:
         #: the profiler; phases are (color, t0, t1), transfers
         #: (name, t0, t1, args), boundary_wait the recoverable dead time.
         self.cycle_records: list[tuple] = []
-        self._finished = False
 
     # -- capture --------------------------------------------------------------
 
@@ -124,18 +123,11 @@ class WaveformProbe:
 
     def finish(self, t: float | None = None) -> list[RuntimeDiagnostic]:
         """Flush end-of-stream assertion obligations; idempotent."""
-        self._finished = True
-        if self.engine is None:
-            return []
-        return self.engine.finish(t)
+        return [] if self.engine is None else self.engine.finish(t)
 
     def diagnostics(self) -> list[RuntimeDiagnostic]:
-        """All assertion violations collected so far."""
-        if self.engine is None:
-            return []
-        if not self._finished:
-            return self.engine.finish()
-        return self.engine.violations
+        """Assertion violations found so far; finishes nothing."""
+        return [] if self.engine is None else self.engine.violations
 
 
 class NullWaveformProbe:

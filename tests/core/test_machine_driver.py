@@ -9,8 +9,10 @@ the SSA machine:
 * seeded SSA realisations stay bitwise identical (the digests below; the
   SSA loop draws from numpy's own bit generator, so they do not depend
   on the host);
-* the stepper equals ``run`` on both engines;
-* telemetry does not change what a run computes;
+* the stepper equals ``run`` on both engines, also with every observer
+  on (trace, metrics, waveform, diagnostics, register history);
+* telemetry does not change what a run computes, not a bit of it
+  unless an ODE machine without a kernel runs LSODA;
 * the SSA machine emits cycle spans, ``machine.*`` metrics, boundary
   events, monitor output and ``record=`` rows;
 * the SSA machine's straggler flushes, cycle deadline, ``ssa.batch``
@@ -49,6 +51,7 @@ from repro.errors import SimulationError, SynthesisError
 from repro.faults.models import ClockGlitch, FaultPlan
 from repro.obs import EventRecord, MemorySink, MetricsRegistry, SpanRecord
 from repro.obs import Tracer
+from repro.waves.assertions import build_engine
 from repro.waves.probe import WaveformProbe
 
 
@@ -457,26 +460,88 @@ class TestOneDriver:
 
     def test_telemetry_leaves_outputs_alone(self, engine, clocking):
         options = MachineOptions(clocking=clocking)
-        stream = [8, 4, 6, 2]
+        stream = [8, 4, 6, 2, 12, 0]
         bare = ENGINES[engine](options).run({"x": stream})
         observed = ENGINES[engine](
             options, tracer=Tracer(MemorySink()),
             metrics=MetricsRegistry(),
-            probe=WaveformProbe()).run({"x": stream})
-        if engine == "ssa":
+            probe=WaveformProbe()).run({"x": stream}, record=True)
+        if engine == "ssa" or native.load() is not None:
+            # The compiled BDF's steps and event search do not depend
+            # on the rows telemetry asks it to sample.
             assert observed.outputs["y"].tobytes() == \
                 bare.outputs["y"].tobytes()
             assert observed.state_history == bare.state_history
             assert _spans(observed.cycles) == _spans(bare.cycles)
         else:
-            # Telemetry samples each ODE segment more densely, and the
-            # event search brackets on those samples, so boundary times
-            # move in the last digits; the digital outputs do not.
+            # Without a kernel the ODE machine runs LSODA, whose event
+            # search brackets on the denser telemetry samples, so
+            # boundary times move in the last digits; the digital
+            # outputs do not.
             np.testing.assert_allclose(observed.outputs["y"],
                                        bare.outputs["y"], atol=1e-6)
             np.testing.assert_array_equal(
                 np.round(observed.outputs["y"] / 0.5),
                 np.round(bare.outputs["y"] / 0.5))
+
+    def test_stepper_equals_run_with_every_observer(self, engine,
+                                                    clocking):
+        options = MachineOptions(clocking=clocking)
+        stream = [8, 4, 6, 2]
+        machine, observers = _observed(ENGINES[engine], options)
+        run = machine.run({"x": stream}, record=True)
+        stepped_machine, stepped_observers = _observed(ENGINES[engine],
+                                                       options)
+        stepper, stepped = _stepped(stepped_machine, stream)
+        diagnostics = stepper.finish()
+        assert stepped.tobytes() == run.outputs["y"].tobytes()
+        assert _spans(stepper.spans) == _spans(run.cycles)
+        assert _observations(*stepped_observers) == \
+            _observations(*observers)
+        assert [d.to_dict() for d in diagnostics] == \
+            [d.to_dict() for d in run.diagnostics]
+        assert stepper.history == run.state_history
+        # The recorded rows end each cycle on its boundary state, which
+        # fixed clocking leaves as it is.
+        trajectory = run.trajectory
+        assert trajectory.times[0] == 0.0
+        assert trajectory.times[-1] == run.cycles[-1].t1
+        registers = machine.template.registers
+        for span, history in zip(run.cycles, stepper.history[1:]):
+            [row] = trajectory.states[trajectory.times == span.t1]
+            if clocking == "fixed":
+                assert {name: terms.value(row) for name, terms
+                        in registers.items()} == history
+
+
+def _observed(build, options):
+    """A machine with a tracer, metrics, the default monitor and a probe
+    asserting an invariant and an obligation on its register."""
+    tracer, metrics = Tracer(MemorySink()), MetricsRegistry()
+    probe = WaveformProbe(build_engine([
+        {"type": "invariant", "expr": "reg_d1 < 5"},
+        {"type": "eventually_within", "when": "reg_d1 > 5",
+         "holds": "reg_d1 < 3", "cycles": 1}]))
+    machine = build(options, tracer=tracer, metrics=metrics, probe=probe)
+    return machine, (tracer, metrics, probe)
+
+
+def _observations(tracer, metrics, probe):
+    """What a run's observers saw, host timings dropped: trace records
+    without ``args["wall"]``, metrics without the ``*wall_seconds``
+    histograms, and the waveform's changes."""
+    records = []
+    for record in tracer.sink.records:
+        payload = record.to_dict()
+        if "args" in payload:
+            payload["args"] = {key: value for key, value
+                               in payload["args"].items() if key != "wall"}
+        records.append(payload)
+    snapshot = metrics.to_dict()
+    snapshot["histograms"] = {
+        name: summary for name, summary in snapshot["histograms"].items()
+        if not name.endswith("wall_seconds")}
+    return records, snapshot, probe.waveform.changes()
 
 
 class TestSsaTelemetry:
@@ -523,13 +588,11 @@ class TestSsaTelemetry:
         trajectory = run.trajectory
         assert np.all(np.diff(trajectory.times) > 0)
         assert trajectory.times[0] == 0.0
-        get = machine.network.species_index
+        terms = machine.template.registers["d1"]
         for span, registers in zip(run.cycles, run.state_history[1:]):
             row = trajectory.states[trajectory.times == span.t1]
             assert row.shape[0] == 1
-            value = machine.circuit.state_value(
-                lambda name: float(row[0][get(name)]), "d1")
-            assert value == registers["d1"]
+            assert terms.value(row[0]) == registers["d1"]
         assert trajectory.times[-1] == run.cycles[-1].t1
 
     def test_probe_sees_phases_within_cycles(self):

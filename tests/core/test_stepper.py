@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.apps.filters import moving_average
 from repro.core.machine import SynchronousMachine
-from repro.errors import SynthesisError
+from repro.core.stochastic_machine import StochasticMachine
+from repro.errors import SimulationError, SynthesisError
+from repro.obs import MetricsRegistry
+from repro.waves.assertions import build_engine
+from repro.waves.probe import WaveformProbe
 
 
 class TestStepper:
@@ -106,4 +111,63 @@ class TestStepper:
         assert len(cycle_spans) == 5
         assert metrics.counter("machine.cycles").value == 5
         # The monitor streams alongside the feedback loop.
+        assert stepper.finish() == []
+
+
+ENGINES = {
+    "ode": lambda **kw: SynchronousMachine(moving_average(2), **kw),
+    "ssa": lambda **kw: StochasticMachine(moving_average(2), seed=4, **kw),
+}
+
+#: An obligation the stream below arms at its first boundary and meets
+#: at its third: pending for the first two cycles, met by the end.
+PENDING = [{"type": "eventually_within", "when": "reg_d1 > 5",
+            "holds": "reg_d1 < 1", "cycles": 2}]
+PENDING_STREAM = [8, 8, 0, 0, 0]
+
+
+def _dicts(diagnostics):
+    return [diagnostic.to_dict() for diagnostic in diagnostics]
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+class TestRunEnds:
+    """A stepped run ends at :meth:`MachineStepper.finish`, as ``run``
+    does; ``diagnostics`` reports without ending anything."""
+
+    @staticmethod
+    def pending(engine):
+        return ENGINES[engine](probe=WaveformProbe(build_engine(PENDING)))
+
+    def test_diagnostics_mid_run_close_nothing(self, engine):
+        expected = self.pending(engine).run({"x": PENDING_STREAM})
+        stepper = self.pending(engine).stepper()
+        for value in PENDING_STREAM[:2]:
+            stepper.step({"x": value})
         assert stepper.diagnostics() == []
+        for value in PENDING_STREAM[2:]:
+            stepper.step({"x": value})
+        stepper.flush()
+        assert _dicts(stepper.finish()) == _dicts(expected.diagnostics)
+
+    def test_finish_ends_the_run(self, engine):
+        stepper = self.pending(engine).stepper()
+        stepper.step({"x": 8})
+        found = _dicts(stepper.finish())
+        assert [d["code"] for d in found] == ["REPRO-A904"]
+        assert _dicts(stepper.finish()) == found
+        assert _dicts(stepper.diagnostics()) == found
+        for advance in (lambda: stepper.step({"x": 8}), stepper.flush):
+            with pytest.raises(SimulationError, match="finished"):
+                advance()
+        assert stepper.cycles == 1
+
+    def test_a_probe_records_one_run(self, engine):
+        metrics = MetricsRegistry()
+        machine = ENGINES[engine](probe=WaveformProbe(), metrics=metrics)
+        machine.run({"x": [8, 4]})
+        cycles = metrics.counter("machine.cycles").value
+        for again in (lambda: machine.run({"x": [8, 4]}), machine.stepper):
+            with pytest.raises(SimulationError, match="records one run"):
+                again()
+        assert metrics.counter("machine.cycles").value == cycles

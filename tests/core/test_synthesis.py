@@ -122,11 +122,19 @@ class TestOutputsAndAnnihilation:
     def test_readout_value_accounting(self, ma2_sfg):
         circuit = synthesize(ma2_sfg)
         values = {"y_y_p": 5.0, "a_y_p": 1.0}
-        getter = lambda name: values.get(name, 0.0)  # noqa: E731
-        assert circuit.readout_value(getter, "y") == pytest.approx(6.0)
+        assert _evaluate(circuit.readout_terms("y"), values) == \
+            pytest.approx(6.0)
 
     def test_state_value_signed(self, diff_sfg):
         circuit = synthesize(diff_sfg)
         values = {"s_d_p": 2.0, "s_d_n": 5.0}
-        getter = lambda name: values.get(name, 0.0)  # noqa: E731
-        assert circuit.state_value(getter, "d") == pytest.approx(-3.0)
+        assert _evaluate(circuit.register_terms("d"), values) == \
+            pytest.approx(-3.0)
+
+
+def _evaluate(terms, values) -> float:
+    """``(species, coefficient)`` terms summed over named quantities."""
+    total = 0.0
+    for species, coefficient in terms:
+        total += coefficient * values.get(species, 0.0)
+    return total

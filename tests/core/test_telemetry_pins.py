@@ -301,19 +301,3 @@ class TestTerms:
                 assert _bits(terms.rows(block)) == _bits(expected)
                 assert _bits([terms.value(row) for row in block]) == \
                     _bits(expected)
-
-    @pytest.mark.parametrize("case", sorted(TERM_CASES))
-    def test_circuit_values_evaluate_the_terms(self, case):
-        build, gating = TERM_CASES[case]
-        machine = SynchronousMachine(build(), gating=gating)
-        circuit = machine.circuit
-        rng = np.random.default_rng(7)
-        for row in _random_states(rng, 50, machine.network.n_species):
-            get = (lambda s, row=row:
-                   float(row[machine.network.species_index(s)]))
-            for name in machine.design.delays:
-                assert _bits(circuit.state_value(get, name)) == \
-                    _bits(_getter_register(circuit, get, name))
-            for name in machine.design.outputs:
-                assert _bits(circuit.readout_value(get, name)) == \
-                    _bits(_getter_readout(circuit, get, name))
