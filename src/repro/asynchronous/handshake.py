@@ -38,6 +38,22 @@ from repro.errors import SimulationError
 from repro.obs.metrics import ensure_metrics
 from repro.obs.tracer import ensure_tracer
 
+#: Share of a sample the output must hold to acknowledge its arrival.
+ARRIVAL_FRACTION = 0.95
+
+#: Handshake hold-off after an arrival, in slow time constants
+#: (``1 / k_slow``): the rotation finishes its residual phases before the
+#: next request.  Injecting the next sample mid-rotation adds blue mass
+#: in the wrong phase window and (in consuming mode, which cannot recover
+#: from mixed states) can wedge the pipeline.
+HOLD_OFF = 5.0
+
+#: How long a sample may take to arrive, in slow time constants.
+MAX_WAIT = 500.0
+
+#: Rows a recorded wave is sampled on.
+SAMPLES_PER_WAVE = 80
+
 
 @dataclass
 class AsyncRun:
@@ -71,26 +87,21 @@ class SelfTimedPipeline:
     ----------
     n:
         number of delay elements between input X and output Y.
-    gating / acceleration:
-        protocol configuration.  The default is the companion-faithful
-        configuration (consuming indicators + dimer accelerator), which is
-        sound here because each sample traverses the chain as a one-shot
-        wave: the driver injects the next sample only after the previous
-        one has arrived, so no type holds standing mass while its transfer
-        gate is closed.
+    gating:
+        protocol gating, with the protocol's acceleration for it.  The
+        default is the companion-faithful configuration (consuming
+        indicators + dimer accelerator), which is sound here because each
+        sample traverses the chain as a one-shot wave: the driver injects
+        the next sample only after the previous one has arrived, so no
+        type holds standing mass while its transfer gate is closed.
     """
 
     def __init__(self, n: int = 2, gating: str = "consuming",
-                 acceleration: str | None = None,
                  scheme: RateScheme | None = None,
-                 arrival_fraction: float = 0.95,
-                 settle_after: float | None = None,
-                 max_wait: float | None = None,
                  tracer=None, metrics=None):
         self.scheme = scheme or RateScheme()
         self.network = Network(f"async_pipeline_{n}")
-        self.protocol = PhaseProtocol(gating=gating,
-                                      acceleration=acceleration)
+        self.protocol = PhaseProtocol(gating=gating)
         self.line = DelayLine(n, drain_output=True)
         self.line.build(self.network, self.protocol)
         self.protocol.finalize(self.network)
@@ -107,15 +118,6 @@ class SelfTimedPipeline:
             output.append(index(dimer))
             weights.append(2.0)
         self._output = MarginTable([(output, weights, 0.0, 1)])
-        self.arrival_fraction = arrival_fraction
-        # Handshake hold-off: after acknowledging an arrival, let the
-        # rotation finish its residual phases before the next request.
-        # Injecting the next sample mid-rotation adds blue mass in the
-        # wrong phase window and (in consuming mode, which cannot recover
-        # from mixed states) can wedge the pipeline.
-        self.settle_after = (settle_after if settle_after is not None
-                             else 5.0 / self.scheme.slow)
-        self.max_wait = max_wait or 500.0 / self.scheme.slow
 
     @property
     def input_name(self) -> str:
@@ -125,9 +127,10 @@ class SelfTimedPipeline:
     def output_name(self) -> str:
         return self.line.output.name
 
-    def run(self, samples: list[float], record: bool = False,
-            samples_per_wave: int = 80) -> AsyncRun:
+    def run(self, samples: list[float], record: bool = False) -> AsyncRun:
         """Stream samples; each is injected once the previous arrived."""
+        hold_off = HOLD_OFF / self.scheme.slow
+        max_wait = MAX_WAIT / self.scheme.slow
         state = self.network.initial_vector()
         input_index = self.network.species_index(self.input_name)
         t = 0.0
@@ -150,26 +153,23 @@ class SelfTimedPipeline:
             # cumulative injected quantity.  The effective output includes
             # the share reversibly parked in the accelerator dimer.
             event = MarginEvent(self._output.with_last_threshold(
-                previous_total + self.arrival_fraction * max(sample, 1e-9)),
+                previous_total + ARRIVAL_FRACTION * max(sample, 1e-9)),
                 1.0)
             segment = self.simulator.simulate(
-                t + self.max_wait, t_start=t, initial=state,
-                n_samples=samples_per_wave if record else 8,
+                t + max_wait, t_start=t, initial=state,
+                n_samples=SAMPLES_PER_WAVE if record else 8,
                 events=[event])
             if "event" not in segment.meta and sample > 0:
                 raise SimulationError(
-                    f"sample did not arrive within {self.max_wait:g} "
+                    f"sample did not arrive within {max_wait:g} "
                     f"time units at t={t:g}")
-            state = segment.final()
-            t = segment.t_final
-            if self.settle_after > 0:
-                tail = self.simulator.simulate(
-                    t + self.settle_after, t_start=t, initial=state,
-                    n_samples=8)
-                state = tail.final()
-                t = tail.t_final
-                if record:
-                    segment = segment.concat(tail)
+            tail = self.simulator.simulate(
+                segment.t_final + hold_off, t_start=segment.t_final,
+                initial=segment.final(), n_samples=8)
+            state = tail.final()
+            t = tail.t_final
+            if record:
+                segment = segment.concat(tail)
             total = float(self._output.evaluate(state))
             arrived.append(total - previous_total)
             previous_total = total

@@ -35,8 +35,9 @@ from repro.certify.derive import design_certificate
 from repro.crn.rates import RateScheme
 from repro.errors import CertifyError
 from repro.faults.circuits import make_circuit
-from repro.faults.margin import MarginResult, robustness_margin
-from repro.faults.models import FaultPlan, RateMismatch
+from repro.faults.margin import (MarginResult, probe_separation,
+                                 robustness_margin)
+from repro.faults.models import RateMismatch
 
 #: Designs behind the fault-campaign circuit adapters (the adapters
 #: build the same filters internally; certificates need the matrix).
@@ -118,26 +119,14 @@ def certified_margin_campaign(name: str, seed: int = 0,
 
     root = np.random.SeedSequence(seed)
     probes: list[SoundnessProbe] = []
-    total_failures = 0
-    total_trials = 0
     for separation in separations:
-        scheme = nominal.compressed(nominal.separation / separation)
-        children = root.spawn(2 * trials)
-        failures = 0
-        for i in range(trials):
-            plan = FaultPlan([RateMismatch(sigma=sigma)],
-                             seed=children[2 * i])
-            rng = np.random.default_rng(children[2 * i + 1])
-            score = adapter.evaluate(scheme, plan=plan, rng=rng)
-            if not score.ok:
-                failures += 1
-        probes.append(SoundnessProbe(separation=float(separation),
-                                     failures=failures, trials=trials))
-        total_failures += failures
-        total_trials += trials
+        batch = probe_separation(adapter, [RateMismatch(sigma=sigma)],
+                                 separation, root, trials)
+        probes.append(SoundnessProbe(batch.separation, batch.failures,
+                                     batch.trials))
     return SoundnessReport(circuit=name, min_separation=floor,
-                           failures=total_failures, trials=total_trials,
-                           probes=probes)
+                           failures=sum(p.failures for p in probes),
+                           trials=trials * len(probes), probes=probes)
 
 
 def margin_consistency(name: str, seed: int = 0, trials: int = 2,

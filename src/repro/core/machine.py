@@ -7,8 +7,8 @@ how a cycle advances), so stream checks, readout, boundary faults, the
 stepper and cycle telemetry behave the same on either engine.  A cycle
 boundary is *detected from the chemistry*, not assumed from wall-clock
 time: the boundary event fires when the clock's red type has re-accumulated
-(>= ``boundary_fraction`` of the clock mass) *and* the blue category has
-drained (phase 3 complete).  At each boundary the driver
+(>= :data:`BOUNDARY_FRACTION` of the clock mass) *and* the blue category
+has drained (phase 3 complete).  At each boundary the driver
 
 1. samples every output's cumulative readout (uncoloured accumulator +
    still-draining register + landing dimer), differencing consecutive
@@ -49,13 +49,29 @@ from repro.obs.monitors import (MonitorConfig, ProtocolMonitor,
                                 ProtocolView, RuntimeDiagnostic)
 from repro.obs.records import CycleSpan
 from repro.obs.tracer import ensure_tracer
-from repro.waves.probe import ensure_probe, signal_key
+from repro.waves.probe import CHART_ROWS, ensure_probe, signal_key
 
 #: Colour rotation order: transfers move mass colour -> next colour.
 _ROTATION = ("red", "green"), ("green", "blue"), ("blue", "red")
 
 #: Recognised cycle-advance strategies for :class:`MachineOptions`.
 CLOCKING_MODES = ("fixed", "adaptive")
+
+#: Clock-red fraction of the clock mass that closes a fixed cycle (with
+#: every blue drained): red is back, so phase 3 has run its course.
+BOUNDARY_FRACTION = 0.9
+
+#: Clock-red fraction arming the adaptive settling condition.  It
+#: exceeds 0.5, so the condition cannot hold right after departure, and
+#: stays below :data:`BOUNDARY_FRACTION`, so adaptive clocking never
+#: waits on the worst-case schedule it replaces.
+SETTLE_FRACTION = 0.55
+
+#: Signal-blue residual, as a fraction of a cycle's signal mass, that
+#: counts as settled: an R104-style boundary residual kept under the
+#: monitor's ``boundary_residual_warn`` default (0.05), so an adaptive
+#: boundary never carries a residual the fixed monitor would warn about.
+SETTLE_RESIDUAL = 0.04
 
 #: Rows an ODE cycle segment is planned to hold when telemetry or
 #: ``record`` needs them.
@@ -76,29 +92,17 @@ class MachineOptions:
 
     clocking:
         ``"fixed"`` (default) ends each cycle on the classic worst-case
-        boundary event -- clock red back above ``boundary_fraction`` of
-        the nominal mass *and* every blue species drained below
+        boundary event -- clock red back above :data:`BOUNDARY_FRACTION`
+        of the nominal mass *and* every blue species drained below
         ``blue_tolerance``.  ``"adaptive"`` ends the cycle as soon as the
         state has *digitally* settled: clock red above
-        ``settle_fraction`` of nominal (phase 3 underway), the green
+        :data:`SETTLE_FRACTION` of nominal (phase 3 underway), the green
         category drained, and the signal blues below the settling
-        residual.  The sub-threshold blue tail that fixed clocking waits
-        out is then completed algebraically at the boundary (each
-        remaining blue moved along its unique gated seed transfer), so
-        quantized digital state and readouts are identical while the
-        simulated cycle time shrinks.
-    settle_fraction:
-        clock-red fraction arming the adaptive settling event.  Must
-        exceed 0.5 (so the event stays negative until the departure
-        region is left and cannot fire spuriously) and stay below the
-        machine's ``boundary_fraction`` (otherwise adaptive clocking
-        would wait on the same worst-case schedule it replaces).
-    settle_residual:
-        signal-blue residual fraction (of the cycle's signal mass)
-        regarded as settled -- an R104-style boundary residual, kept
-        under the monitor's ``boundary_residual_warn`` default (0.05) so
-        an adaptive boundary never carries a residual that the fixed
-        monitor would have warned about.
+        residual (:data:`SETTLE_RESIDUAL`).  The sub-threshold blue tail
+        that fixed clocking waits out is then completed algebraically at
+        the boundary (each remaining blue moved along its unique gated
+        seed transfer), so quantized digital state and readouts are
+        identical while the simulated cycle time shrinks.
     oscillator:
         registered clock chemistry to synthesize with (see
         :func:`repro.core.clock.make_clock`).  Ignored when a pre-built
@@ -107,8 +111,6 @@ class MachineOptions:
     """
 
     clocking: str = "fixed"
-    settle_fraction: float = 0.55
-    settle_residual: float = 0.04
     oscillator: str = "molecular"
 
     def __post_init__(self) -> None:
@@ -116,14 +118,6 @@ class MachineOptions:
             raise SimulationError(
                 f"unknown clocking mode {self.clocking!r}: expected one "
                 f"of {', '.join(CLOCKING_MODES)}")
-        if not 0.5 < self.settle_fraction < 1.0:
-            raise SimulationError(
-                f"settle_fraction must lie in (0.5, 1.0), got "
-                f"{self.settle_fraction!r}")
-        if not 0.0 < self.settle_residual < 1.0:
-            raise SimulationError(
-                f"settle_residual must lie in (0, 1), got "
-                f"{self.settle_residual!r}")
 
     @property
     def adaptive(self) -> bool:
@@ -281,7 +275,7 @@ class Terms(tuple):
 
 def _build_template(engine: type, circuit: SynthesizedCircuit,
                     network: Network, scheme: RateScheme,
-                    rates: np.ndarray | None, boundary_fraction: float,
+                    rates: np.ndarray | None,
                     options: MachineOptions) -> MachineTemplate:
     """The template of ``circuit`` simulating ``network`` on ``engine``
     (a machine class): index sets, landing plan, margin tables and the
@@ -319,17 +313,10 @@ def _build_template(engine: type, circuit: SynthesizedCircuit,
     signal_blue = blue[~np.isin(blue, clock_indices)]
     landing = None
     if options.adaptive:
-        if not options.settle_fraction < boundary_fraction:
-            raise SimulationError(
-                f"adaptive clocking needs settle_fraction "
-                f"({options.settle_fraction}) below boundary_fraction "
-                f"({boundary_fraction}): otherwise it waits on the "
-                f"worst-case schedule it is meant to replace")
         landing = _landing_plan(network, circuit.protocol, blue)
     departure, boundary, settle = _margin_tables(
         circuit.clock.mass, red_index, dimer,
-        engine._blue_tolerance(scheme), boundary_fraction,
-        options.settle_fraction, blue, green, signal_blue)
+        engine._blue_tolerance(scheme), blue, green, signal_blue)
     simulator = engine._simulator._prototype(network, scheme, rates)
     for table in (departure, boundary, settle):
         for array in (table.ptr, table.species, table.weights,
@@ -363,8 +350,7 @@ def _build_template(engine: type, circuit: SynthesizedCircuit,
 def _synthesized_template(engine: type,
                           design: MatrixDesign | SignalFlowGraph,
                           scheme: RateScheme, rates: np.ndarray | None,
-                          clock_mass: float, signed: bool | None,
-                          gating: str, boundary_fraction: float,
+                          signed: bool | None, gating: str,
                           options: MachineOptions) -> MachineTemplate:
     """A cache miss: reduce a graph to matrix form, synthesize a
     read-only copy of the design (every machine on the key shares it as
@@ -378,11 +364,11 @@ def _synthesized_template(engine: type,
         design.name, tuple(design.inputs), tuple(design.outputs),
         tuple(design.delays), MappingProxyType(dict(design.coefficients)),
         MappingProxyType(dict(design.initial_state)))
-    circuit = synthesize(private, clock_mass=clock_mass, signed=signed,
-                         gating=gating, oscillator=options.oscillator)
+    circuit = synthesize(private, signed=signed, gating=gating,
+                         oscillator=options.oscillator)
     circuit.network.freeze()
     return _build_template(engine, circuit, circuit.network, scheme, rates,
-                           boundary_fraction, options)
+                           options)
 
 
 class _TemplateKey:
@@ -405,8 +391,7 @@ class _TemplateKey:
 
 def _template_key(engine: type, design: MatrixDesign | SignalFlowGraph,
                   scheme: RateScheme, rates: np.ndarray | None, *,
-                  clock_mass: float, signed: bool | None, gating: str,
-                  boundary_fraction: float,
+                  signed: bool | None, gating: str,
                   options: MachineOptions) -> _TemplateKey:
     """The content key of a machine on ``design``: a graph's
     :meth:`~SignalFlowGraph.content_key` or a matrix design's matrix
@@ -434,10 +419,10 @@ def _template_key(engine: type, design: MatrixDesign | SignalFlowGraph,
     content = (
         engine, shape, tuple(sorted(scheme.values.items())),
         None if rates is None else (rates.shape, rates.tobytes()),
-        clock_mass, signed, gating, boundary_fraction, options)
+        signed, gating, options)
     return _TemplateKey(content, functools.partial(
-        _synthesized_template, engine, design, scheme, rates, clock_mass,
-        signed, gating, boundary_fraction, options))
+        _synthesized_template, engine, design, scheme, rates, signed,
+        gating, options))
 
 
 @functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
@@ -476,8 +461,7 @@ def _landing_plan(network: Network, protocol, blue: np.ndarray) -> tuple:
 
 
 def _margin_tables(mass: float, red_index: int, dimer: int | None,
-                   blue_tolerance: float, boundary_fraction: float,
-                   settle_fraction: float, blue: np.ndarray,
+                   blue_tolerance: float, blue: np.ndarray,
                    green: np.ndarray, signal_blue: np.ndarray
                    ) -> tuple[MarginTable, MarginTable, MarginTable]:
     """The clock's margin tables ``(departure, boundary, settle)``.
@@ -488,12 +472,12 @@ def _margin_tables(mass: float, red_index: int, dimer: int | None,
       because at a fresh boundary the closing condition holds by
       construction.
     * ``boundary`` (fixed clocking) holds once the clock red is back
-      above ``boundary_fraction`` of the clock mass and every blue
+      above :data:`BOUNDARY_FRACTION` of the clock mass and every blue
       species has drained to ``blue_tolerance``.
     * ``settle`` (adaptive clocking, see
       :meth:`_CycleDriver._settle_table`) holds once the state has
       *digitally* settled, instead of waiting out the worst-case
-      schedule: the clock red is back above ``settle_fraction`` of
+      schedule: the clock red is back above :data:`SETTLE_FRACTION` of
       nominal (the fraction exceeds 0.5, so the margin is negative right
       after departure), the green category has drained to
       ``blue_tolerance`` (every green -> blue transfer has completed, so
@@ -516,8 +500,8 @@ def _margin_tables(mass: float, red_index: int, dimer: int | None,
         return indices, [1.0] * indices.size, blue_tolerance, -1
 
     return (MarginTable([clock(0.5)]),
-            MarginTable([clock(boundary_fraction), drained(blue)]),
-            MarginTable([clock(settle_fraction), drained(green),
+            MarginTable([clock(BOUNDARY_FRACTION), drained(blue)]),
+            MarginTable([clock(SETTLE_FRACTION), drained(green),
                          drained(signal_blue)]))
 
 
@@ -542,28 +526,24 @@ class _CycleDriver:
 
     def _setup(self, design: MatrixDesign | SignalFlowGraph |
                SynthesizedCircuit, scheme: RateScheme,
-               rates: np.ndarray | None, *, clock_mass: float,
-               signed: bool | None, gating: str,
-               boundary_fraction: float, tracer, metrics,
+               rates: np.ndarray | None, *, signed: bool | None,
+               gating: str, tracer, metrics,
                monitor: MonitorConfig | None, faults, probe,
                options: MachineOptions | None, **fork) -> None:
         """Adopt this design's template and fork its simulator; ``fork``
-        holds the fork's own arguments (seed, solver settings)."""
+        holds the fork's own arguments (seed, ODE method)."""
         self.options = options = options or MachineOptions()
-        self.boundary_fraction = boundary_fraction
         engine = type(self)
         if rates is not None:
             # A private copy: the template freezes it.
             rates = np.array(rates, dtype=float)
         if isinstance(design, SynthesizedCircuit):
             template = _build_template(engine, design, design.network,
-                                       scheme, rates, boundary_fraction,
-                                       options)
+                                       scheme, rates, options)
         else:
             template = machine_templates(_template_key(
-                engine, design, scheme, rates, clock_mass=clock_mass,
-                signed=signed, gating=gating,
-                boundary_fraction=boundary_fraction, options=options))
+                engine, design, scheme, rates, signed=signed, gating=gating,
+                options=options))
         self.scheme = scheme
         # Fault injection: materialise the perturbed system up front, on
         # a copy of the template's network, so every derived quantity
@@ -576,8 +556,7 @@ class _CycleDriver:
             self.scheme = setup.scheme
             template = _build_template(engine, template.circuit,
                                        setup.network, setup.scheme,
-                                       setup.rates, boundary_fraction,
-                                       options)
+                                       setup.rates, options)
         self.template = template
         self.circuit = template.circuit
         self.blue_tolerance = engine._blue_tolerance(self.scheme)
@@ -643,7 +622,7 @@ class _CycleDriver:
         (an R104-style boundary residual, kept under the monitor's warn
         fraction) and never drops below ``blue_tolerance``."""
         return self.template.settle.with_last_threshold(max(
-            self.blue_tolerance, self.options.settle_residual * signal_mass))
+            self.blue_tolerance, SETTLE_RESIDUAL * signal_mass))
 
     def _closing_table(self, signal_mass: float) -> MarginTable:
         """The margin that ends a cycle starting with ``signal_mass``
@@ -827,11 +806,10 @@ class _CycleDriver:
         before any end-of-run scorer compares outputs.
         """
         probe = self.probe
-        # Every ``rows // samples_per_cycle``-th segment row (the ODE
-        # machine's ~60-row grid charts all 60-61 at the default 32),
-        # then the boundary state at ``t1``; the change-lists compress
-        # plateaus away.
-        stride = max(1, len(segment) // max(probe.samples_per_cycle, 1))
+        # Every ``rows // CHART_ROWS``-th segment row (the ODE machine's
+        # ~60-row grid charts all 60-61), then the boundary state at
+        # ``t1``; the change-lists compress plateaus away.
+        stride = max(1, len(segment) // CHART_ROWS)
         rows = segment.states[::stride]
         times = np.append(segment.times[::stride], span.t1)
         values = {"cycle": span.index, "t": span.t1,
@@ -1010,23 +988,18 @@ class SynchronousMachine(_CycleDriver):
                  SynthesizedCircuit,
                  scheme: RateScheme | None = None,
                  rates: np.ndarray | None = None,
-                 clock_mass: float = 20.0,
                  signed: bool | None = None,
                  gating: str = "catalytic",
-                 boundary_fraction: float = 0.9,
                  max_cycle_time: float | None = None,
                  method: str = "native-bdf",
-                 rtol: float = 1e-7, atol: float = 1e-9,
                  tracer=None, metrics=None,
                  monitor: MonitorConfig | None = None,
                  faults=None, probe=None,
                  options: MachineOptions | None = None):
         self._setup(
-            design, scheme or RateScheme(), rates, clock_mass=clock_mass,
-            signed=signed, gating=gating,
-            boundary_fraction=boundary_fraction, tracer=tracer,
-            metrics=metrics, monitor=monitor, faults=faults, probe=probe,
-            options=options, method=method, rtol=rtol, atol=atol)
+            design, scheme or RateScheme(), rates, signed=signed,
+            gating=gating, tracer=tracer, metrics=metrics, monitor=monitor,
+            faults=faults, probe=probe, options=options, method=method)
         # Sub-threshold residues are rounded to zero at each boundary.
         # On the ODE's continuum they accumulate into mixed-residual
         # deadlocks; physically they are fractions of a single molecule
@@ -1118,10 +1091,14 @@ class MachineStepper:
     """
 
     def __init__(self, machine: _CycleDriver):
-        if machine.probe.cycle_records:
-            raise SimulationError(
-                "this machine's WaveformProbe already holds a run: a "
-                "probe records one run, so give each run its own probe")
+        probe = machine.probe
+        if probe.enabled:
+            if probe.claimed:
+                raise SimulationError(
+                    "this machine's WaveformProbe already belongs to a "
+                    "run: a probe records one run, so give each run its "
+                    "own probe")
+            probe.claimed = True
         self.machine = machine
         self.state = machine._initial_state()
         self.time = 0.0

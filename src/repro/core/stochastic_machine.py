@@ -19,17 +19,17 @@ rate ``k_fast`` against amplification ``amp``, so a state with a couple
 of leftover molecules in *every* colour pins all three gates at zero and
 the rotation freezes -- a genuine limitation of the scheme at low copy
 number, observed here experimentally.  The driver recovers by flushing
-stragglers (counts <= ``straggler_tolerance``) after ``patience`` time
-units without a boundary, modelling the slow degradation real molecules
-undergo; flush events are counted so results report how often recovery
-was needed.
+stragglers (counts <= :data:`STRAGGLER_TOLERANCE`) after
+:data:`PATIENCE` time units without a boundary, modelling the slow
+degradation real molecules undergo; flush events are counted so results
+report how often recovery was needed.
 
 **Polling.**  Boundaries are found by polling: the SSA runs in
-``poll_interval`` chunks, each restarted at chunk time 0 from the last
-chunk's final row with 16 samples, and every sampled row is scanned on
-the clock's margin tables.  One
+:data:`POLL_INTERVAL` chunks, each restarted at chunk time 0 from the
+last chunk's final row with 16 samples, and every sampled row is scanned
+on the clock's margin tables.  One
 :meth:`~repro.crn.simulation.ssa.StochasticSimulator.poll` call runs a
-whole ``patience`` window of chunks -- in the compiled loop when the
+whole :data:`PATIENCE` window of chunks -- in the compiled loop when the
 kernel is available -- and returns at the closing row, at the end of
 the window or at the cycle deadline; this module keeps only the
 straggler flush, the deadline error and the assembly of ``record``
@@ -70,12 +70,28 @@ from repro.errors import SimulationError, SynthesisError
 _DEFAULT_RATES = dict(RateScheme().values)
 _DEFAULT_RATES["gen"] = _DEFAULT_RATES["slow"]
 
+#: Simulated time per poll chunk.
+POLL_INTERVAL = 0.25
+
+#: Simulated time without a boundary before stragglers are flushed.
+PATIENCE = 20.0
+
+#: The largest signal count a straggler flush removes.
+STRAGGLER_TOLERANCE = 4
+
+#: A poll chunk's sample times: 16 rows from chunk time 0.
+_GRID = np.linspace(0.0, POLL_INTERVAL, 16)
+_GRID.setflags(write=False)
+
+#: Chunks per poll call: one patience window.
+_WINDOW = math.ceil(PATIENCE / POLL_INTERVAL) + 1
+
 
 class StochasticMachine(_CycleDriver):
     """SSA counterpart of :class:`~repro.core.machine.SynchronousMachine`.
 
     Cycle boundaries are detected by polling the counts every
-    ``poll_interval`` time units: a boundary holds when the clock-red
+    :data:`POLL_INTERVAL` time units: a boundary holds when the clock-red
     count has re-accumulated and the blue category holds at most
     ``blue_tolerance`` molecules.  Counts are already discrete, so the
     machine does not quantise its boundaries (``quantization`` is 0)
@@ -87,10 +103,7 @@ class StochasticMachine(_CycleDriver):
     def __init__(self, design: MatrixDesign | SignalFlowGraph |
                  SynthesizedCircuit,
                  scheme: RateScheme | None = None,
-                 clock_mass: float = 20.0,
-                 signed: bool | None = None,
                  seed: int | None = None,
-                 boundary_fraction: float = 0.9,
                  max_cycle_time: float | None = None,
                  tracer=None, metrics=None,
                  faults=None, probe=None,
@@ -98,21 +111,13 @@ class StochasticMachine(_CycleDriver):
         if scheme is None:
             scheme = RateScheme(dict(_DEFAULT_RATES))
         self._setup(
-            design, scheme, None, clock_mass=clock_mass, signed=signed,
-            gating="catalytic", boundary_fraction=boundary_fraction,
+            design, scheme, None, signed=None, gating="catalytic",
             tracer=tracer, metrics=metrics, monitor=None, faults=faults,
             probe=probe, options=options, seed=seed)
-        self.poll_interval = 0.25
         self.quantization = 0.0
-        self.patience = 20.0
-        self.straggler_tolerance = 4
         self.flush_events = 0
         self.max_cycle_time = _cycle_deadline(max_cycle_time,
                                               200.0 / self.scheme.slow)
-        #: A poll chunk's sample times: 16 rows from chunk time 0.
-        self._grid = np.linspace(0.0, self.poll_interval, 16)
-        #: Chunks per poll call: one patience window.
-        self._window = math.ceil(self.patience / self.poll_interval) + 1
 
     @staticmethod
     def _blue_tolerance(scheme: RateScheme) -> int:
@@ -135,7 +140,7 @@ class StochasticMachine(_CycleDriver):
         shifted to the cycle's time and cut at the boundary row.  No
         estimate carries over: ``estimates`` stays empty.
         """
-        grid = self._grid
+        grid = _GRID
         times: list[np.ndarray] = []
         rows: list[np.ndarray] = []
         departed = False
@@ -143,8 +148,8 @@ class StochasticMachine(_CycleDriver):
         while True:
             poll = self.simulator.poll(
                 counts, grid, self.template.departure, closing, t=t,
-                departed=departed, chunks=self._window, keep=keep,
-                until=((start, self.patience),
+                departed=departed, chunks=_WINDOW, keep=keep,
+                until=((start, PATIENCE),
                        (t_start, self.max_cycle_time)))
             if keep:
                 # Row 0 of a chunk is its initial state: the cycle's start
@@ -156,7 +161,7 @@ class StochasticMachine(_CycleDriver):
                     first = 1 if times else 0
                     times.append(t + grid[first:end])
                     rows.append(states[first:end])
-                    t += self.poll_interval
+                    t += POLL_INTERVAL
             departed, counts, t = poll.departed, poll.counts, poll.t
             if poll.row is not None:
                 # Restart from this recorded state (Markov property:
@@ -165,9 +170,9 @@ class StochasticMachine(_CycleDriver):
                     np.concatenate(times), np.vstack(rows),
                     self.network.species_names) if keep else None
                 return counts, t + float(grid[poll.row]), segment
-            if t - start > self.patience:
+            if t - start > PATIENCE:
                 counts = self._flush_stragglers(counts)
-                start = t - self.patience / 2  # renewed (half) patience
+                start = t - PATIENCE / 2  # renewed (half) patience
             # Deadline on the whole cycle, not the patience window: the
             # renewal above would otherwise keep `t - start` below the
             # limit forever, so an unrecoverable wedge (e.g. clock mass
@@ -184,7 +189,7 @@ class StochasticMachine(_CycleDriver):
         counts = counts.copy()
         flushed = 0
         for index in self.template.signal_indices:
-            if 0 < counts[index] <= self.straggler_tolerance:
+            if 0 < counts[index] <= STRAGGLER_TOLERANCE:
                 flushed += int(counts[index])
                 counts[index] = 0
         if flushed:

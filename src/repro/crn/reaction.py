@@ -113,12 +113,6 @@ class Reaction:
         return (self.reactants.get(species, 0) ==
                 self.products.get(species, 0) != 0)
 
-    def conserves_mass_of(self, group: Iterable[SpeciesLike]) -> bool:
-        """True if total quantity over ``group`` is unchanged by a firing."""
-        members = {as_species(s) for s in group}
-        delta = self.net_change()
-        return sum(c for s, c in delta.items() if s in members) == 0
-
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:

@@ -270,7 +270,9 @@ class OdeSimulator:
                  rates: np.ndarray | None = None, method: str = "LSODA",
                  rtol: float = 1e-7, atol: float = 1e-9,
                  jacobian: str = "auto", tracer=None, metrics=None):
-        self._solver(method, rtol, atol)
+        self._set_method(method)
+        self.rtol = rtol
+        self.atol = atol
         if jacobian not in JACOBIAN_MODES:
             raise SimulationError(f"unknown jacobian mode {jacobian!r}; "
                                   f"expected one of {JACOBIAN_MODES}")
@@ -289,13 +291,11 @@ class OdeSimulator:
         state["_bdf"] = None  # cffi handles do not pickle; rebind lazily
         return state
 
-    def _solver(self, method: str, rtol: float, atol: float) -> None:
+    def _set_method(self, method: str) -> None:
         if method not in METHODS:
             raise SimulationError(f"unknown method {method!r}; "
                                   f"expected one of {METHODS}")
         self.method = method
-        self.rtol = rtol
-        self.atol = atol
 
     @classmethod
     def _prototype(cls, network: Network, scheme: RateScheme,
@@ -306,13 +306,13 @@ class OdeSimulator:
         prototype.kinetics.freeze()
         return prototype
 
-    def _fork(self, *, method: str, rtol: float, atol: float,
-              tracer=None, metrics=None) -> "OdeSimulator":
-        """A simulator sharing this one's network and kinetics arrays,
-        with its own kinetics scratch (:meth:`MassActionKinetics.view`),
-        solver settings and telemetry."""
+    def _fork(self, *, method: str, tracer=None,
+              metrics=None) -> "OdeSimulator":
+        """A simulator sharing this one's network, kinetics arrays and
+        tolerances, with its own kinetics scratch
+        (:meth:`MassActionKinetics.view`), method and telemetry."""
         fork = shallow_copy(self)
-        fork._solver(method, rtol, atol)
+        fork._set_method(method)
         fork.kinetics = self.kinetics.view()
         fork._bdf = None
         fork.tracer = ensure_tracer(tracer)

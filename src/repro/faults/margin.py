@@ -24,6 +24,9 @@ import numpy as np
 from repro.errors import FaultError
 from repro.faults.models import FaultPlan
 
+#: Trial batches one search may run, the two bracket ends included.
+MAX_EVALUATIONS = 24
+
 
 @dataclass(frozen=True)
 class MarginProbe:
@@ -70,9 +73,11 @@ class MarginResult:
                 "probes": [probe.to_dict() for probe in self.probes]}
 
 
-def _probe(adapter, models, separation: float, seed_sequence,
-           trials: int) -> MarginProbe:
-    """Run one seeded trial batch at one separation."""
+def probe_separation(adapter, models, separation: float, seed_sequence,
+                     trials: int) -> MarginProbe:
+    """Run one seeded trial batch at one separation: ``seed_sequence``
+    spawns two children per trial, the fault plan's seed (when
+    ``models`` is not empty) and the trial's generator."""
     nominal = adapter.nominal_scheme()
     scheme = nominal.compressed(nominal.separation / separation)
     children = seed_sequence.spawn(2 * trials)
@@ -92,10 +97,10 @@ def _probe(adapter, models, separation: float, seed_sequence,
 
 def robustness_margin(adapter, models=(), seed=0, trials: int = 4,
                       separation_lo: float = 2.0,
-                      separation_hi: float | None = None,
-                      tolerance: float = 1.5,
-                      max_evaluations: int = 24) -> MarginResult:
-    """Bisect the smallest passing fast/slow separation.
+                      tolerance: float = 1.5) -> MarginResult:
+    """Bisect the smallest passing fast/slow separation, between
+    ``separation_lo`` and the adapter's nominal separation, in at most
+    :data:`MAX_EVALUATIONS` trial batches.
 
     Parameters
     ----------
@@ -113,34 +118,31 @@ def robustness_margin(adapter, models=(), seed=0, trials: int = 4,
     """
     if tolerance <= 1.0:
         raise FaultError("tolerance must exceed 1")
-    nominal = adapter.nominal_scheme()
-    hi = float(separation_hi or nominal.separation)
+    hi = float(adapter.nominal_scheme().separation)
     lo = float(separation_lo)
     if not lo < hi:
-        raise FaultError(f"need separation_lo < separation_hi, "
-                         f"got {lo} >= {hi}")
+        raise FaultError(f"need separation_lo below the nominal "
+                         f"separation, got {lo} >= {hi}")
     root = np.random.SeedSequence(seed)
     probes: list[MarginProbe] = []
 
-    top = _probe(adapter, models, hi, root.spawn(1)[0], trials)
-    probes.append(top)
-    if not top.ok:
+    def passes(separation: float) -> bool:
+        probes.append(probe_separation(adapter, models, separation,
+                                       root.spawn(1)[0], trials))
+        return probes[-1].ok
+
+    if not passes(hi):
         # Broken even at nominal separation: no margin to speak of.
-        classification = _dominant(probes)
         return MarginResult(margin=float("inf"), failed_at=hi,
-                            classification=classification, probes=probes)
-    bottom = _probe(adapter, models, lo, root.spawn(1)[0], trials)
-    probes.append(bottom)
-    if bottom.ok:
+                            classification=_dominant(probes), probes=probes)
+    if passes(lo):
         # Still computing at the floor: margin is below the probe range.
         return MarginResult(margin=lo, failed_at=float("nan"),
                             classification=None, probes=probes)
 
-    while hi / lo > tolerance and len(probes) < max_evaluations:
+    while hi / lo > tolerance and len(probes) < MAX_EVALUATIONS:
         mid = float(np.sqrt(hi * lo))
-        probe = _probe(adapter, models, mid, root.spawn(1)[0], trials)
-        probes.append(probe)
-        if probe.ok:
+        if passes(mid):
             hi = mid
         else:
             lo = mid

@@ -33,6 +33,11 @@ from repro.waves.waveform import Waveform
 #: Signal carrying the dominant clock colour / active phase id.
 PHASE_SIGNAL = "phase"
 
+#: A machine charts every ``rows // CHART_ROWS``-th row of a cycle's
+#: segment: at least this many rows and fewer than twice as many, or
+#: every row of a shorter segment.
+CHART_ROWS = 32
+
 
 def signal_key(name: str) -> str:
     """An identifier-safe key for the assertion-expression namespace.
@@ -55,21 +60,17 @@ class WaveformProbe:
     assertions:
         optional :class:`~repro.waves.assertions.AssertionEngine`
         evaluated online; violations come back from :meth:`finish`.
-    samples_per_cycle:
-        a machine charts every ``rows // samples_per_cycle``-th row of a
-        cycle's segment: at least this many rows and fewer than twice as
-        many, or every row of a shorter segment.
     """
 
-    __slots__ = ("enabled", "waveform", "engine", "samples_per_cycle",
-                 "cycle_records")
+    __slots__ = ("enabled", "waveform", "engine", "cycle_records",
+                 "claimed")
 
-    def __init__(self, assertions: AssertionEngine | None = None,
-                 samples_per_cycle: int = 32):
+    def __init__(self, assertions: AssertionEngine | None = None):
         self.enabled = True
         self.waveform = Waveform()
         self.engine = assertions
-        self.samples_per_cycle = int(samples_per_cycle)
+        #: set by the one machine run (or stepper) this probe records.
+        self.claimed = False
         #: per-cycle (CycleSpan, phases, transfers, boundary_wait) for
         #: the profiler; phases are (color, t0, t1), transfers
         #: (name, t0, t1, args), boundary_wait the recoverable dead time.
@@ -137,7 +138,6 @@ class NullWaveformProbe:
     enabled = False
     waveform = None
     engine = None
-    samples_per_cycle = 0
     cycle_records = ()
 
     def declare(self, name, kind, width=1) -> None:

@@ -50,25 +50,19 @@ class ScenarioResult:
         return not self.violations
 
 
-def _make_probe(assert_specs, samples_per_cycle: int) -> WaveformProbe:
-    engine = build_engine(assert_specs) if assert_specs else None
-    return WaveformProbe(assertions=engine,
-                         samples_per_cycle=samples_per_cycle)
-
-
 def run_scenario(scenario: str, seed: int = 0,
                  assert_specs: list | None = None,
                  monitor: MonitorConfig | None = None,
                  bits: int = 2, pulses: int | None = None,
                  machine: str = "parity", pattern: str = "101",
                  word: str = "110101", taps: int = 2,
-                 input_samples=None,
-                 samples_per_cycle: int = 32) -> ScenarioResult:
+                 input_samples=None) -> ScenarioResult:
     """Run one scenario with a live probe and return its result."""
     if scenario not in SCENARIOS:
         raise ReproError(f"unknown waves scenario {scenario!r}; expected "
                          f"one of {SCENARIOS}")
-    probe = _make_probe(assert_specs, samples_per_cycle)
+    probe = WaveformProbe(
+        build_engine(assert_specs) if assert_specs else None)
     summary = get_scenario(scenario).run_probed(
         probe, seed=seed, monitor=monitor, bits=bits, pulses=pulses,
         machine=machine, pattern=pattern, word=word, taps=taps,

@@ -153,8 +153,8 @@ class TestGlitchMargin:
     """Adaptive clocking *widens* the clock-glitch margin.
 
     A fixed boundary needs the glitched clock to re-accumulate all the
-    way to ``boundary_fraction`` before the watchdog horizon; the
-    settling event only needs ``settle_fraction`` of nominal red mass,
+    way to ``BOUNDARY_FRACTION`` before the watchdog horizon; the
+    settling event only needs ``SETTLE_FRACTION`` of nominal red mass,
     so the same glitch that stalls a fixed-clock run completes
     adaptively.  (Measured: the ma machine survives fraction 0.05 but
     fails 0.10+ under fixed clocking, yet survives through 0.40

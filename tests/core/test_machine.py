@@ -173,22 +173,3 @@ class TestMachineOptions:
 
         with pytest.raises(SimulationError, match="clocking"):
             MachineOptions(clocking="turbo")
-
-    def test_settle_fraction_range_enforced(self):
-        from repro.core.machine import MachineOptions
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError, match="settle_fraction"):
-            MachineOptions(settle_fraction=0.4)
-        with pytest.raises(SimulationError, match="settle_residual"):
-            MachineOptions(settle_residual=0.0)
-
-    def test_settle_fraction_must_undercut_boundary_fraction(self):
-        from repro.apps.filters import moving_average
-        from repro.core.machine import MachineOptions
-        from repro.errors import SimulationError
-
-        options = MachineOptions(clocking="adaptive",
-                                 settle_fraction=0.95)
-        with pytest.raises(SimulationError, match="boundary_fraction"):
-            SynchronousMachine(moving_average(2), options=options)

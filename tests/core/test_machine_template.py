@@ -158,8 +158,7 @@ class TestKey:
                 SynchronousMachine(sfg)
         assert machine_templates.cache_info().currsize == 0
 
-    BASE = dict(clock_mass=20.0, signed=None, gating="catalytic",
-                boundary_fraction=0.9)
+    BASE = dict(signed=None, gating="catalytic")
 
     @pytest.mark.parametrize("change", [
         {"design": ma2(Fraction(1, 4))},
@@ -168,13 +167,10 @@ class TestKey:
         {"scheme": RateScheme().scaled(fast_factor=2.0)},
         {"rates": "scheme"},
         {"rates": "scaled"},
-        {"clock_mass": 24.0},
         {"signed": True},
         {"gating": "consuming"},
-        {"boundary_fraction": 0.85},
         {"options": MachineOptions(clocking="adaptive")},
         {"options": MachineOptions(oscillator="relaxation")},
-        {"options": MachineOptions(settle_fraction=0.6)},
         {"engine": StochasticMachine},
     ], ids=lambda change: "-".join(
         f"{k}={getattr(v, '__name__', '') or type(v).__name__}"
@@ -201,8 +197,9 @@ class TestKey:
         tracer, metrics = Tracer(MemorySink()), MetricsRegistry()
         machines = [
             SynchronousMachine(ma2()),
-            SynchronousMachine(ma2(), max_cycle_time=50.0, rtol=1e-6,
-                               atol=1e-8, tracer=tracer, metrics=metrics),
+            SynchronousMachine(ma2(), max_cycle_time=50.0,
+                               method="LSODA", tracer=tracer,
+                               metrics=metrics),
             StochasticMachine(ma2(), seed=0),
             StochasticMachine(ma2(), seed=np.random.default_rng(5),
                               max_cycle_time=90.0, tracer=tracer,
@@ -453,8 +450,8 @@ class TestBound:
     def test_the_lru_evicts(self):
         assert machine_templates.cache_info().maxsize == TEMPLATE_CACHE_SIZE
         first = SynchronousMachine(ma2())
-        for mass in range(TEMPLATE_CACHE_SIZE):
-            SynchronousMachine(ma2(), clock_mass=30.0 + mass)
+        for initial in range(TEMPLATE_CACHE_SIZE):
+            SynchronousMachine(ma2(initial=1.0 + initial))
         info = machine_templates.cache_info()
         assert info.currsize == TEMPLATE_CACHE_SIZE
         again = SynchronousMachine(ma2())

@@ -171,3 +171,15 @@ class TestRunEnds:
             with pytest.raises(SimulationError, match="records one run"):
                 again()
         assert metrics.counter("machine.cycles").value == cycles
+
+    def test_a_probe_takes_one_stepper(self, engine):
+        metrics = MetricsRegistry()
+        machine = ENGINES[engine](probe=WaveformProbe(), metrics=metrics)
+        stepper = machine.stepper()
+        for value in (8, 4):
+            with pytest.raises(SimulationError, match="records one run"):
+                machine.stepper()
+            stepper.step({"x": value})
+        with pytest.raises(SimulationError, match="records one run"):
+            machine.run({"x": [8, 4]})
+        assert metrics.counter("machine.cycles").value == stepper.cycles == 2

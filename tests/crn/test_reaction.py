@@ -69,12 +69,6 @@ class TestQueries:
         assert not r.is_catalytic_in("S")
         assert not r.is_catalytic_in("P")
 
-    def test_conserves_mass_of_group(self):
-        transfer = Reaction({"R": 1, "b": 1}, {"G": 1})
-        assert transfer.conserves_mass_of(["R", "G"])
-        assert not transfer.conserves_mass_of(["R"])
-        assert not transfer.conserves_mass_of(["R", "G", "b"])
-
 
 class TestEqualityAndRendering:
     def test_equality_ignores_label(self):

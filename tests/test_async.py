@@ -14,7 +14,7 @@ class TestSelfTimedPipeline:
         pipeline = SelfTimedPipeline(n=2, gating=gating)
         run = pipeline.run([20.0, 10.0, 30.0])
         assert len(run.arrived) == 3
-        # ~arrival_fraction of each sample is acknowledged per wave.
+        # ~ARRIVAL_FRACTION of each sample is acknowledged per wave.
         for injected, arrived in zip(run.injected, run.arrived):
             assert arrived == pytest.approx(injected, rel=0.06)
 
