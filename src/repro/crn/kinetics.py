@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.crn import native
 from repro.crn.network import Network
+from repro.errors import SimulationError
 
 
 class MassActionKinetics:
@@ -175,6 +176,7 @@ class MassActionKinetics:
         self._kernel_call = None    # its _KernelBinding.call, or ()
         self._fire = None           # fire_csr(), computed on first use
         self._dependency = None     # dependency_csr(), likewise
+        self._ssa_index = None      # the SSA loop's packed index arrays
 
     def _compile_scatters(self) -> None:
         """Fixed-order scatters for ``dx/dt`` and the Jacobian.
@@ -257,9 +259,10 @@ class MassActionKinetics:
     def rhs_numpy(self, t: float, x: np.ndarray) -> np.ndarray:
         """NumPy twin of the compiled :meth:`rhs` (same order, same bits)."""
         rate = self.reaction_rates(x)
+        # An empty bincount is int64: the cast keeps float64 zeros.
         return np.bincount(self._stoich_rows,
                            weights=self._stoich_coef * rate[self._stoich_cols],
-                           minlength=self.n_species)
+                           minlength=self.n_species).astype(float, copy=False)
 
     def _drate_values(self, x: np.ndarray) -> np.ndarray:
         """Every d(rate)/dx entry, in ``_drate_rows``/``_drate_cols`` order."""
@@ -319,7 +322,8 @@ class MassActionKinetics:
         n_s = self.n_species
         return np.bincount(self._jac_target,
                            weights=self._jacobian_weights(x),
-                           minlength=n_s * n_s).reshape(n_s, n_s)
+                           minlength=n_s * n_s).astype(
+                               float, copy=False).reshape(n_s, n_s)
 
     def jacobian_sparsity(self) -> np.ndarray:
         """(S, S) 0/1 nonzero pattern of :meth:`jacobian`.
@@ -335,7 +339,11 @@ class MassActionKinetics:
     # -- stochastic ----------------------------------------------------------
 
     def stochastic_constants(self, volume: float = 1.0) -> np.ndarray:
-        """Per-reaction stochastic rate constants ``c_j``."""
+        """Per-reaction stochastic rate constants ``c_j``.  ``volume``
+        must be finite and positive."""
+        if not (math.isfinite(volume) and volume > 0):
+            raise SimulationError(
+                f"volume must be finite and > 0, got {float(volume)!r}")
         constants = np.empty(len(self.rates))
         for j, reactants in enumerate(self._reactant_lists):
             order = sum(e for _, e in reactants)
@@ -600,4 +608,16 @@ def build_kinetics(network: Network, scheme=None,
     if rates is None:
         scheme = scheme or RateScheme()
         rates = network.rate_vector(scheme)
-    return MassActionKinetics(network, np.asarray(rates, dtype=float))
+    kinetics = MassActionKinetics(network, np.asarray(rates, dtype=float))
+    # A negative or non-finite rate makes a propensity negative or
+    # non-finite, which no engine can run on.  (A scheme resolves only
+    # finite, non-negative rates, so only an explicit vector gets here.)
+    rates = kinetics.rates
+    bad = np.flatnonzero(~(np.isfinite(rates) & (rates >= 0)))
+    if bad.size:
+        j = int(bad[0])
+        raise SimulationError(
+            f"rates[{j}] is {float(rates[j])!r} for reaction "
+            f"{network.reactions[j]}: rates must be finite and "
+            f"non-negative")
+    return kinetics

@@ -18,7 +18,11 @@ lazy load and one fallback warning serve them all.
   ``random_standard_exponential`` and the bit generator's
   ``next_double``, on the generator's own ``bitgen_t``, so a seeded
   realisation -- and the generator state it leaves behind -- is bitwise
-  what the Python loop produces.  ``repro_ssa_ensemble`` runs that loop
+  what the Python loop produces.  It sums and searches only the live
+  propensities (those not +-0.0): dropping zero terms moves no partial
+  sum at a live index, so the total and the selected reaction are the
+  full loop's.  It also skips recomputing a dependent that a zero factor
+  keeps at +0.0.  ``repro_ssa_ensemble`` runs that loop
   once per generator of a seeded ensemble in one call, and
   ``repro_ssa_poll`` runs a machine's poll chunks back to back, scanning
   each chunk's rows on the clock's margin tables.  The module
@@ -111,12 +115,17 @@ typedef struct {
     const int64_t *fire_delta;
     const int64_t *dep_ptr;         /* CSR per reaction: the reactions  */
     const int64_t *dep_rows;        /*   whose propensity it changes    */
+    const int64_t *dep_other;       /* per dep_rows entry: a cb factor  */
+                                    /*   slot the firing leaves alone,  */
+                                    /*   or n_species (1.0) if none     */
     const int64_t *generic_of;      /* order >= 3 row of reaction, or -1 */
     const int64_t *generic_ptr;     /* CSR per order >= 3 row           */
     const int64_t *generic_species;
     const int64_t *generic_exp;
     const double *generic_fact;     /* e! of each exponent              */
     double *cumulative;             /* scratch, n_reactions             */
+    int64_t *live;                  /* scratch, n_reactions: ascending, */
+    int64_t n_live;                 /*   the j with a_j not +-0.0       */
     int64_t *counts;                /* the state, updated in place      */
     double *cb;                     /* [counts, 1, (counts - 1)/2, 1]   */
     double *a;                      /* propensities                     */
@@ -303,8 +312,43 @@ static double ssa_propensity_of(const repro_ssa *s, int64_t j, int64_t g)
     return value;
 }
 
+/* The live list: every j whose a_j is not +-0.0, ascending.  NaN is
+   live. */
+static void ssa_live_derive(repro_ssa *s)
+{
+    int64_t n = 0;
+    for (int64_t j = 0; j < s->n_reactions; j++)
+        if (s->a[j] != 0.0)
+            s->live[n++] = j;
+    s->n_live = n;
+}
+
+/* Insert or remove reaction i, whose a_i just turned nonzero or zero. */
+static void ssa_live_flip(repro_ssa *s, int64_t i, int nonzero)
+{
+    int64_t *live = s->live, lo = 0, hi = s->n_live;
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        if (live[mid] < i)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    if (nonzero) {
+        memmove(live + lo + 1, live + lo,
+                (size_t)(s->n_live - lo) * sizeof(int64_t));
+        live[lo] = i;
+        s->n_live++;
+    } else {
+        s->n_live--;
+        memmove(live + lo, live + lo + 1,
+                (size_t)(s->n_live - lo) * sizeof(int64_t));
+    }
+}
+
 /* IncrementalPropensities.rebuild: every propensity from the counts,
-   unclamped, as MassActionKinetics.propensities computes them. */
+   unclamped, as MassActionKinetics.propensities computes them; then the
+   live list. */
 static void ssa_rebuild(repro_ssa *s)
 {
     int64_t n_s = s->n_species;
@@ -322,10 +366,14 @@ static void ssa_rebuild(repro_ssa *s)
             : ssa_propensity_of(s, j, g);
     }
     s->events_since_rebuild = 0;
+    ssa_live_derive(s);
 }
 
 /* IncrementalPropensities.fire.  The clamp is np.maximum(v, 0.0):
-   NaN propagates and -0.0 becomes +0.0. */
+   NaN propagates and -0.0 becomes +0.0.  A dependent stored as +0.0
+   (on bits: a rebuild may have stored -0.0) with a zero factor this
+   firing left alone would be recomputed as +0.0 again, so it is
+   skipped. */
 static void ssa_fire(repro_ssa *s, int64_t j)
 {
     int64_t half = s->n_species + 1;
@@ -341,22 +389,31 @@ static void ssa_fire(repro_ssa *s, int64_t j)
     }
     for (int64_t p = s->dep_ptr[j]; p < s->dep_ptr[j + 1]; p++) {
         int64_t i = s->dep_rows[p], g = s->generic_of[i];
+        double old = s->a[i], v;
+        if (old == 0.0 && !signbit(old) && s->cb[s->dep_other[p]] == 0.0)
+            continue;
         if (g >= 0) {
-            s->a[i] = ssa_propensity_of(s, i, g);
+            v = ssa_propensity_of(s, i, g);
         } else {
-            double v = s->constants[i] * s->cb[s->factor_a[i]]
-                       * s->cb[s->factor_b[i]];
-            s->a[i] = (v > 0.0 || v != v) ? v : 0.0;
+            v = s->constants[i] * s->cb[s->factor_a[i]]
+                * s->cb[s->factor_b[i]];
+            v = (v > 0.0 || v != v) ? v : 0.0;
         }
+        s->a[i] = v;
+        if ((old == 0.0) != (v == 0.0))
+            ssa_live_flip(s, i, v != 0.0);
     }
 }
 
 /* select_reaction: cumulative.searchsorted(key, side="right") in
    numpy's NaN-last order, then the last positive propensity when the
-   key overshoots the final bin; -1 when no propensity is positive. */
+   key overshoots the final bin; -1 when no propensity is positive.
+   The cumulative sum runs over the live list only: no a_j is negative,
+   so the full sum never decreases, a zero entry repeats the value
+   before it and no search lands on one. */
 static int64_t ssa_select(const repro_ssa *s, double key)
 {
-    int64_t lo = 0, hi = s->n_reactions;
+    int64_t lo = 0, hi = s->n_live;
     while (lo < hi) {
         int64_t mid = lo + ((hi - lo) >> 1);
         double v = s->cumulative[mid];
@@ -365,18 +422,22 @@ static int64_t ssa_select(const repro_ssa *s, double key)
         else
             lo = mid + 1;
     }
-    if (lo < s->n_reactions)
-        return lo;
-    for (int64_t j = s->n_reactions - 1; j >= 0; j--)
-        if (s->a[j] > 0.0)
-            return j;
+    if (lo < s->n_live)
+        return s->live[lo];
+    for (int64_t k = s->n_live - 1; k >= 0; k--)
+        if (s->a[s->live[k]] > 0.0)
+            return s->live[k];
     return -1;
 }
 
 /* IncrementalPropensities.advance_python, event for event and draw for
    draw: one exponential for the waiting time, then one uniform for the
-   selection, from the generator the Python loop would draw from. */
-int repro_ssa_run(repro_ssa *s)
+   selection, from the generator the Python loop would draw from.
+   a.cumsum() adds one term at a time; adding +-0.0 leaves every nonzero
+   partial sum as it is, so summing the live terms alone gives the same
+   partial sum at each live index and the same total.  With every term
+   live, the plain loop runs. */
+static int ssa_loop(repro_ssa *s)
 {
     bitgen_t *bitgen = (bitgen_t *)s->bitgen;
     int64_t n_s = s->n_species;
@@ -385,10 +446,22 @@ int repro_ssa_run(repro_ssa *s)
     int status = REPRO_SSA_DONE;
     s->events = 0;
     while (t < s->t_final) {
-        double total = s->a[0];     /* a.cumsum(): one add at a time */
-        s->cumulative[0] = total;
-        for (int64_t j = 1; j < s->n_reactions; j++)
-            s->cumulative[j] = total += s->a[j];
+        const int64_t *live = s->live;
+        int64_t n_live = s->n_live;
+        if (n_live == 0)
+            break;                  /* every a_j is +-0.0: total <= 0 */
+        double total;
+        if (n_live == s->n_reactions) {
+            total = s->a[0];
+            s->cumulative[0] = total;
+            for (int64_t j = 1; j < n_live; j++)
+                s->cumulative[j] = total += s->a[j];
+        } else {
+            total = s->a[live[0]];
+            s->cumulative[0] = total;
+            for (int64_t k = 1; k < n_live; k++)
+                s->cumulative[k] = total += s->a[live[k]];
+        }
         if (total <= 0.0)
             break;
         /* Generator.exponential(1.0 / total) */
@@ -419,6 +492,13 @@ int repro_ssa_run(repro_ssa *s)
     return status;
 }
 
+/* The loop from whatever propensities the caller left in a. */
+int repro_ssa_run(repro_ssa *s)
+{
+    ssa_live_derive(s);
+    return ssa_loop(s);
+}
+
 /* StochasticSimulator.simulate_ensemble: one realisation per generator
    from the same initial counts, each into its own block of samples and
    held to the end of the grid; a trial that stops early returns its
@@ -439,7 +519,7 @@ int repro_ssa_ensemble(repro_ssa *s, const int64_t *initial,
         s->samples = out;
         s->t = t_start;
         s->next_sample = 1;
-        int status = repro_ssa_run(s);
+        int status = ssa_loop(s);
         if (status != REPRO_SSA_DONE) {
             *failed = k;
             return status;
@@ -489,7 +569,7 @@ int repro_ssa_poll(repro_ssa *s, repro_poll *p)
         s->samples = rows;
         s->t = 0.0;
         s->next_sample = 1;
-        status = repro_ssa_run(s);
+        status = ssa_loop(s);
         p->events += s->events;
         p->chunks++;
         if (status != REPRO_SSA_DONE)

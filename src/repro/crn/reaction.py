@@ -79,8 +79,11 @@ class Reaction:
         object.__setattr__(self, "products", _normalize_side(products))
         if not isinstance(rate, str):
             rate = float(rate)
-            if rate < 0:
-                raise NetworkError("rate constant must be non-negative")
+            if not rate >= 0:  # NaN too
+                raise NetworkError(
+                    f"rate constant must be non-negative, got {rate!r} "
+                    f"for {_format_side(self.reactants)} -> "
+                    f"{_format_side(self.products)}")
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "label", label)
         if not self.reactants and not self.products:

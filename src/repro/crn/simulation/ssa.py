@@ -29,6 +29,7 @@ a machine's poll chunks, scanned on its clock's margin tables
 from __future__ import annotations
 
 import copy
+import ctypes
 import math
 from collections.abc import Mapping, Sequence
 from contextlib import ExitStack
@@ -71,10 +72,83 @@ _INT64_MAX = np.iinfo(np.int64).max
 _EXACT_COUNTS = 2.0 ** 53
 
 
+#: ``PyCapsule_GetPointer`` with its own prototype, so no other user of
+#: ``ctypes.pythonapi`` sees its argument types change.
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
 def _bitgen(ffi, rng: np.random.Generator):
-    """``rng``'s ``bitgen_t *``, valid while ``rng`` is alive."""
-    return ffi.cast("void *",
-                    rng.bit_generator.ctypes.bit_generator.value)
+    """``rng``'s ``bitgen_t *``, valid while ``rng`` is alive: read from
+    the bit generator's capsule (its ``ctypes`` interface holds the same
+    pointer, but builds itself on first access, at several times the
+    cost)."""
+    return ffi.cast("void *", _capsule_pointer(rng.bit_generator.capsule,
+                                               b"BitGenerator"))
+
+
+def _index_buffer(kinetics: MassActionKinetics
+                  ) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+    """The compiled loop's int64 index arrays packed into one buffer,
+    the ``e!`` of each order >= 3 exponent, and each index array's
+    offset into the buffer.  Built once per kinetics and shared by its
+    views, so every machine of a template reads one buffer.
+
+    ``dep_other`` runs beside ``dependency_csr()``'s rows: for reaction
+    ``j`` and its dependent ``i``, the gather slot of a factor of ``a_i``
+    that firing ``j`` leaves alone.  When that factor is 0, ``a_i`` was
+    zero and stays zero, so the loop need not recompute it.  It is the
+    constant slot ``n_species`` (1.0, never skipped) when ``j`` changes
+    both factors, and for order >= 3 rows, whose factor slots are both
+    that slot.
+    """
+    if kinetics._ssa_index is not None:
+        return kinetics._ssa_index
+    k = kinetics
+    n_s = k.n_species
+    fire_ptr, fire_species, fire_delta = k.fire_csr()
+    dep_ptr, dep_rows = k.dependency_csr()
+    # touched[j, s]: firing j changes species s; column n_s is the
+    # constant slot, which nothing changes.
+    touched = np.zeros((k.n_reactions, n_s + 1), dtype=bool)
+    touched[np.repeat(np.arange(k.n_reactions), np.diff(fire_ptr)),
+            fire_species] = True
+    firing = np.repeat(np.arange(k.n_reactions), np.diff(dep_ptr))
+    slot_a = k._factor_a[dep_rows]
+    slot_b = k._stoch_factor_b[dep_rows]
+    # A half-pair slot n_s + 1 + s moves with species s.
+    a_moves, b_moves = (touched[firing, slot % (n_s + 1)]
+                        for slot in (slot_a, slot_b))
+    dep_other = np.where(a_moves, np.where(b_moves, n_s, slot_b), slot_a)
+    generic = [reactants for _, reactants in k._generic_lists]
+    generic_of = np.full(k.n_reactions, -1)
+    generic_of[k._generic_rows] = np.arange(len(generic))
+    fields = {
+        "factor_a": k._factor_a,
+        "factor_b": k._stoch_factor_b,
+        "fire_ptr": fire_ptr,
+        "fire_species": fire_species,
+        "fire_delta": fire_delta,
+        "dep_ptr": dep_ptr,
+        "dep_rows": dep_rows,
+        "dep_other": dep_other,
+        "generic_of": generic_of,
+        "generic_ptr": np.cumsum([0] + [len(r) for r in generic]),
+        "generic_species": [s for r in generic for s, _ in r],
+        "generic_exp": [e for r in generic for _, e in r],
+    }
+    arrays = [np.asarray(value, dtype=np.int64).ravel()
+              for value in fields.values()]
+    offsets = dict(zip(fields, np.cumsum([0] + [a.size for a in arrays])
+                       .tolist()))
+    packed = np.concatenate(arrays)
+    facts = np.array([float(math.factorial(e))
+                      for r in generic for _, e in r])
+    packed.setflags(write=False)
+    facts.setflags(write=False)
+    kinetics._ssa_index = (packed, facts, offsets)
+    return kinetics._ssa_index
 
 
 def _over_budget(max_events, t: float) -> str:
@@ -326,10 +400,12 @@ class IncrementalPropensities:
 class _CompiledLoop:
     """One propensity state packed into the kernel's ``repro_ssa`` struct.
 
-    The struct points at the state's own counts, gather buffer and
-    propensities, which the state updates in place, and at index arrays
-    owned by the binding; :meth:`run` and :meth:`ensemble` add the call's
-    sample grid, outputs and limits and the generators' ``bitgen_t``.
+    The struct points at the state's own counts, gather buffer,
+    propensities and constants, which the state updates in place, at the
+    kinetics' shared index buffer (:func:`_index_buffer`), and at the
+    binding's own scratch: the cumulative sums and the live list.
+    :meth:`run` and :meth:`ensemble` add the call's sample grid, outputs
+    and limits and the generators' ``bitgen_t``.
     """
 
     def __init__(self, module, state: IncrementalPropensities):
@@ -341,36 +417,22 @@ class _CompiledLoop:
         self._exceeded = lib.REPRO_SSA_MAX_EVENTS
         self._absorbing = lib.REPRO_SSA_ABSORBING
         k = state.kinetics
-        generic = [reactants for _, reactants in k._generic_lists]
-        generic_of = np.full(k.n_reactions, -1)
-        generic_of[k._generic_rows] = np.arange(len(generic))
-        ints = {
-            "factor_a": k._factor_a,
-            "factor_b": k._stoch_factor_b,
-            "fire_ptr": state._fire_ptr,
-            "fire_species": state._fire_species,
-            "fire_delta": state._fire_delta,
-            "dep_ptr": state._dep_ptr,
-            "dep_rows": state._dep_rows,
-            "generic_of": generic_of,
-            "generic_ptr": np.cumsum([0] + [len(r) for r in generic]),
-            "generic_species": [s for r in generic for s, _ in r],
-            "generic_exp": [e for r in generic for _, e in r],
-        }
-        doubles = {
-            "constants": state.constants,
-            "generic_fact": [float(math.factorial(e))
-                             for r in generic for _, e in r],
-            "cumulative": np.empty(k.n_reactions),
-        }
+        packed, facts, offsets = _index_buffer(k)
         ctx = ffi.new("repro_ssa *")
-        self._ints, _ = native.pack(ffi, ctx, ints, np.int64, "int64_t[]")
-        self._floats, _ = native.pack(ffi, ctx, doubles, np.float64,
-                                      "double[]")
-        self._live = (ffi.from_buffer("int64_t[]", state.counts),
-                      ffi.from_buffer("double[]", state._cb),
-                      ffi.from_buffer("double[]", state.a))
-        ctx.counts, ctx.cb, ctx.a = self._live
+        base = ffi.from_buffer("int64_t[]", packed)
+        for name, start in offsets.items():
+            setattr(ctx, name, base + start)
+        self._live = [base]  # every buffer the struct points into
+        for name, ctype, array in (
+                ("generic_fact", "double[]", facts),
+                ("constants", "double[]", state.constants),
+                ("cumulative", "double[]", np.empty(k.n_reactions)),
+                ("live", "int64_t[]", np.empty(k.n_reactions, np.int64)),
+                ("counts", "int64_t[]", state.counts),
+                ("cb", "double[]", state._cb),
+                ("a", "double[]", state.a)):
+            self._live.append(ffi.from_buffer(ctype, array))
+            setattr(ctx, name, self._live[-1])
         ctx.n_species = self._n_species = k.n_species
         ctx.n_reactions = self._n_reactions = k.n_reactions
         self.ctx = ctx
@@ -559,8 +621,7 @@ class StochasticSimulator:
         gives a runnable one."""
         prototype = cls.__new__(cls)
         prototype._compile(network, scheme, rates, 1.0)
-        prototype.kinetics.fire_csr()
-        prototype.kinetics.dependency_csr()
+        _index_buffer(prototype.kinetics)
         prototype.kinetics.freeze()
         prototype.constants.setflags(write=False)
         return prototype

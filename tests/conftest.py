@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from repro.core.dfg import SignalFlowGraph
+
+# Hypothesis profiles, chosen with HYPOTHESIS_PROFILE.  "kernel-fuzz" is
+# the example budget CI's sanitizer step gives the kernel differential
+# suite (tests/crn/test_native_differential.py), which otherwise runs its
+# own small budget; every other property test sets its own.
+settings.register_profile("kernel-fuzz", max_examples=300)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -281,6 +281,28 @@ class TestReadOnly:
         assert state._fire_delta is shared.fire_csr()[2]
         assert not hasattr(machine.template.simulator, "rng")
 
+    def test_machines_share_the_packed_ssa_indices(self):
+        """One int64 buffer holds a template's SSA index arrays, the
+        zero-factor table included; each machine's binding points into
+        it and keeps its own scratch."""
+        machines = [StochasticMachine(ma2(), seed=seed) for seed in (0, 1)]
+        for machine in machines:
+            machine.run({"x": [8, 4]})
+        packed = machine.template.simulator.kinetics._ssa_index[0]
+        assert all(m.simulator.kinetics._ssa_index[0] is packed
+                   for m in machines)
+        with pytest.raises(ValueError, match="read-only"):
+            packed[0] = 0
+        if native.load() is None:
+            pytest.skip("no compiled kernel on this host")
+        first, second = (m.simulator.propensity_state._loop().ctx
+                         for m in machines)
+        assert first.dep_other == second.dep_other
+        assert first.dep_rows == second.dep_rows
+        assert first.cumulative != second.cumulative
+        assert first.live != second.live
+        assert first.a != second.a
+
     @pytest.mark.parametrize("mutate", [
         lambda n: n.add_species("orphan"),
         lambda n: n.add_reaction(Reaction("orphan", None, "slow")),

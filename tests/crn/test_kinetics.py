@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro import SimulationOptions, simulate
 from repro.crn.kinetics import build_kinetics
 from repro.crn.network import Network
+from repro.crn.simulation.ode import OdeSimulator
+from repro.crn.simulation.ssa import StochasticSimulator
+from repro.crn.simulation.tau_leaping import TauLeapingSimulator
+from repro.errors import NetworkError, SimulationError
 
 
 def _simple_network():
@@ -98,3 +103,55 @@ class TestStochastic:
         constants = kinetics.stochastic_constants()
         counts = np.array([1, 0])
         assert kinetics.propensities(counts, constants)[0] == 0.0
+
+
+def _pair() -> Network:
+    network = Network("pair")
+    network.add("A", "B", 1.0)
+    network.add("B", "A", 2.0)
+    network.set_initial("A", 5)
+    return network
+
+
+class TestInvalidRatesAndVolumes:
+    """A rate or volume that would make a propensity negative or
+    non-finite raises one error naming it, on every engine; zero rates
+    stay legal."""
+
+    def test_a_nan_literal_rate_is_refused(self):
+        with pytest.raises(NetworkError, match=r"got nan for A -> B"):
+            Network().add("A", "B", float("nan"))
+
+    @pytest.mark.parametrize("rate", [-1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("engine", [
+        StochasticSimulator, TauLeapingSimulator, OdeSimulator,
+        build_kinetics])
+    def test_an_explicit_rate_is_refused(self, engine, rate):
+        with pytest.raises(SimulationError) as raised:
+            engine(_pair(), rates=[2.0, rate])
+        assert str(raised.value) == (
+            f"rates[1] is {rate!r} for reaction B -> A @ 2: rates must "
+            f"be finite and non-negative")
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_rates_stay_legal(self, zero):
+        trajectory = StochasticSimulator(
+            _pair(), rates=[zero, 2.0], seed=0).simulate(1.0)
+        assert trajectory.meta == {"events": 0}
+
+    @pytest.mark.parametrize("volume", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("engine", [
+        StochasticSimulator, TauLeapingSimulator,
+        lambda network, volume: build_kinetics(
+            network).stochastic_constants(volume)],
+        ids=["ssa", "tau", "stochastic_constants"])
+    def test_a_volume_is_refused(self, engine, volume):
+        with pytest.raises(SimulationError) as raised:
+            engine(_pair(), volume=volume)
+        assert str(raised.value) == \
+            f"volume must be finite and > 0, got {volume!r}"
+
+    def test_the_facade_volume_is_refused(self):
+        with pytest.raises(SimulationError, match="volume must be finite"):
+            simulate(_pair(), 1.0, method="ssa", seed=0,
+                     options=SimulationOptions(volume=0.0))

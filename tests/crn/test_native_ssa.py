@@ -40,7 +40,8 @@ from repro.crn.parser import parse_network
 from repro.crn.simulation.margins import MarginTable
 from repro.crn.simulation.sampling import NO_POSITIVE_PROPENSITY
 from repro.crn.simulation.ssa import (IncrementalPropensities,
-                                      StochasticSimulator, _CompiledLoop)
+                                      StochasticSimulator, _bitgen,
+                                      _CompiledLoop)
 from repro.errors import SimulationError
 from repro.obs import MetricsRegistry
 from repro.scenarios import get_scenario, scenario_names
@@ -106,14 +107,18 @@ def kernel():
 
 
 def _realise(network, compiled, *, bit_generator=np.random.PCG64, seed=0,
-             rates=None, rebuild_interval=None, metrics=False, t_final=2.0,
-             **kwargs):
-    """One seeded realisation and everything it leaves behind."""
+             rates=None, constants=None, rebuild_interval=None,
+             metrics=False, t_final=2.0, **kwargs):
+    """One seeded realisation and everything it leaves behind.
+    ``constants`` overwrites the stochastic constants before the run,
+    to reach values no valid rate gives."""
     rng = np.random.Generator(bit_generator(seed))
     registry = MetricsRegistry() if metrics else None
     simulator = StochasticSimulator(network, rates=rates, seed=rng,
                                     metrics=registry)
     state = simulator.propensity_state
+    if constants is not None:
+        state.constants[:] = constants
     if rebuild_interval is not None:
         state.rebuild_interval = rebuild_interval
     if not compiled:
@@ -193,6 +198,14 @@ def test_every_bit_generator(kernel, bit_generator):
                         **MACHINE_KW))
 
 
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_the_capsule_gives_the_ctypes_bitgen(kernel, bit_generator):
+    rng = np.random.Generator(bit_generator(2))
+    pointer = int(kernel.ffi.cast("uintptr_t", _bitgen(kernel.ffi, rng)))
+    assert pointer == rng.bit_generator.ctypes.bit_generator.value != 0
+
+
 def test_absorbing_start_draws_nothing(kernel):
     network = Network("decay")
     network.add("A", "B", 0.5)
@@ -204,13 +217,14 @@ def test_absorbing_start_draws_nothing(kernel):
 
 
 def test_absorbing_draw_raises_the_same_error(kernel):
-    """An infinite rate on an empty reactant makes a = inf * 0 = NaN:
-    the total is not <= 0, so both paths draw, find no positive
-    propensity and raise the selection error."""
+    """An infinite constant on an empty reactant makes a = inf * 0 =
+    NaN: the total is not <= 0, so both paths draw, find no positive
+    propensity and raise the selection error.  (An infinite rate is
+    refused, so the constant is set after construction.)"""
     network = Network("nan")
     network.add("A", "B", 1.0)
     with np.errstate(invalid="ignore"):
-        compiled, twin = _both(network, rates=np.array([np.inf]))
+        compiled, twin = _both(network, constants=np.array([np.inf]))
     _assert_same(compiled, twin)
     assert compiled["outcome"] == NO_POSITIVE_PROPENSITY
 
@@ -732,7 +746,8 @@ def test_budget_overrun_names_its_trial(kernel, compiled):
 def test_absorbing_draw_in_an_ensemble_names_its_trial(kernel, compiled):
     network = Network("nan")
     network.add("A", "B", 1.0)
-    simulator = StochasticSimulator(network, rates=np.array([np.inf]))
+    simulator = StochasticSimulator(network)
+    simulator.constants[:] = np.inf
     if not compiled:
         simulator.propensity_state._native = False
     with np.errstate(invalid="ignore"), \
